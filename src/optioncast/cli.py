@@ -7,7 +7,7 @@ run can be replayed byte-for-byte with ``rerun``.
 
 Option precedence is flags > ``--config`` JSON file > built-in defaults.
 Exit codes: 0 success, 2 usage, 3 data/validation error, 4 numerical
-non-convergence.
+failure (non-finite solve or diverged training).
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ _DEFAULTS: dict[str, dict] = {
         "n_tau": 11,
         "beta": 0.01,
         "horizon": market_data.TRADING_DAY_YEARS,
-        "cg_tol": 1e-10,
-        "cg_max_iter": 5000,
     },
     "train": {
         "input": None,
@@ -183,8 +181,6 @@ def _qrm_config(cfg: dict) -> qrm.QrmConfig:
         n_tau=int(cfg.get("n_tau", 11)),
         beta=cfg.get("beta", 0.01),
         horizon=cfg.get("horizon", market_data.TRADING_DAY_YEARS),
-        cg_tol=cfg.get("cg_tol", 1e-10),
-        cg_max_iter=int(cfg.get("cg_max_iter", 5000)),
     )
 
 
@@ -224,7 +220,6 @@ def cmd_qrm(cfg: dict) -> int:
         "mean_rel_error_vs_next_mid": (
             sum(rel_errors) / len(rel_errors) if rel_errors else None
         ),
-        "total_cg_iterations": sum(m.iterations for m in series if m is not None),
     }
     summary_path = out / "summary.json"
     _write_json(summary_path, summary)
@@ -424,8 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-tau", dest="n_tau", type=int)
     p.add_argument("--beta", type=float)
     p.add_argument("--horizon", type=float)
-    p.add_argument("--cg-tol", dest="cg_tol", type=float)
-    p.add_argument("--cg-max-iter", dest="cg_max_iter", type=int)
     add_common(p)
 
     p = sub.add_parser("train", help="train the direction classifier on a series")

@@ -6,9 +6,10 @@ class DataError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve failed to reach its tolerance.
+    """A numerical solve or training run failed to produce a finite result.
 
-    ``residual`` carries the final (relative) residual when known.
+    ``residual`` carries the final (relative) residual when known; a solve
+    that produced non-finite values reports ``inf``.
     """
 
     def __init__(self, message: str, residual: float | None = None):

@@ -19,9 +19,17 @@ differences in s, on an n_s x n_tau grid covering two forecast days.  The
 stock axis is centered on today's stock mid with half-width
 max(half bid/ask spread, sigma * sqrt(2 * horizon) * stock mid), i.e. at
 least the two-day diffusion scale, and is assembled in stock-mid units (the
-s^2 d2/ds2 operator is invariant under that scaling).  The normal equations
-are solved by conjugate gradient started from F, declaring convergence when
-the recursive residual drops below cg_tol times the right-hand-side norm.
+s^2 d2/ds2 operator is invariant under that scaling).
+
+Solve: the operator is held as its coefficients, kappa_i = sigma^2 s_i^2 /
+(2 ds^2) per interior stock node and d = 1/dtau.  With the unknowns grouped by
+tau column the normal matrix is block tridiagonal with n_tau - 1 blocks of
+size n_s - 2: diagonal blocks d^2 I + T^T T + beta I (the last one
+(d^2 + beta) I) and off-diagonal blocks d T^T, where
+T = tridiag(-kappa_i, 2 kappa_i - d, -kappa_i) holds kappa_i in row i.  Block
+forward elimination and back-substitution solve it directly for the
+correction u - F, whose right-hand side is A^T(-R(F)) with R the PDE
+residual, so data that already satisfy the PDE come back unchanged.
 
 The forecast EST is the solved surface at the central stock node one trading
 day ahead; odd grid sizes guarantee both indices exist exactly.
@@ -31,10 +39,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConvergenceError, DataError
 from .market_data import TRADING_DAY_YEARS, QuoteRecord
@@ -52,14 +59,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QrmConfig:
-    """Grid, regularization, and solver parameters."""
+    """Grid and regularization parameters."""
 
     n_s: int = 21
     n_tau: int = 11
     beta: float = 0.01
     horizon: float = TRADING_DAY_YEARS
-    cg_tol: float = 1e-10
-    cg_max_iter: int = 5000
 
     def __post_init__(self) -> None:
         for name in ("n_s", "n_tau"):
@@ -70,10 +75,6 @@ class QrmConfig:
             raise DataError(f"beta must be > 0, got {self.beta}")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise DataError(f"horizon must be > 0, got {self.horizon}")
-        if not (math.isfinite(self.cg_tol) and self.cg_tol > 0):
-            raise DataError(f"cg_tol must be > 0, got {self.cg_tol}")
-        if int(self.cg_max_iter) != self.cg_max_iter or self.cg_max_iter <= 0:
-            raise DataError(f"cg_max_iter must be a positive integer, got {self.cg_max_iter}")
 
 
 @dataclass(frozen=True)
@@ -96,18 +97,22 @@ class QrmGrid:
 
 @dataclass(frozen=True)
 class Minimizer:
-    """Regularized solution plus the one-day-ahead estimate read from it."""
+    """Regularized solution plus the one-day-ahead estimate read from it.
+
+    ``residual`` is the PDE misfit ||R(u)||^2 and ``regularization`` the data
+    term beta ||u - F||^2; their sum is J_beta at the solution.
+    """
 
     grid: QrmGrid
     est: float
     residual: float
-    iterations: int
+    regularization: float
 
     def to_json(self) -> dict:
         return {
             "est": self.est,
             "residual": self.residual,
-            "iterations": self.iterations,
+            "regularization": self.regularization,
             "n_s": len(self.grid.s_values),
             "n_tau": len(self.grid.tau_values),
         }
@@ -117,49 +122,81 @@ class Minimizer:
 class AssembledSystem:
     """Least-squares pieces of J_beta over the interior unknowns.
 
-    ``a_pde`` maps interior node values to PDE residuals, ``b_pde`` collects
-    the boundary contributions moved to the right-hand side, ``f_interior``
-    is the data surface at the unknown nodes, and ``f_surface`` the full
-    n_s x n_tau data surface.  ``known_mask`` flags the imposed nodes in the
-    flattened (s-major) node ordering.
+    The PDE operator is held as its coefficients: ``kappa`` per interior stock
+    node and ``inv_dtau``.  ``f_surface`` is the full n_s x n_tau data
+    surface.  The unknowns are the interior nodes u[1:-1, 1:], flattened
+    s-major (the order of ``~known_mask``); the dense matrices below use that
+    order and are meant for small-grid diagnostics.
     """
 
-    a_pde: sp.csr_matrix
-    b_pde: np.ndarray
-    f_interior: np.ndarray
+    kappa: np.ndarray
+    inv_dtau: float
     f_surface: np.ndarray
     s_values: np.ndarray
     tau_values: np.ndarray
-    known_mask: np.ndarray
     beta: float
 
     @property
     def n_unknowns(self) -> int:
-        return self.a_pde.shape[1]
+        return self.kappa.size * (len(self.tau_values) - 1)
+
+    @property
+    def known_mask(self) -> np.ndarray:
+        """Imposed nodes in the flattened (s-major) node ordering."""
+        known = np.ones(self.f_surface.shape, dtype=bool)
+        known[1:-1, 1:] = False
+        return known.reshape(-1)
+
+    @property
+    def f_interior(self) -> np.ndarray:
+        return self.f_surface[1:-1, 1:].reshape(-1)
+
+    def pde_residual(self, u: np.ndarray) -> np.ndarray:
+        """R(u) for a full surface: one row per interior stock node, one column per tau step."""
+        return self.inv_dtau * (u[1:-1, 1:] - u[1:-1, :-1]) + self.kappa[:, None] * (
+            2.0 * u[1:-1, :-1] - u[2:, :-1] - u[:-2, :-1]
+        )
+
+    def pde_matrix(self) -> np.ndarray:
+        """Dense A: R(u) = A x - b with x the unknowns, rows ordered as ``pde_residual``.
+
+        Residual column j is d x_j + T x_(j-1), x_(-1) being the imposed
+        tau = 0 row, which is a Kronecker product in s-major order.
+        """
+        m = len(self.tau_values) - 1
+        return self.inv_dtau * np.eye(self.n_unknowns) + np.kron(
+            _stencil(self.kappa, self.inv_dtau), np.eye(m, k=-1)
+        )
 
     def apply_normal(self, x: np.ndarray) -> np.ndarray:
         """(A^T A + beta I) x."""
-        return self.a_pde.T @ (self.a_pde @ x) + self.beta * x
+        a = self.pde_matrix()
+        return a.T @ (a @ x) + self.beta * x
 
     def normal_rhs(self) -> np.ndarray:
-        return self.a_pde.T @ self.b_pde + self.beta * self.f_interior
+        """A^T b + beta F, where b = -R(imposed nodes only) moves them to the right."""
+        known = self.f_surface.copy()
+        known[1:-1, 1:] = 0.0
+        b = -self.pde_residual(known).reshape(-1)
+        return self.pde_matrix().T @ b + self.beta * self.f_interior
 
     def normal_matrix(self) -> np.ndarray:
-        """Dense A^T A + beta I, for small-grid diagnostics only."""
-        return (self.a_pde.T @ self.a_pde).toarray() + self.beta * np.eye(self.n_unknowns)
+        """Dense A^T A + beta I."""
+        a = self.pde_matrix()
+        return a.T @ a + self.beta * np.eye(self.n_unknowns)
+
+
+def _stencil(kappa: np.ndarray, inv_dtau: float) -> np.ndarray:
+    """T = tridiag(-kappa_i, 2 kappa_i - 1/dtau, -kappa_i), row i holding kappa_i."""
+    return np.diag(2.0 * kappa - inv_dtau) - np.diag(kappa[1:], -1) - np.diag(kappa[:-1], 1)
 
 
 def _data_surface(prev: QuoteRecord, today: QuoteRecord, tau_values: np.ndarray,
                   n_s: int, horizon: float) -> np.ndarray:
-    mid = today.option_mid
-    slope_bid = today.option_bid - prev.option_bid
-    slope_ask = today.option_ask - prev.option_ask
-    f = np.empty((n_s, len(tau_values)))
-    for j, tau in enumerate(tau_values):
-        lo = today.option_bid + (tau / horizon) * slope_bid
-        hi = today.option_ask + (tau / horizon) * slope_ask
-        f[:, j] = np.linspace(lo, hi, n_s)
-    f[:, 0] = mid
+    lo = today.option_bid + (tau_values / horizon) * (today.option_bid - prev.option_bid)
+    hi = today.option_ask + (tau_values / horizon) * (today.option_ask - prev.option_ask)
+    f = np.linspace(lo, hi, n_s)
+    f[:, 0] = today.option_mid
     return f
 
 
@@ -189,85 +226,54 @@ def assemble_system(records: Sequence[QuoteRecord], config: QrmConfig) -> Assemb
     tau_values = np.linspace(0.0, 2.0 * config.horizon, n_tau)
     ds = s_scaled[1] - s_scaled[0]
     dtau = tau_values[1] - tau_values[0]
-
-    f_surface = _data_surface(prev, today, tau_values, n_s, config.horizon)
-
-    known = np.zeros((n_s, n_tau), dtype=bool)
-    known[:, 0] = True
-    known[0, :] = True
-    known[-1, :] = True
-    known_mask = known.reshape(-1)
-
-    def node(i: int, j: int) -> int:
-        return i * n_tau + j
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    r = 0
-    inv_dtau = 1.0 / dtau
-    for j in range(n_tau - 1):
-        for i in range(1, n_s - 1):
-            kappa = 0.5 * sigma * sigma * s_scaled[i] ** 2 / ds ** 2
-            for col, val in (
-                (node(i, j + 1), inv_dtau),
-                (node(i, j), -inv_dtau + 2.0 * kappa),
-                (node(i + 1, j), -kappa),
-                (node(i - 1, j), -kappa),
-            ):
-                rows.append(r)
-                cols.append(col)
-                vals.append(val)
-            r += 1
-    a_full = sp.csr_matrix((vals, (rows, cols)), shape=(r, n_s * n_tau))
-    flat_f = f_surface.reshape(-1)
-    a_pde = a_full[:, ~known_mask].tocsr()
-    b_pde = -(a_full[:, known_mask] @ flat_f[known_mask])
     return AssembledSystem(
-        a_pde=a_pde,
-        b_pde=b_pde,
-        f_interior=flat_f[~known_mask],
-        f_surface=f_surface,
+        kappa=0.5 * sigma * sigma * s_scaled[1:-1] ** 2 / ds ** 2,
+        inv_dtau=1.0 / dtau,
+        f_surface=_data_surface(prev, today, tau_values, n_s, config.horizon),
         s_values=s_scaled * s_mid,
         tau_values=tau_values,
-        known_mask=known_mask,
         beta=config.beta,
     )
 
 
-def _conjugate_gradient(
-    apply_m: Callable[[np.ndarray], np.ndarray],
-    rhs: np.ndarray,
-    x0: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, int]:
-    """Plain CG on an SPD operator; converges on ||r|| <= tol * ||rhs||."""
-    x = x0.copy()
-    r = rhs - apply_m(x)
-    p = r.copy()
-    rs = float(r @ r)
-    ref = math.sqrt(float(rhs @ rhs))
-    if ref == 0.0:
-        ref = 1.0
-    threshold = tol * ref
-    iterations = 0
-    while math.sqrt(rs) > threshold:
-        if iterations >= max_iter:
-            raise ConvergenceError(
-                f"conjugate gradient stalled at relative residual "
-                f"{math.sqrt(rs) / ref:.3e} after {iterations} iterations",
-                residual=math.sqrt(rs) / ref,
-            )
-        mp = apply_m(p)
-        alpha = rs / float(p @ mp)
-        x = x + alpha * p
-        r = r - alpha * mp
-        rs_next = float(r @ r)
-        p = r + (rs_next / rs) * p
-        rs = rs_next
-        iterations += 1
-    return x, iterations
+def _block_solve(system: AssembledSystem) -> np.ndarray:
+    """u - F at the unknowns, as an (n_s - 2) x (n_tau - 1) array.
+
+    Block forward elimination over the tau columns: S_k = D_k - L C_(k-1) is
+    the Schur complement, [C_k | y_k] = S_k^-1 [U | g_k - L y_(k-1)], then
+    back-substitution overwrites y_k with x_k = y_k - C_k x_(k+1).  U = d T^T
+    and L = d T are the off-diagonal blocks.  Raises ``ConvergenceError`` on a
+    singular block or a non-finite solution.
+    """
+    d, beta = system.inv_dtau, system.beta
+    t = _stencil(system.kappa, d)
+    n, m = t.shape[0], len(system.tau_values) - 1
+    r = -system.pde_residual(system.f_surface)
+    g = d * r
+    g[:, :-1] += t.T @ r[:, 1:]
+    lower = d * t
+    upper = lower.T
+    last = (d * d + beta) * np.eye(n)
+    inner = last + t.T @ t
+    coupling = np.empty((m, n, n))
+    y = np.empty((n, m))
+    for k in range(m):
+        s = inner if k < m - 1 else last
+        h = g[:, k]
+        if k:
+            s = s - lower @ coupling[k - 1]
+            h = h - lower @ y[:, k - 1]
+        try:
+            sol = np.linalg.solve(s, np.column_stack([upper, h]))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"direct solve failed: {exc}", residual=math.inf) from exc
+        coupling[k] = sol[:, :n]
+        y[:, k] = sol[:, n]
+    for k in range(m - 2, -1, -1):
+        y[:, k] -= coupling[k] @ y[:, k + 1]
+    if not np.all(np.isfinite(y)):
+        raise ConvergenceError("direct solve produced non-finite values", residual=math.inf)
+    return y
 
 
 def solve_qrm(records: Sequence[QuoteRecord], config: QrmConfig | None = None) -> Minimizer:
@@ -277,25 +283,16 @@ def solve_qrm(records: Sequence[QuoteRecord], config: QrmConfig | None = None) -
     """
     config = config or QrmConfig()
     system = assemble_system(records, config)
-    x, iterations = _conjugate_gradient(
-        system.apply_normal,
-        system.normal_rhs(),
-        system.f_interior,
-        config.cg_tol,
-        config.cg_max_iter,
-    )
-    n_s, n_tau = config.n_s, config.n_tau
-    flat = np.empty(n_s * n_tau)
-    flat[system.known_mask] = system.f_surface.reshape(-1)[system.known_mask]
-    flat[~system.known_mask] = x
-    surface = flat.reshape(n_s, n_tau)
+    surface = system.f_surface.copy()
+    surface[1:-1, 1:] += _block_solve(system)
     grid = QrmGrid(s_values=system.s_values, tau_values=system.tau_values, u=surface)
-    misfit = system.a_pde @ x - system.b_pde
+    misfit = system.pde_residual(surface)
+    n_s, n_tau = config.n_s, config.n_tau
     return Minimizer(
         grid=grid,
         est=float(surface[(n_s - 1) // 2, (n_tau - 1) // 2]),
-        residual=float(misfit @ misfit),
-        iterations=iterations,
+        residual=float(np.sum(misfit * misfit)),
+        regularization=config.beta * float(np.sum((surface - system.f_surface) ** 2)),
     )
 
 

@@ -35,9 +35,7 @@ def decide(est: float, real0: float) -> str:
     """``"buy"`` iff est >= real0 (boundary included), else ``"abstain"``."""
     if not math.isfinite(real0) or real0 <= 0:
         raise ValueError(f"real0 must be finite and positive, got {real0}")
-    if math.isnan(est):
-        return ABSTAIN
-    return BUY if est >= real0 else ABSTAIN
+    return BUY if est_covers(est, real0) else ABSTAIN
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,8 @@ class TradeDecision:
 
 
 def est_covers(est: float, real0: float) -> bool:
-    return not math.isnan(est) and est >= real0
+    """The buy rule; a non-positive reference (a zero ask) never trades."""
+    return real0 > 0 and not math.isnan(est) and est >= real0
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,9 @@ def backtest(
     ``signals[k]`` drives the day-k decision: a price estimate compared
     against the day-k ask in ``"qrm"`` mode, a probability compared against
     0.5 in ``"classifier"`` mode, or None to abstain.  A buy enters at the
-    day-k ask and exits at the day-(k+1) bid.
+    day-k ask and exits at the day-(k+1) bid.  In ``"qrm"`` mode a day
+    quoted with a zero ask abstains: the loader accepts it, but the rule has
+    no positive price to compare the estimate with.
     """
     if mode not in ("qrm", "classifier"):
         raise DataError(f"mode must be 'qrm' or 'classifier', got {mode!r}")
@@ -118,7 +119,7 @@ def backtest(
         signal = signals[k]
         est = math.nan if signal is None else float(signal)
         real0 = rec.option_ask if mode == "qrm" else CLASSIFIER_THRESHOLD
-        action = decide(est, real0)
+        action = BUY if est_covers(est, real0) else ABSTAIN
         pnl = None
         if action == BUY:
             pnl = records[k + 1].option_bid - rec.option_ask

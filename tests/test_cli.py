@@ -1,11 +1,16 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from helpers import make_record
 from optioncast import cli
-from optioncast.market_data import load_csv
+from optioncast.market_data import load_csv, save_csv
 
 
 def run(args):
@@ -116,14 +121,22 @@ class TestQrmCommand:
         capsys.readouterr()
 
     def test_nonconvergence_exits_four(self, tmp_path, capsys):
+        # Loader-valid, but sigma^2 overflows and the solve cannot be finite.
+        data = tmp_path / "series.csv"
+        save_csv([make_record(offset=k, implied_vol=1e160) for k in range(3)], data)
+        code = run(["qrm", "--input", str(data), "--out-dir", str(tmp_path / "o")])
+        assert code == 4
+        assert "day 1" in capsys.readouterr().err
+
+    def test_cg_flags_are_gone(self, tmp_path, capsys):
         data = tmp_path / "series.csv"
         run(synth_args(data, days=12))
-        code = run(
-            ["qrm", "--input", str(data), "--out-dir", str(tmp_path / "o"),
-             "--cg-max-iter", "1"]
-        )
-        assert code == 4
-        capsys.readouterr()
+        out = str(tmp_path / "o")
+        assert run(["qrm", "--input", str(data), "--out-dir", out, "--cg-tol", "1e-8"]) == 2
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"cg_max_iter": 100}))
+        assert run(["qrm", "--input", str(data), "--out-dir", out, "--config", str(config)]) == 3
+        assert "unknown config keys" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -247,3 +260,18 @@ class TestRerun:
         bad.write_text(json.dumps({"schema": 1, "command": "nope", "config": {}}))
         assert run(["rerun", "--manifest", str(bad)]) == 3
         capsys.readouterr()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it would add to start-up
+    # time and resident memory of every command.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, optioncast.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -22,6 +22,18 @@ def constant_pair(option_bid=4.9, option_ask=5.1, implied_vol=0.0, **kwargs):
     return [rec, nxt]
 
 
+def blown_up_pair():
+    # Loader-valid, but sigma^2 overflows, so the diffusion coefficients are
+    # not finite and the solve cannot produce a finite surface.
+    return [make_record(implied_vol=1e160), make_record(offset=1, implied_vol=1e160)]
+
+
+def objective(system, u):
+    """J_beta(u) = ||R(u)||^2 + beta ||u - F||^2 on a full surface."""
+    misfit = system.pde_residual(u)
+    return float(np.sum(misfit**2)) + system.beta * float(np.sum((u - system.f_surface) ** 2))
+
+
 def bs_series(n_days=60, sigma=0.2, seed=7, spread_bp=0.0):
     spec = SyntheticSpec(s0=100.0, sigma=sigma, mu=0.05, rate=0.02,
                          n_days=n_days, seed=seed, spread_bp=spread_bp)
@@ -53,10 +65,8 @@ class TestAssemble:
     def test_zero_vol_operator_is_pure_time_difference(self):
         system = assemble_system(constant_pair(implied_vol=0.0), QrmConfig())
         dtau = system.tau_values[1] - system.tau_values[0]
-        rows = system.a_pde.tocsr()
-        for r in range(rows.shape[0]):
-            data = rows.data[rows.indptr[r] : rows.indptr[r + 1]]
-            nonzero = data[data != 0.0]
+        for row in system.pde_matrix():
+            nonzero = row[row != 0.0]
             assert len(nonzero) <= 2
             assert np.allclose(np.abs(nonzero), 1.0 / dtau)
 
@@ -114,7 +124,7 @@ class TestSolve:
             make_record(offset=1, option_bid=50.03, option_ask=50.07,
                         stock_bid=99.6, stock_ask=100.6),
         ]
-        config = QrmConfig(n_s=5, n_tau=5, beta=1e6, cg_max_iter=20000)
+        config = QrmConfig(n_s=5, n_tau=5, beta=1e6)
         system = assemble_system(records, config)
         dense = np.linalg.solve(system.normal_matrix(), system.normal_rhs())
         result = solve_qrm(records, config)
@@ -136,7 +146,7 @@ class TestSolve:
     def test_grid_refinement_changes_estimate_under_one_percent(self):
         records = bs_series(n_days=12)[:2]
         coarse = solve_qrm(records, QrmConfig(n_s=21, n_tau=11))
-        fine = solve_qrm(records, QrmConfig(n_s=41, n_tau=21, cg_max_iter=20000))
+        fine = solve_qrm(records, QrmConfig(n_s=41, n_tau=21))
         assert abs(fine.est - coarse.est) <= 0.01 * abs(coarse.est)
 
     def test_deterministic_bit_identical(self):
@@ -144,15 +154,38 @@ class TestSolve:
         a = solve_qrm(records, QrmConfig())
         b = solve_qrm(records, QrmConfig())
         assert a.est == b.est
-        assert a.iterations == b.iterations
+        assert a.residual == b.residual
+        assert a.regularization == b.regularization
         assert np.array_equal(a.grid.u, b.grid.u)
 
     def test_nonconvergence_error_carries_residual(self):
-        records = bs_series(n_days=12, spread_bp=10.0)[:2]
         with pytest.raises(ConvergenceError) as excinfo:
-            solve_qrm(records, QrmConfig(cg_max_iter=1))
+            solve_qrm(blown_up_pair(), QrmConfig())
         assert excinfo.value.residual is not None
         assert excinfo.value.residual > 0
+
+    @pytest.mark.parametrize("k", [1, 5, 11])
+    def test_block_solve_matches_dense_oracle(self, k):
+        # At beta = 1e3 cond(A^T A + beta I) is about 6e5, so the dense solve
+        # pins the minimizer far below 1e-8.  At the default beta it is about
+        # 6e10: there two solves whose normal residuals are both ~1e-15 differ
+        # by up to ~1e-3 per node, so no solve can serve as a 1e-8 oracle.
+        records = bs_series(n_days=12, spread_bp=20.0)[k - 1 : k + 1]
+        config = QrmConfig(beta=1e3)
+        system = assemble_system(records, config)
+        dense = np.linalg.solve(system.normal_matrix(), system.normal_rhs())
+        solved = solve_qrm(records, config).grid.u[1:-1, 1:].reshape(-1)
+        assert np.allclose(solved, dense, rtol=1e-8, atol=0.0)
+
+    def test_fine_grid_solve_lowers_the_objective(self):
+        records = bs_series(n_days=12, spread_bp=20.0)[:2]
+        config = QrmConfig(n_s=81, n_tau=41)
+        system = assemble_system(records, config)
+        result = solve_qrm(records, config)
+        j_beta = result.residual + result.regularization
+        assert np.all(np.isfinite(result.grid.u))
+        assert j_beta == pytest.approx(objective(system, result.grid.u), rel=1e-12)
+        assert j_beta <= objective(system, system.f_surface)
 
     def test_single_solve_tracks_exact_next_day_price(self):
         # One representative day pair from an exactly priced path; the
@@ -165,7 +198,7 @@ class TestSolve:
     def test_minimizer_json(self):
         records = bs_series(n_days=12)[:2]
         payload = solve_qrm(records, QrmConfig()).to_json()
-        assert set(payload) == {"est", "residual", "iterations", "n_s", "n_tau"}
+        assert set(payload) == {"est", "residual", "regularization", "n_s", "n_tau"}
         assert payload["n_s"] == 21 and payload["n_tau"] == 11
 
 
@@ -192,9 +225,8 @@ class TestEstimateSeries:
         assert sum(errors) / len(errors) <= 0.03
 
     def test_errors_carry_day_index(self):
-        records = bs_series(n_days=12, spread_bp=10.0)
         with pytest.raises(ConvergenceError, match="day 1"):
-            estimate_series(records, QrmConfig(cg_max_iter=1))
+            estimate_series(blown_up_pair(), QrmConfig())
 
     def test_requires_two_records(self):
         with pytest.raises(DataError):
@@ -210,7 +242,7 @@ class TestConfigAndGrid:
         with pytest.raises(DataError):
             QrmConfig(beta=0.0)
         with pytest.raises(DataError):
-            QrmConfig(cg_max_iter=0)
+            QrmConfig(horizon=0.0)
 
     def test_grid_validation(self):
         with pytest.raises(DataError):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import make_record
 from optioncast.errors import DataError
 from optioncast.market_data import SyntheticSpec, generate_gbm
 from optioncast.trading import TradeDecision, backtest, decide, emit_plot_data
@@ -55,6 +56,18 @@ class TestBacktest:
         assert result.hit_rate == 1.0
         assert all(d.pnl > 0 for d in result.decisions if d.action == "buy")
         assert result.final_pnl > 0
+
+    def test_zero_ask_day_abstains(self):
+        # A zero bid and ask passes record validation; the rule must abstain
+        # on that day instead of rejecting the whole series.
+        records = [
+            make_record(offset=0, option_bid=0.0, option_ask=0.0),
+            make_record(offset=1),
+            make_record(offset=2),
+        ]
+        result = backtest(records, [1.0, 10.0, None], mode="qrm")
+        assert [d.action for d in result.decisions] == ["abstain", "buy"]
+        assert result.n_trades == 1
 
     def test_always_abstain_is_flat_zero(self):
         records = rising_deterministic_series()
