@@ -8,6 +8,11 @@ carried short-term and cell states:
     o = sig(Wo x + Uo h + bo)      g = tanh(Wg x + Ug h + bg)
     c' = f * c + i * g             h' = o * tanh(c')
 
+Each layer stores its four gates stacked in the order i, f, o, g: W is
+(4H, in), U is (4H, H) and b is (4H,), so one product gives every gate's
+pre-activation.  Every parameter array is a view into one flat float64
+vector, which the optimizers update in place.
+
 The second layer consumes the first layer's h sequence, and a dense head
 maps the final h of layer 2 through a sigmoid to P(next-day mid up).  Loss
 is binary cross-entropy with the probability clamped to [1e-12, 1 - 1e-12].
@@ -38,8 +43,8 @@ from .market_data import (
 )
 
 __all__ = [
+    "Layer",
     "LstmParams",
-    "LayerParams",
     "Metrics",
     "TrainConfig",
     "TrainResult",
@@ -58,116 +63,86 @@ __all__ = [
 ]
 
 PROB_CLAMP = 1e-12
+CHECKPOINT_SCHEMA = 2
 
 _GATES = ("i", "f", "o", "g")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function; exp only ever sees -|x|, so it cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-@dataclass
-class LayerParams:
-    """Gate weights for one LSTM layer: w_* act on the input, u_* on h."""
-
-    w_i: np.ndarray
-    u_i: np.ndarray
-    b_i: np.ndarray
-    w_f: np.ndarray
-    u_f: np.ndarray
-    b_f: np.ndarray
-    w_o: np.ndarray
-    u_o: np.ndarray
-    b_o: np.ndarray
-    w_g: np.ndarray
-    u_g: np.ndarray
-    b_g: np.ndarray
+def _layout(hidden: int, input_size: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every parameter array, in flat-vector order."""
+    four = 4 * hidden
+    return [
+        ("layer1.w", (four, input_size)),
+        ("layer1.u", (four, hidden)),
+        ("layer1.b", (four,)),
+        ("layer2.w", (four, hidden)),
+        ("layer2.u", (four, hidden)),
+        ("layer2.b", (four,)),
+        ("dense_w", (hidden,)),
+        ("dense_b", (1,)),
+    ]
 
 
-@dataclass
+def _n_params(hidden: int, input_size: int) -> int:
+    return sum(math.prod(shape) for _, shape in _layout(hidden, input_size))
+
+
+@dataclass(frozen=True)
+class Layer:
+    """One LSTM layer: w acts on the input, u on h; rows are gates i, f, o, g."""
+
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
+
+
 class LstmParams:
-    """Both recurrent layers plus the dense sigmoid head."""
+    """Both recurrent layers plus the dense sigmoid head.
 
-    layer1: LayerParams
-    layer2: LayerParams
-    dense_w: np.ndarray
-    dense_b: float
+    ``arrays`` maps each name of :func:`_layout` to its array; all of them,
+    and ``layer1``, ``layer2``, ``dense_w`` and ``dense_b`` (shape (1,)),
+    are views into ``vector``, so writing to one writes to the other.
+    """
 
-    @property
-    def hidden(self) -> int:
-        return self.layer1.w_i.shape[0]
+    def __init__(self, vector: np.ndarray, hidden: int, input_size: int = N_FEATURES):
+        layout = _layout(hidden, input_size)
+        expected = _n_params(hidden, input_size)
+        if vector.shape != (expected,):
+            raise DataError(f"parameter vector has {vector.size} entries, expected {expected}")
+        self.vector = vector
+        self.hidden = hidden
+        self.input_size = input_size
+        self.arrays: dict[str, np.ndarray] = {}
+        offset = 0
+        for name, shape in layout:
+            size = math.prod(shape)
+            self.arrays[name] = vector[offset : offset + size].reshape(shape)
+            offset += size
+        a = self.arrays
+        self.layer1 = Layer(a["layer1.w"], a["layer1.u"], a["layer1.b"])
+        self.layer2 = Layer(a["layer2.w"], a["layer2.u"], a["layer2.b"])
+        self.dense_w = a["dense_w"]
+        self.dense_b = a["dense_b"]
 
-    @property
-    def input_size(self) -> int:
-        return self.layer1.w_i.shape[1]
-
-
-def _layer_fields(layer: LayerParams) -> list[tuple[str, np.ndarray]]:
-    return [(name, getattr(layer, name)) for name in (
-        "w_i", "u_i", "b_i", "w_f", "u_f", "b_f",
-        "w_o", "u_o", "b_o", "w_g", "u_g", "b_g",
-    )]
-
-
-def named_arrays(params: LstmParams) -> list[tuple[str, np.ndarray]]:
-    """Flat (name, array) view; dense_b appears as a 1-element array copy."""
-    out = []
-    for prefix, layer in (("layer1", params.layer1), ("layer2", params.layer2)):
-        out.extend((f"{prefix}.{n}", a) for n, a in _layer_fields(layer))
-    out.append(("dense_w", params.dense_w))
-    out.append(("dense_b", np.array([params.dense_b])))
-    return out
+    @classmethod
+    def zeros(cls, hidden: int, input_size: int = N_FEATURES) -> "LstmParams":
+        return cls(np.zeros(_n_params(hidden, input_size)), hidden, input_size)
 
 
 def params_to_vector(params: LstmParams) -> np.ndarray:
-    return np.concatenate([a.reshape(-1) for _, a in named_arrays(params)])
+    """A copy of the flat parameter vector."""
+    return params.vector.copy()
 
 
 def vector_to_params(vec: np.ndarray, hidden: int, input_size: int = N_FEATURES) -> LstmParams:
-    shapes = _shape_table(hidden, input_size)
-    arrays = {}
-    offset = 0
-    for name, shape in shapes.items():
-        size = int(np.prod(shape))
-        arrays[name] = vec[offset : offset + size].reshape(shape).copy()
-        offset += size
-    if offset != len(vec):
-        raise DataError(f"parameter vector has {len(vec)} entries, expected {offset}")
-    return _params_from_arrays(arrays)
-
-
-def _shape_table(hidden: int, input_size: int) -> dict[str, tuple[int, ...]]:
-    table: dict[str, tuple[int, ...]] = {}
-    for prefix, in_dim in (("layer1", input_size), ("layer2", hidden)):
-        for gate in _GATES:
-            table[f"{prefix}.w_{gate}"] = (hidden, in_dim)
-            table[f"{prefix}.u_{gate}"] = (hidden, hidden)
-            table[f"{prefix}.b_{gate}"] = (hidden,)
-    table["dense_w"] = (hidden,)
-    table["dense_b"] = (1,)
-    return table
-
-
-def _params_from_arrays(arrays: dict[str, np.ndarray]) -> LstmParams:
-    def build_layer(prefix: str) -> LayerParams:
-        kw = {}
-        for gate in _GATES:
-            kw[f"w_{gate}"] = arrays[f"{prefix}.w_{gate}"]
-            kw[f"u_{gate}"] = arrays[f"{prefix}.u_{gate}"]
-            kw[f"b_{gate}"] = arrays[f"{prefix}.b_{gate}"]
-        return LayerParams(**kw)
-
-    return LstmParams(
-        layer1=build_layer("layer1"),
-        layer2=build_layer("layer2"),
-        dense_w=arrays["dense_w"],
-        dense_b=float(arrays["dense_b"][0]),
-    )
+    """Parameters over a float64 copy of ``vec``."""
+    return LstmParams(np.array(vec, dtype=np.float64), hidden, input_size)
 
 
 def init_params(hidden: int, rng: np.random.Generator, input_size: int = N_FEATURES) -> LstmParams:
@@ -180,51 +155,59 @@ def init_params(hidden: int, rng: np.random.Generator, input_size: int = N_FEATU
         bound = 1.0 / math.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
-    arrays: dict[str, np.ndarray] = {}
-    for prefix, in_dim in (("layer1", input_size), ("layer2", hidden)):
-        for gate in _GATES:
-            arrays[f"{prefix}.w_{gate}"] = draw((hidden, in_dim), in_dim)
-            arrays[f"{prefix}.u_{gate}"] = draw((hidden, hidden), hidden)
-            arrays[f"{prefix}.b_{gate}"] = (
-                np.ones(hidden) if gate == "f" else np.zeros(hidden)
-            )
-    arrays["dense_w"] = draw((hidden,), hidden)
-    arrays["dense_b"] = np.zeros(1)
-    return _params_from_arrays(arrays)
+    params = LstmParams.zeros(hidden, input_size)
+    for layer, in_dim in ((params.layer1, input_size), (params.layer2, hidden)):
+        for k, gate in enumerate(_GATES):
+            rows = slice(k * hidden, (k + 1) * hidden)
+            layer.w[rows] = draw((hidden, in_dim), in_dim)
+            layer.u[rows] = draw((hidden, hidden), hidden)
+            if gate == "f":
+                layer.b[rows] = 1.0
+    params.dense_w[:] = draw((hidden,), hidden)
+    return params
 
 
 @dataclass
-class _StepCache:
+class _LayerCache:
+    """One layer over all steps, time-major.
+
+    ``x`` (T, B, in) holds the step inputs and ``gates`` (T, B, 4H) the gate
+    activations i, f, o, g, written over the pre-activations in place.
+    ``c`` and ``h`` (T + 1, B, H) hold the zero initial state at index 0.
+    """
+
     x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
+    gates: np.ndarray
     c: np.ndarray
-    tanh_c: np.ndarray
     h: np.ndarray
 
 
 @dataclass
 class ForwardCache:
     params: LstmParams
-    steps1: list[_StepCache]
-    steps2: list[_StepCache]
+    layer1: _LayerCache
+    layer2: _LayerCache
     probs: np.ndarray
 
 
-def _layer_step(lp: LayerParams, x, h_prev, c_prev) -> _StepCache:
-    gi = _sigmoid(x @ lp.w_i.T + h_prev @ lp.u_i.T + lp.b_i)
-    gf = _sigmoid(x @ lp.w_f.T + h_prev @ lp.u_f.T + lp.b_f)
-    go = _sigmoid(x @ lp.w_o.T + h_prev @ lp.u_o.T + lp.b_o)
-    gg = np.tanh(x @ lp.w_g.T + h_prev @ lp.u_g.T + lp.b_g)
-    c = gf * c_prev + gi * gg
-    tanh_c = np.tanh(c)
-    h = go * tanh_c
-    return _StepCache(x=x, h_prev=h_prev, c_prev=c_prev, i=gi, f=gf, o=go, g=gg,
-                      c=c, tanh_c=tanh_c, h=h)
+def _layer_forward(layer: Layer, x: np.ndarray) -> _LayerCache:
+    n_steps, batch, _ = x.shape
+    hid = layer.u.shape[1]
+    # The input projection of every step at once; the loop adds U h per step.
+    gates = x @ layer.w.T
+    gates += layer.b
+    c = np.zeros((n_steps + 1, batch, hid))
+    h = np.zeros((n_steps + 1, batch, hid))
+    u_t = layer.u.T
+    for t in range(n_steps):
+        a = gates[t]
+        a += h[t] @ u_t
+        a[:, : 3 * hid] = _sigmoid(a[:, : 3 * hid])
+        np.tanh(a[:, 3 * hid :], out=a[:, 3 * hid :])
+        i, f, o, g = a[:, :hid], a[:, hid : 2 * hid], a[:, 2 * hid : 3 * hid], a[:, 3 * hid :]
+        np.add(f * c[t], i * g, out=c[t + 1])
+        np.multiply(o, np.tanh(c[t + 1]), out=h[t + 1])
+    return _LayerCache(x=x, gates=gates, c=c, h=h)
 
 
 def forward_batch(params: LstmParams, windows: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -239,23 +222,10 @@ def forward_batch(params: LstmParams, windows: np.ndarray) -> tuple[np.ndarray, 
             f"windows must have shape (batch, {WINDOW_LENGTH}, {params.input_size}), "
             f"got {windows.shape}"
         )
-    batch, n_steps = windows.shape[0], windows.shape[1]
-    hid = params.hidden
-    h1 = np.zeros((batch, hid))
-    c1 = np.zeros((batch, hid))
-    h2 = np.zeros((batch, hid))
-    c2 = np.zeros((batch, hid))
-    steps1, steps2 = [], []
-    for t in range(n_steps):
-        sc1 = _layer_step(params.layer1, windows[:, t, :], h1, c1)
-        h1, c1 = sc1.h, sc1.c
-        sc2 = _layer_step(params.layer2, h1, h2, c2)
-        h2, c2 = sc2.h, sc2.c
-        steps1.append(sc1)
-        steps2.append(sc2)
-    z = h2 @ params.dense_w + params.dense_b
-    probs = _sigmoid(z)
-    return probs, ForwardCache(params=params, steps1=steps1, steps2=steps2, probs=probs)
+    layer1 = _layer_forward(params.layer1, np.ascontiguousarray(windows.transpose(1, 0, 2)))
+    layer2 = _layer_forward(params.layer2, layer1.h[1:])
+    probs = _sigmoid(layer2.h[-1] @ params.dense_w + params.dense_b)
+    return probs, ForwardCache(params=params, layer1=layer1, layer2=layer2, probs=probs)
 
 
 def forward(params: LstmParams, window: np.ndarray) -> tuple[float, ForwardCache]:
@@ -278,38 +248,39 @@ def _loss_vector(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
 
 
-def _zero_grads(params: LstmParams) -> LstmParams:
-    arrays = {n: np.zeros_like(a) for n, a in named_arrays(params)}
-    return _params_from_arrays(arrays)
-
-
-def _layer_backward(lp: LayerParams, grads: LayerParams, sc: _StepCache,
-                    dh: np.ndarray, dc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    do = dh * sc.tanh_c
-    dc_total = dc + dh * sc.o * (1.0 - sc.tanh_c ** 2)
-    di = dc_total * sc.g
-    df = dc_total * sc.c_prev
-    dg = dc_total * sc.i
-    dc_prev = dc_total * sc.f
-    da_i = di * sc.i * (1.0 - sc.i)
-    da_f = df * sc.f * (1.0 - sc.f)
-    da_o = do * sc.o * (1.0 - sc.o)
-    da_g = dg * (1.0 - sc.g ** 2)
-    grads.w_i += da_i.T @ sc.x
-    grads.u_i += da_i.T @ sc.h_prev
-    grads.b_i += da_i.sum(axis=0)
-    grads.w_f += da_f.T @ sc.x
-    grads.u_f += da_f.T @ sc.h_prev
-    grads.b_f += da_f.sum(axis=0)
-    grads.w_o += da_o.T @ sc.x
-    grads.u_o += da_o.T @ sc.h_prev
-    grads.b_o += da_o.sum(axis=0)
-    grads.w_g += da_g.T @ sc.x
-    grads.u_g += da_g.T @ sc.h_prev
-    grads.b_g += da_g.sum(axis=0)
-    dx = da_i @ lp.w_i + da_f @ lp.w_f + da_o @ lp.w_o + da_g @ lp.w_g
-    dh_prev = da_i @ lp.u_i + da_f @ lp.u_f + da_o @ lp.u_o + da_g @ lp.u_g
-    return dx, dh_prev, dc_prev
+def _layer_backward(layer: Layer, grads: Layer, lc: _LayerCache, dh_out: np.ndarray) -> np.ndarray:
+    """Write one layer's gradients into ``grads`` and return the (T, B, 4H)
+    pre-activation gradients; ``dh_out`` (T, B, H) is the loss gradient that
+    reaches each step's h from above."""
+    n_steps, batch, four = lc.gates.shape
+    hid = four // 4
+    # da starts as each activation's derivative for all steps at once; the
+    # loop multiplies in the gradient that reaches the activation.
+    da = np.empty_like(lc.gates)
+    sig = lc.gates[..., : 3 * hid]
+    np.multiply(sig, 1.0 - sig, out=da[..., : 3 * hid])
+    np.subtract(1.0, lc.gates[..., 3 * hid :] ** 2, out=da[..., 3 * hid :])
+    tanh_c = np.tanh(lc.c[1:])
+    dtanh_c = 1.0 - tanh_c ** 2
+    dh = np.zeros((batch, hid))
+    dc = np.zeros((batch, hid))
+    for t in range(n_steps - 1, -1, -1):
+        s = lc.gates[t]
+        i, f, o, g = s[:, :hid], s[:, hid : 2 * hid], s[:, 2 * hid : 3 * hid], s[:, 3 * hid :]
+        dh = dh + dh_out[t]
+        dc = dc + dh * o * dtanh_c[t]
+        d = da[t]
+        d[:, :hid] *= dc * g
+        d[:, hid : 2 * hid] *= dc * lc.c[t]
+        d[:, 2 * hid : 3 * hid] *= dh * tanh_c[t]
+        d[:, 3 * hid :] *= dc * i
+        dc = dc * f
+        dh = d @ layer.u
+    flat = da.reshape(-1, four)
+    grads.w[...] = flat.T @ lc.x.reshape(-1, lc.x.shape[2])
+    grads.u[...] = flat.T @ lc.h[:-1].reshape(-1, hid)
+    grads.b[...] = flat.sum(axis=0)
+    return da
 
 
 def backward_batch(cache: ForwardCache, labels: np.ndarray) -> LstmParams:
@@ -324,23 +295,16 @@ def backward_batch(cache: ForwardCache, labels: np.ndarray) -> LstmParams:
     batch = cache.probs.shape[0]
     if labels.shape != (batch,):
         raise DataError(f"labels shape {labels.shape} does not match batch {batch}")
-    n_steps = len(cache.steps1)
-    grads = _zero_grads(params)
+    grads = LstmParams.zeros(params.hidden, params.input_size)
 
     dz = cache.probs - labels
-    h2_final = cache.steps2[-1].h
-    grads.dense_w += dz @ h2_final
-    grads.dense_b += float(dz.sum())
+    grads.dense_w[:] = dz @ cache.layer2.h[-1]
+    grads.dense_b[0] = dz.sum()
 
-    hid = params.hidden
-    dh2 = dz[:, None] * params.dense_w[None, :]
-    dc2 = np.zeros((batch, hid))
-    dh1 = np.zeros((batch, hid))
-    dc1 = np.zeros((batch, hid))
-    for t in range(n_steps - 1, -1, -1):
-        dx2, dh2, dc2 = _layer_backward(params.layer2, grads.layer2, cache.steps2[t], dh2, dc2)
-        dh1 = dh1 + dx2
-        _, dh1, dc1 = _layer_backward(params.layer1, grads.layer1, cache.steps1[t], dh1, dc1)
+    dh2 = np.zeros_like(cache.layer2.h[1:])
+    dh2[-1] = dz[:, None] * params.dense_w[None, :]
+    da2 = _layer_backward(params.layer2, grads.layer2, cache.layer2, dh2)
+    _layer_backward(params.layer1, grads.layer1, cache.layer1, da2 @ params.layer2.w)
     return grads
 
 
@@ -477,7 +441,7 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = init_params(config.hidden, rng)
-    vec = params_to_vector(params)
+    vec = params.vector
 
     use_adam = config.optimizer == "adam"
     adam_m = np.zeros_like(vec)
@@ -497,18 +461,16 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
             idx = order[start : start + config.batch]
             probs, cache = forward_batch(params, x_train[idx])
             epoch_loss += float(_loss_vector(probs, y_train[idx]).sum())
-            grads = backward_batch(cache, y_train[idx])
-            gvec = params_to_vector(grads) / len(idx)
+            gvec = backward_batch(cache, y_train[idx]).vector / len(idx)
             if use_adam:
                 adam_t += 1
                 adam_m = adam_b1 * adam_m + (1 - adam_b1) * gvec
                 adam_v = adam_b2 * adam_v + (1 - adam_b2) * gvec ** 2
                 m_hat = adam_m / (1 - adam_b1 ** adam_t)
                 v_hat = adam_v / (1 - adam_b2 ** adam_t)
-                vec = vec - config.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
+                vec -= config.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
             else:
-                vec = vec - config.learning_rate * gvec
-            params = vector_to_params(vec, config.hidden, params.input_size)
+                vec -= config.learning_rate * gvec
         epoch_loss /= n_train
         if not (math.isfinite(epoch_loss) and np.all(np.isfinite(vec))):
             raise ConvergenceError(f"training diverged at epoch {epoch} (non-finite loss or weights)")
@@ -523,7 +485,7 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
         )
 
     return TrainResult(
-        params=vector_to_params(best_vec, config.hidden, params.input_size),
+        params=LstmParams(best_vec, config.hidden, params.input_size),
         stats=stats,
         history=history,
         best_epoch=best_epoch,
@@ -532,14 +494,16 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
 
 
 def save_checkpoint(path, result: TrainResult, config: TrainConfig) -> None:
-    """Single JSON document with config, shapes, row-major weights, and stats."""
+    """Single JSON document with config, shapes, row-major weights, and stats.
+
+    Schema 2 stores each layer as the stacked ``layer{1,2}.{w,u,b}`` arrays
+    (gate order i, f, o, g) plus ``dense_w`` and ``dense_b``.
+    """
     params = result.params
-    weights = {
-        name: arr.reshape(-1).tolist() for name, arr in named_arrays(params)
-    }
-    shapes = {name: list(arr.shape) for name, arr in named_arrays(params)}
+    weights = {name: arr.reshape(-1).tolist() for name, arr in params.arrays.items()}
+    shapes = {name: list(arr.shape) for name, arr in params.arrays.items()}
     doc = {
-        "schema": 1,
+        "schema": CHECKPOINT_SCHEMA,
         "config": {
             "hidden": config.hidden,
             "batch": config.batch,
@@ -564,9 +528,15 @@ def save_checkpoint(path, result: TrainResult, config: TrainConfig) -> None:
 
 
 def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
-    """Load a checkpoint, validating every declared shape."""
+    """Load a schema-2 checkpoint, validating every declared shape."""
     with open(path) as fh:
         doc = json.load(fh)
+    schema = doc.get("schema")
+    if schema != CHECKPOINT_SCHEMA:
+        raise DataError(
+            f"checkpoint schema {schema} is not supported: this version reads schema "
+            f"{CHECKPOINT_SCHEMA} (gates stacked per layer); retrain to write a new checkpoint"
+        )
     try:
         hidden = int(doc["config"]["hidden"])
         input_size = int(doc["input_size"])
@@ -578,18 +548,18 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
         )
     except KeyError as exc:
         raise DataError(f"checkpoint is missing field {exc}") from exc
-    expected = _shape_table(hidden, input_size)
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in expected.items():
+    if hidden <= 0 or input_size <= 0:
+        raise DataError(f"checkpoint hidden ({hidden}) and input_size ({input_size}) must be positive")
+    params = LstmParams.zeros(hidden, input_size)
+    for name, target in params.arrays.items():
         if name not in weights:
             raise DataError(f"checkpoint is missing weights for {name}")
         declared = tuple(shapes.get(name, ()))
-        if declared != shape:
-            raise DataError(f"checkpoint shape for {name} is {declared}, expected {shape}")
+        if declared != target.shape:
+            raise DataError(f"checkpoint shape for {name} is {declared}, expected {target.shape}")
         flat = np.asarray(weights[name], dtype=np.float64)
-        if flat.size != int(np.prod(shape)):
-            raise DataError(f"checkpoint weights for {name} have size {flat.size}, expected {np.prod(shape)}")
-        arrays[name] = flat.reshape(shape)
-    params = _params_from_arrays(arrays)
+        if flat.size != target.size:
+            raise DataError(f"checkpoint weights for {name} have size {flat.size}, expected {target.size}")
+        target[...] = flat.reshape(target.shape)
     meta = {"seed": doc.get("seed"), "epoch": doc.get("epoch"), "config": doc.get("config", {})}
     return params, stats, meta

@@ -96,9 +96,9 @@ def backtest(
     ``signals[k]`` drives the day-k decision: a price estimate compared
     against the day-k ask in ``"qrm"`` mode, a probability compared against
     0.5 in ``"classifier"`` mode, or None to abstain.  A buy enters at the
-    day-k ask and exits at the day-(k+1) bid.  In ``"qrm"`` mode a day
-    quoted with a zero ask abstains: the loader accepts it, but the rule has
-    no positive price to compare the estimate with.
+    day-k ask and exits at the day-(k+1) bid.  A day quoted with an ask
+    <= 0 has no signal (est = nan) in both modes: the loader accepts it, but
+    no trade can enter at that price.
     """
     if mode not in ("qrm", "classifier"):
         raise DataError(f"mode must be 'qrm' or 'classifier', got {mode!r}")
@@ -117,7 +117,7 @@ def backtest(
     for k in range(len(records) - 1):
         rec = records[k]
         signal = signals[k]
-        est = math.nan if signal is None else float(signal)
+        est = math.nan if signal is None or rec.option_ask <= 0 else float(signal)
         real0 = rec.option_ask if mode == "qrm" else CLASSIFIER_THRESHOLD
         action = BUY if est_covers(est, real0) else ABSTAIN
         pnl = None

@@ -195,6 +195,39 @@ class TestTrainAndBacktest:
         assert all(row[3] == "abstain" for row in rows[:9])
 
 
+    def test_backtest_classifier_rejects_schema_1_checkpoint(self, tmp_path, series_csv, capsys):
+        train_out = tmp_path / "train_out"
+        run(
+            ["train", "--input", str(series_csv), "--out-dir", str(train_out),
+             "--hidden", "6", "--epochs", "1", "--batch", "8", "--seed", "3"]
+        )
+        # Rewrite the checkpoint in the schema-1 layout: one array per gate.
+        ckpt = train_out / "checkpoint.json"
+        doc = json.loads(ckpt.read_text())
+        hidden = doc["config"]["hidden"]
+        weights, shapes = {}, {}
+        for name in ("dense_w", "dense_b"):
+            weights[name], shapes[name] = doc["weights"][name], doc["shapes"][name]
+        for layer in ("layer1", "layer2"):
+            for kind in ("w", "u", "b"):
+                rows, *cols = doc["shapes"][f"{layer}.{kind}"]
+                flat = doc["weights"][f"{layer}.{kind}"]
+                width = len(flat) // rows
+                for k, gate in enumerate("ifog"):
+                    key = f"{layer}.{kind}_{gate}"
+                    weights[key] = flat[k * hidden * width : (k + 1) * hidden * width]
+                    shapes[key] = [hidden, *cols]
+        doc.update(schema=1, weights=weights, shapes=shapes)
+        ckpt.write_text(json.dumps(doc))
+        code = run(
+            ["backtest", "--input", str(series_csv), "--out-dir", str(tmp_path / "bt_out"),
+             "--mode", "classifier", "--checkpoint", str(ckpt)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "schema 1" in err and "retrain" in err
+
+
 class TestFuseAndBinomial:
     def test_fuse_headline_value(self, tmp_path, capsys):
         out = tmp_path / "fuse_out"

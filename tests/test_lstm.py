@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,96 @@ def random_params(hidden=4, seed=0):
     return lstm.init_params(hidden, rng), rng
 
 
+GATE_ORDER = "ifog"
+
+
+def per_gate(layer, hidden):
+    """The (w, u, b) rows of each gate of a stacked layer, keyed by gate name."""
+    return {
+        gate: tuple(a[k * hidden : (k + 1) * hidden] for a in (layer.w, layer.u, layer.b))
+        for k, gate in enumerate(GATE_ORDER)
+    }
+
+
+def textbook_probs_and_grads(params, windows, labels):
+    """Per-gate LSTM forward pass and BPTT, one gate and one step at a time.
+
+    The reference for the fused implementation: it only reads the W/U/b
+    row blocks of each gate and shares no code with the module.
+    """
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    hid = params.hidden
+    batch, n_steps, _ = windows.shape
+    gates = [per_gate(params.layer1, hid), per_gate(params.layer2, hid)]
+    steps = [[], []]
+    inputs = [windows[:, t, :] for t in range(n_steps)]
+    for k, blocks in enumerate(gates):
+        h = np.zeros((batch, hid))
+        c = np.zeros((batch, hid))
+        outputs = []
+        for x in inputs:
+            act = {}
+            for gate, (w, u, b) in blocks.items():
+                z = x @ w.T + h @ u.T + b
+                act[gate] = np.tanh(z) if gate == "g" else sigmoid(z)
+            h_prev, c_prev = h, c
+            c = act["f"] * c_prev + act["i"] * act["g"]
+            h = act["o"] * np.tanh(c)
+            steps[k].append((x, h_prev, c_prev, act, c))
+            outputs.append(h)
+        inputs = outputs
+    probs = sigmoid(h @ params.dense_w + params.dense_b[0])
+
+    grads = {name: np.zeros_like(a) for name, a in params.arrays.items()}
+    dz = probs - labels
+    grads["dense_w"] = dz @ h
+    grads["dense_b"] = np.array([dz.sum()])
+    dh_above = [np.zeros((batch, hid)) for _ in range(n_steps)]
+    dh_above[-1] = dz[:, None] * params.dense_w
+    for k in (1, 0):
+        prefix = f"layer{k + 1}"
+        dh = np.zeros((batch, hid))
+        dc = np.zeros((batch, hid))
+        dx_steps = [None] * n_steps
+        for t in reversed(range(n_steps)):
+            x, h_prev, c_prev, act, c = steps[k][t]
+            dh = dh + dh_above[t]
+            tanh_c = np.tanh(c)
+            dc = dc + dh * act["o"] * (1.0 - tanh_c ** 2)
+            da = {
+                "i": dc * act["g"] * act["i"] * (1.0 - act["i"]),
+                "f": dc * c_prev * act["f"] * (1.0 - act["f"]),
+                "o": dh * tanh_c * act["o"] * (1.0 - act["o"]),
+                "g": dc * act["i"] * (1.0 - act["g"] ** 2),
+            }
+            dx = np.zeros_like(x)
+            dh = np.zeros((batch, hid))
+            for j, gate in enumerate(GATE_ORDER):
+                rows = slice(j * hid, (j + 1) * hid)
+                w, u, _ = gates[k][gate]
+                grads[f"{prefix}.w"][rows] += da[gate].T @ x
+                grads[f"{prefix}.u"][rows] += da[gate].T @ h_prev
+                grads[f"{prefix}.b"][rows] += da[gate].sum(axis=0)
+                dx += da[gate] @ w
+                dh += da[gate] @ u
+            dc = dc * act["f"]
+            dx_steps[t] = dx
+        dh_above = dx_steps
+    return probs, grads
+
+
+def masked_sigmoid(x):
+    """The two-branch stable logistic, evaluated separately on each sign."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 class TestForward:
     def test_all_zero_params_give_exactly_half(self):
         params, rng = random_params()
@@ -24,6 +116,19 @@ class TestForward:
         )
         prob, _ = lstm.forward(zeros, rng.standard_normal((10, 13)))
         assert prob == 0.5
+
+    def test_sigmoid_is_the_masked_form_bit_for_bit(self):
+        rng = np.random.Generator(np.random.PCG64(4))
+        x = np.concatenate([
+            rng.standard_normal(1000) * 40.0,
+            [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.0, -745.0, 1000.0, -1000.0],
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lstm._sigmoid(x)
+        assert np.array_equal(got, masked_sigmoid(x))
+        assert got[1000] == 0.5 and got[1001] == 0.5
+        assert got[-2] == 1.0 and got[-1] == 0.0
 
     def test_output_strictly_inside_unit_interval(self):
         params, rng = random_params(hidden=8, seed=1)
@@ -52,13 +157,63 @@ class TestForward:
         params, rng = random_params(hidden=8, seed=3)
         windows = rng.standard_normal((10_000, 10, 13))
         probs, cache = lstm.forward_batch(params, windows)
-        for steps in (cache.steps1, cache.steps2):
-            for sc in steps:
-                for gate in (sc.i, sc.f, sc.o):
+        hid = params.hidden
+        for layer in (cache.layer1, cache.layer2):
+            for t in range(layer.gates.shape[0]):
+                for k in range(3):  # the sigmoid gates i, f, o
+                    gate = layer.gates[t][:, k * hid : (k + 1) * hid]
                     assert np.all(gate > 0.0) and np.all(gate < 1.0)
-                assert np.all(np.isfinite(sc.c))
-                assert np.all(np.abs(sc.h) < 1.0)
+                assert np.all(np.isfinite(layer.c[t + 1]))
+                assert np.all(np.abs(layer.h[t + 1]) < 1.0)
         assert np.all(np.isfinite(probs))
+
+
+class TestLayout:
+    def test_every_array_is_a_view_of_the_flat_vector(self, tmp_path):
+        params, _ = random_params(hidden=6, seed=51)
+        from_vector = lstm.vector_to_params(lstm.params_to_vector(params), 6)
+        samples = separable_dataset(n=40, seed=52)
+        config = lstm.TrainConfig(hidden=3, batch=8, epochs=1, learning_rate=0.1, seed=1)
+        result = lstm.train(samples, config)
+        path = tmp_path / "checkpoint.json"
+        lstm.save_checkpoint(path, result, config)
+        loaded, _, _ = lstm.load_checkpoint(path)
+        for p in (params, from_vector, result.params, loaded):
+            views = list(p.arrays.values()) + [p.dense_w, p.dense_b]
+            views += [a for layer in (p.layer1, p.layer2) for a in (layer.w, layer.u, layer.b)]
+            assert all(np.shares_memory(a, p.vector) for a in views)
+            assert sum(a.size for a in p.arrays.values()) == p.vector.size
+        assert not np.shares_memory(from_vector.vector, params.vector)
+
+    def test_writes_through_the_vector_reach_the_layers(self):
+        params, _ = random_params(hidden=4, seed=53)
+        params.vector[:] = np.arange(params.vector.size)
+        assert params.layer1.w[0, 0] == 0.0
+        assert params.layer1.w[1, 0] == 13.0
+        assert params.dense_b[0] == params.vector.size - 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 4242])
+    def test_init_equals_per_gate_draws_stacked(self, seed):
+        hidden, n_in = 5, 13
+        params = lstm.init_params(hidden, np.random.Generator(np.random.PCG64(seed)))
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for layer, in_dim in ((params.layer1, n_in), (params.layer2, hidden)):
+            w, u, b = [], [], []
+            for gate in GATE_ORDER:
+                w.append(rng.uniform(-1 / math.sqrt(in_dim), 1 / math.sqrt(in_dim), (hidden, in_dim)))
+                u.append(rng.uniform(-1 / math.sqrt(hidden), 1 / math.sqrt(hidden), (hidden, hidden)))
+                b.append(np.full(hidden, 1.0 if gate == "f" else 0.0))
+            assert np.array_equal(layer.w, np.concatenate(w))
+            assert np.array_equal(layer.u, np.concatenate(u))
+            assert np.array_equal(layer.b, np.concatenate(b))
+        dense = rng.uniform(-1 / math.sqrt(hidden), 1 / math.sqrt(hidden), hidden)
+        assert np.array_equal(params.dense_w, dense)
+        assert params.dense_b[0] == 0.0
+
+    def test_wrong_vector_length_rejected(self):
+        params, _ = random_params(hidden=4)
+        with pytest.raises(DataError, match="437"):
+            lstm.vector_to_params(lstm.params_to_vector(params)[:-1], 4)
 
 
 class TestLoss:
@@ -91,6 +246,18 @@ class TestBackward:
             fd = (lstm.loss(up, label) - lstm.loss(down, label)) / (2 * eps)
             rel = abs(analytic[i] - fd) / max(1e-8, abs(analytic[i]) + abs(fd))
             assert rel <= 1e-4, f"parameter {i}: analytic {analytic[i]}, fd {fd}"
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_fused_pass_matches_textbook_per_gate_lstm(self, seed):
+        params, rng = random_params(hidden=5, seed=seed)
+        windows = rng.standard_normal((7, 10, 13))
+        labels = (rng.random(7) > 0.5).astype(float)
+        probs, cache = lstm.forward_batch(params, windows)
+        grads = lstm.backward_batch(cache, labels)
+        ref_probs, ref_grads = textbook_probs_and_grads(params, windows, labels)
+        np.testing.assert_allclose(probs, ref_probs, rtol=1e-12)
+        for name, ref in ref_grads.items():
+            np.testing.assert_allclose(grads.arrays[name], ref, rtol=1e-12, err_msg=name)
 
     def test_stationary_point_has_zero_gradient(self):
         params, rng = random_params(hidden=4, seed=12)
@@ -246,6 +413,24 @@ class TestCheckpoint:
         )
         assert np.array_equal(stats.mean, result.stats.mean)
         assert meta["seed"] == 9 and meta["epoch"] == result.best_epoch
+        doc = json.loads(path.read_text())
+        assert doc["schema"] == 2
+        assert doc["shapes"] == {
+            "layer1.w": [24, 13], "layer1.u": [24, 6], "layer1.b": [24],
+            "layer2.w": [24, 6], "layer2.u": [24, 6], "layer2.b": [24],
+            "dense_w": [6], "dense_b": [1],
+        }
+
+    def test_schema_1_is_rejected_with_a_retrain_hint(self, tmp_path):
+        samples = separable_dataset(n=120, seed=33)
+        config = lstm.TrainConfig(hidden=6, batch=16, epochs=1, learning_rate=0.1, seed=9)
+        path = tmp_path / "checkpoint.json"
+        lstm.save_checkpoint(path, lstm.train(samples, config), config)
+        doc = json.loads(path.read_text())
+        doc["schema"] = 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="schema 1 .*retrain"):
+            lstm.load_checkpoint(path)
 
     def test_shape_tampering_is_rejected(self, tmp_path):
         import json

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -68,6 +69,21 @@ class TestBacktest:
         result = backtest(records, [1.0, 10.0, None], mode="qrm")
         assert [d.action for d in result.decisions] == ["abstain", "buy"]
         assert result.n_trades == 1
+
+    def test_zero_ask_day_abstains_in_classifier_mode(self):
+        # A probability is no price: the zero-ask day must not buy at 0 and
+        # book the next day's bid as profit.
+        records = rising_deterministic_series(4)
+        records[1] = dataclasses.replace(records[1], option_bid=0.0, option_ask=0.0)
+        result = backtest(records, [0.9, 0.9, 0.9, None], mode="classifier")
+        assert [d.action for d in result.decisions] == ["buy", "abstain", "buy"]
+        assert math.isnan(result.decisions[1].est)
+        expected = (
+            (records[1].option_bid - records[0].option_ask)
+            + (records[3].option_bid - records[2].option_ask)
+        )
+        assert result.final_pnl == expected
+        assert result.n_trades == 2
 
     def test_always_abstain_is_flat_zero(self):
         records = rising_deterministic_series()
