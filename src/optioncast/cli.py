@@ -38,64 +38,62 @@ class _UsageError(Exception):
     """Missing required options; maps to the usage exit code."""
 
 
-_DEFAULTS: dict[str, dict] = {
+# Marks an option that has no default: a flag, a config file or a manifest
+# must set it.
+_NO_DEFAULT = object()
+
+# command -> option -> (converter or allowed strings, default).  The flag of
+# option ``out_dir`` is ``--out-dir``; a config file or a manifest takes the
+# option names as keys.  Defaults the library defines are read from it.
+_OPTIONS: dict[str, dict[str, tuple]] = {
     "synth": {
-        "s0": None,
-        "sigma": None,
-        "mu": 0.0,
-        "rate": 0.0,
-        "days": None,
-        "seed": 0,
-        "spread_bp": 0.0,
-        "out": "synth.csv",
+        "s0": (float, _NO_DEFAULT),
+        "sigma": (float, _NO_DEFAULT),
+        "mu": (float, market_data.SyntheticSpec.mu),
+        "rate": (float, market_data.SyntheticSpec.rate),
+        "days": (int, _NO_DEFAULT),
+        "seed": (int, market_data.SyntheticSpec.seed),
+        "spread_bp": (float, market_data.SyntheticSpec.spread_bp),
+        "out": (str, "synth.csv"),
     },
     "qrm": {
-        "input": None,
-        "out_dir": None,
-        "n_s": 21,
-        "n_tau": 11,
-        "beta": 0.01,
-        "horizon": market_data.TRADING_DAY_YEARS,
+        "input": (str, _NO_DEFAULT),
+        "out_dir": (str, _NO_DEFAULT),
+        "n_s": (int, qrm.QrmConfig.n_s),
+        "n_tau": (int, qrm.QrmConfig.n_tau),
+        "beta": (float, qrm.QrmConfig.beta),
+        "horizon": (float, qrm.QrmConfig.horizon),
     },
     "train": {
-        "input": None,
-        "out_dir": None,
-        "hidden": 32,
-        "batch": 8,
-        "epochs": 20,
-        "lr": 0.05,
-        "train_frac": 0.8,
-        "optimizer": "sgd",
-        "seed": 0,
+        "input": (str, _NO_DEFAULT),
+        "out_dir": (str, _NO_DEFAULT),
+        "hidden": (int, lstm_mod.TrainConfig.hidden),
+        "batch": (int, lstm_mod.TrainConfig.batch),
+        "epochs": (int, lstm_mod.TrainConfig.epochs),
+        "lr": (float, lstm_mod.TrainConfig.learning_rate),
+        "train_frac": (float, lstm_mod.TrainConfig.split[0]),
+        "optimizer": (("sgd", "adam"), lstm_mod.TrainConfig.optimizer),
+        "seed": (int, lstm_mod.TrainConfig.seed),
     },
     "backtest": {
-        "input": None,
-        "out_dir": None,
-        "mode": "qrm",
-        "checkpoint": None,
+        "input": (str, _NO_DEFAULT),
+        "out_dir": (str, _NO_DEFAULT),
+        "mode": (("qrm", "classifier"), "qrm"),
+        "checkpoint": (str, None),
     },
     "fuse": {
-        "p1": None,
-        "p2": None,
-        "out_dir": None,
+        "p1": (float, _NO_DEFAULT),
+        "p2": (float, _NO_DEFAULT),
+        "out_dir": (str, _NO_DEFAULT),
     },
     "binomial": {
-        "p": None,
-        "ror": None,
-        "rol": None,
-        "days": 1,
-        "capital": 1.0,
-        "out_dir": None,
+        "p": (float, _NO_DEFAULT),
+        "ror": (float, _NO_DEFAULT),
+        "rol": (float, binomial_mod.BinomialSpec.rol),
+        "days": (int, binomial_mod.BinomialSpec.days),
+        "capital": (float, binomial_mod.BinomialSpec.initial),
+        "out_dir": (str, _NO_DEFAULT),
     },
-}
-
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "synth": ("s0", "sigma", "days"),
-    "qrm": ("input", "out_dir"),
-    "train": ("input", "out_dir"),
-    "backtest": ("input", "out_dir"),
-    "fuse": ("p1", "p2", "out_dir"),
-    "binomial": ("p", "ror", "out_dir"),
 }
 
 
@@ -124,21 +122,43 @@ def _write_manifest(path: Path, command: str, config: dict, seed, artifacts: lis
     )
 
 
-def _resolve(command: str, flags: dict, config_path: str | None) -> dict:
-    resolved = dict(_DEFAULTS[command])
-    if config_path is not None:
-        with open(config_path) as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise DataError(f"{config_path}: config file must hold a JSON object")
-        unknown = set(file_cfg) - set(resolved)
-        if unknown:
-            raise DataError(f"{config_path}: unknown config keys {sorted(unknown)}")
-        resolved.update(file_cfg)
-    for key, value in flags.items():
+def _load_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _convert(source: str, key: str, kind, value):
+    """A config value as its flag would parse it from the command line."""
+    try:
+        if isinstance(kind, tuple):
+            if value in kind:
+                return value
+        elif type(value) in (str, int, float):
+            return kind(str(value))
+    except ValueError:
+        pass
+    expected = " or ".join(map(repr, kind)) if isinstance(kind, tuple) else kind.__name__
+    raise DataError(f"{source}: config key {key!r} must be {expected}, got {value!r}")
+
+
+def _resolve(command: str, file_cfg, source: str, flags: dict | None = None) -> dict:
+    """Defaults, overridden by ``file_cfg`` (a config file or a manifest's
+    config), overridden by the flags that were given."""
+    options = _OPTIONS[command]
+    if not isinstance(file_cfg, dict):
+        raise DataError(f"{source}: config must be a JSON object")
+    unknown = set(file_cfg) - set(options)
+    if unknown:
+        raise DataError(f"{source}: unknown config keys {sorted(unknown)}")
+    resolved = {key: default for key, (_, default) in options.items()}
+    for key, value in file_cfg.items():
+        kind, default = options[key]
         if value is not None:
-            resolved[key] = value
-    missing = [k for k in _REQUIRED[command] if resolved.get(k) is None]
+            resolved[key] = _convert(source, key, kind, value)
+        elif default is not None and default is not _NO_DEFAULT:
+            raise DataError(f"{source}: config key {key!r} must not be null")
+    resolved.update((key, value) for key, value in (flags or {}).items() if value is not None)
+    missing = [key for key, value in resolved.items() if value is _NO_DEFAULT]
     if missing:
         raise _UsageError(f"missing required options for {command}: {', '.join(missing)}")
     return resolved
@@ -151,13 +171,14 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def cmd_synth(cfg: dict) -> int:
+    """generate a synthetic GBM quote series CSV"""
     spec = market_data.SyntheticSpec(
         s0=cfg["s0"],
         sigma=cfg["sigma"],
         mu=cfg["mu"],
         rate=cfg["rate"],
-        n_days=int(cfg["days"]),
-        seed=int(cfg["seed"]),
+        n_days=cfg["days"],
+        seed=cfg["seed"],
         spread_bp=cfg["spread_bp"],
     )
     records = market_data.generate_gbm(spec)
@@ -171,33 +192,22 @@ def cmd_synth(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _load_records(cfg: dict) -> list[market_data.QuoteRecord]:
-    return market_data.load_csv(cfg["input"])
-
-
-def _qrm_config(cfg: dict) -> qrm.QrmConfig:
-    return qrm.QrmConfig(
-        n_s=int(cfg.get("n_s", 21)),
-        n_tau=int(cfg.get("n_tau", 11)),
-        beta=cfg.get("beta", 0.01),
-        horizon=cfg.get("horizon", market_data.TRADING_DAY_YEARS),
-    )
-
-
-def _estimates_with_backfill(
-    records, config: qrm.QrmConfig
-) -> tuple[list[qrm.Minimizer | None], list[float]]:
-    """Series estimates plus a dense estimate list (day 0 backfilled with its mid)."""
-    series = qrm.estimate_series(records, config)
-    dense = [
-        records[0].option_mid if m is None else m.est for m in series
-    ]
-    return series, dense
+def _default_estimates(records) -> list[float]:
+    """EST per day on the default QRM grid; day 0, with no prior day, takes its mid."""
+    series = qrm.estimate_series(records, qrm.QrmConfig())
+    return [records[0].option_mid if m is None else m.est for m in series]
 
 
 def cmd_qrm(cfg: dict) -> int:
-    records = _load_records(cfg)
-    series = qrm.estimate_series(records, _qrm_config(cfg))
+    """one-day-ahead price extrapolation over a series"""
+    records = market_data.load_csv(cfg["input"])
+    config = qrm.QrmConfig(
+        n_s=cfg["n_s"],
+        n_tau=cfg["n_tau"],
+        beta=cfg["beta"],
+        horizon=cfg["horizon"],
+    )
+    series = qrm.estimate_series(records, config)
     out = _out_dir(cfg)
     est_csv = out / "estimates.csv"
     with open(est_csv, "w") as fh:
@@ -234,16 +244,16 @@ def cmd_qrm(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
-    records = _load_records(cfg)
-    _, dense = _estimates_with_backfill(records, _qrm_config(cfg))
-    samples = market_data.build_sequences(records, dense)
-    frac = float(cfg["train_frac"])
+    """train the direction classifier on a series"""
+    records = market_data.load_csv(cfg["input"])
+    samples = market_data.build_sequences(records, _default_estimates(records))
+    frac = cfg["train_frac"]
     config = lstm_mod.TrainConfig(
-        hidden=int(cfg["hidden"]),
-        batch=int(cfg["batch"]),
-        epochs=int(cfg["epochs"]),
+        hidden=cfg["hidden"],
+        batch=cfg["batch"],
+        epochs=cfg["epochs"],
         learning_rate=cfg["lr"],
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
         split=(frac, 1.0 - frac),
         optimizer=cfg["optimizer"],
     )
@@ -279,18 +289,18 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_backtest(cfg: dict) -> int:
-    records = _load_records(cfg)
+    """run the threshold strategy over a series"""
+    records = market_data.load_csv(cfg["input"])
     mode = cfg["mode"]
     signals: list[float | None]
     if mode == "qrm":
-        series = qrm.estimate_series(records, _qrm_config(cfg))
-        signals = [None if m is None else m.est for m in series]
-    elif mode == "classifier":
-        if cfg.get("checkpoint") is None:
+        # Day 0 has no estimate of its own, so it does not trade.
+        signals = [None, *_default_estimates(records)[1:]]
+    else:
+        if cfg["checkpoint"] is None:
             raise DataError("classifier mode requires --checkpoint")
         params, stats, _ = lstm_mod.load_checkpoint(cfg["checkpoint"])
-        _, dense = _estimates_with_backfill(records, _qrm_config(cfg))
-        samples = market_data.build_sequences(records, dense)
+        samples = market_data.build_sequences(records, _default_estimates(records))
         standardized = market_data.standardize_samples(samples, stats)
         signals = [None] * len(records)
         if standardized:
@@ -298,8 +308,6 @@ def cmd_backtest(cfg: dict) -> int:
             probs, _ = lstm_mod.forward_batch(params, windows)
             for sample, prob in zip(standardized, probs):
                 signals[sample.end_index] = float(prob)
-    else:
-        raise DataError(f"mode must be 'qrm' or 'classifier', got {mode!r}")
     result = trading.backtest(records, signals, mode=mode)
     out = _out_dir(cfg)
     plot_csv = out / "equity.csv"
@@ -315,6 +323,7 @@ def cmd_backtest(cfg: dict) -> int:
 
 
 def cmd_fuse(cfg: dict) -> int:
+    """joint precision of two independent classifiers"""
     joint = fusion_mod.joint_precision(cfg["p1"], cfg["p2"])
     out = _out_dir(cfg)
     report_path = out / "fusion.json"
@@ -325,12 +334,13 @@ def cmd_fuse(cfg: dict) -> int:
 
 
 def cmd_binomial(cfg: dict) -> int:
+    """binomial wealth expectation and distribution"""
     spec = binomial_mod.BinomialSpec(
         p=cfg["p"],
         ror=cfg["ror"],
         rol=cfg["rol"],
         initial=cfg["capital"],
-        days=int(cfg["days"]),
+        days=cfg["days"],
     )
     expectation = binomial_mod.expected_wealth(spec)
     report = binomial_mod.martingale_check(spec)
@@ -360,18 +370,16 @@ def cmd_binomial(cfg: dict) -> int:
 
 
 def cmd_rerun(manifest_path: str, out_dir: str | None) -> int:
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = _load_json(manifest_path)
     if manifest.get("schema") != MANIFEST_SCHEMA:
         raise DataError(f"unsupported manifest schema {manifest.get('schema')!r}")
     command = manifest.get("command")
     if command not in _COMMANDS:
         raise DataError(f"manifest names unknown command {command!r}")
-    cfg = dict(_DEFAULTS[command])
-    cfg.update(manifest.get("config", {}))
-    missing = [k for k in _REQUIRED[command] if cfg.get(k) is None]
-    if missing:
-        raise DataError(f"manifest config is missing {', '.join(missing)}")
+    try:
+        cfg = _resolve(command, manifest.get("config", {}), manifest_path)
+    except _UsageError as exc:
+        raise DataError(f"{manifest_path}: {exc}") from None
     if out_dir is not None:
         if command == "synth":
             cfg["out"] = str(Path(out_dir) / Path(cfg["out"]).name)
@@ -398,62 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for command, options in _OPTIONS.items():
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
+        for key, (kind, _) in options.items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind)
+            else:
+                p.add_argument(flag, type=kind)
         p.add_argument("--config", help="JSON file of option defaults (flags win)")
-
-    p = sub.add_parser("synth", help="generate a synthetic GBM quote series CSV")
-    p.add_argument("--s0", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--rate", type=float)
-    p.add_argument("--days", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--spread-bp", dest="spread_bp", type=float)
-    p.add_argument("--out")
-    add_common(p)
-
-    p = sub.add_parser("qrm", help="one-day-ahead price extrapolation over a series")
-    p.add_argument("--input")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--n-s", dest="n_s", type=int)
-    p.add_argument("--n-tau", dest="n_tau", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--horizon", type=float)
-    add_common(p)
-
-    p = sub.add_parser("train", help="train the direction classifier on a series")
-    p.add_argument("--input")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--train-frac", dest="train_frac", type=float)
-    p.add_argument("--optimizer", choices=["sgd", "adam"])
-    p.add_argument("--seed", type=int)
-    add_common(p)
-
-    p = sub.add_parser("backtest", help="run the threshold strategy over a series")
-    p.add_argument("--input")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--mode", choices=["qrm", "classifier"])
-    p.add_argument("--checkpoint")
-    add_common(p)
-
-    p = sub.add_parser("fuse", help="joint precision of two independent classifiers")
-    p.add_argument("--p1", type=float)
-    p.add_argument("--p2", type=float)
-    p.add_argument("--out-dir", dest="out_dir")
-    add_common(p)
-
-    p = sub.add_parser("binomial", help="binomial wealth expectation and distribution")
-    p.add_argument("--p", type=float)
-    p.add_argument("--ror", type=float)
-    p.add_argument("--rol", type=float)
-    p.add_argument("--days", type=int)
-    p.add_argument("--capital", type=float)
-    p.add_argument("--out-dir", dest="out_dir")
-    add_common(p)
 
     p = sub.add_parser("rerun", help="replay a command from its manifest")
     p.add_argument("--manifest", required=True)
@@ -471,12 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "rerun":
             return cmd_rerun(args.manifest, args.out_dir)
-        flags = {
-            key: value
-            for key, value in vars(args).items()
-            if key not in ("command", "config")
-        }
-        cfg = _resolve(args.command, flags, args.config)
+        file_cfg = {} if args.config is None else _load_json(args.config)
+        flags = {key: getattr(args, key) for key in _OPTIONS[args.command]}
+        cfg = _resolve(args.command, file_cfg, args.config, flags)
         return _COMMANDS[args.command](cfg)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -293,6 +295,127 @@ class TestRerun:
         bad.write_text(json.dumps({"schema": 1, "command": "nope", "config": {}}))
         assert run(["rerun", "--manifest", str(bad)]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("qrm", {"bogus": 1}), ("train", {"n_s": 31})],
+        ids=["qrm-bogus", "train-n_s"],
+    )
+    def test_rerun_rejects_keys_the_config_file_rejects(
+        self, tmp_path, series_csv, capsys, command, extra
+    ):
+        out = tmp_path / "run"
+        argv = [command, "--input", str(series_csv), "--out-dir", str(out)]
+        if command == "train":
+            argv += ["--hidden", "4", "--epochs", "1"]
+        assert run(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"].update(extra)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        replay = tmp_path / "replay"
+        capsys.readouterr()
+        assert run(["rerun", "--manifest", str(edited), "--out-dir", str(replay)]) == 3
+        assert "unknown config keys" in capsys.readouterr().err
+        assert not replay.exists()
+
+    def test_rerun_missing_required_option_exits_three(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"schema": 1, "command": "fuse", "config": {"p1": 0.56}}))
+        assert run(["rerun", "--manifest", str(manifest)]) == 3
+        assert "p2, out_dir" in capsys.readouterr().err
+
+
+# (command, config) pairs, each holding one value its option cannot take.
+BAD_VALUES = [
+    ("qrm", {"beta": "x"}),
+    ("qrm", {"beta": None}),
+    ("qrm", {"beta": True}),
+    ("qrm", {"n_s": 21.5}),
+    ("qrm", {"n_tau": "11.0"}),
+    ("qrm", {"horizon": [0.004]}),
+    ("train", {"optimizer": "rmsprop"}),
+    ("train", {"seed": None}),
+    ("backtest", {"mode": 1}),
+    ("backtest", {"input": {"path": "x.csv"}}),
+]
+
+
+class TestConfigValues:
+    """Config files and manifests take each option's value as its flag would."""
+
+    @pytest.mark.parametrize("command, bad", BAD_VALUES, ids=str)
+    def test_bad_config_file_value_exits_three(self, tmp_path, series_csv, capsys, command, bad):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(bad))
+        code = run(
+            [command, "--input", str(series_csv), "--out-dir", str(tmp_path / "o"),
+             "--config", str(config)]
+        )
+        assert code == 3
+        (key,) = bad
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, bad", BAD_VALUES, ids=str)
+    def test_bad_manifest_value_exits_three(self, tmp_path, series_csv, capsys, command, bad):
+        config = {"input": str(series_csv), "out_dir": str(tmp_path / "o"), **bad}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"schema": 1, "command": command, "config": config}))
+        assert run(["rerun", "--manifest", str(manifest)]) == 3
+        (key,) = bad
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_values_are_converted_as_flags_are(self, tmp_path, series_csv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"beta": "0.01", "n_s": "21", "horizon": 1}))
+        out = tmp_path / "o"
+        assert run(["qrm", "--input", str(series_csv), "--out-dir", str(out),
+                    "--config", str(config)]) == 0
+        recorded = json.loads((out / "manifest.json").read_text())["config"]
+        assert (recorded["beta"], recorded["n_s"], recorded["horizon"]) == (0.01, 21, 1.0)
+        assert isinstance(recorded["horizon"], float)
+
+    def test_null_is_unset_where_the_default_is_none(self, tmp_path, series_csv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"checkpoint": None, "input": None}))
+        out = tmp_path / "o"
+        assert run(["backtest", "--input", str(series_csv), "--out-dir", str(out),
+                    "--config", str(config)]) == 0
+        recorded = json.loads((out / "manifest.json").read_text())["config"]
+        assert recorded["checkpoint"] is None
+        assert recorded["input"] == str(series_csv)
+
+    def test_null_required_option_is_missing(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"s0": None, "sigma": 0.2, "days": 14}))
+        assert run(["synth", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "missing required options for synth: s0" in capsys.readouterr().err
+
+
+def readme_commands():
+    """Every ``optioncast ...`` command in README.md's sh blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["optioncast"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_lists_every_subcommand():
+    listed = {argv[0] for argv in readme_commands()}
+    assert listed == {"synth", "qrm", "train", "backtest", "fuse", "binomial", "rerun"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: " ".join(argv[:3]))
+def test_readme_cli_example_parses(argv):
+    try:
+        cli.build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"README example does not parse: optioncast {' '.join(argv)}")
 
 
 def test_cli_import_loads_no_scipy():

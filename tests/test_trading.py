@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from helpers import make_record
@@ -34,9 +34,23 @@ class TestDecide:
     @given(
         st.floats(min_value=0.1, max_value=100.0),
         st.floats(min_value=0.1, max_value=100.0),
+        st.integers(min_value=-10, max_value=10),
+    )
+    @example(est=0.1, real0=0.10000000000000002, k=8)
+    def test_power_of_two_scale_invariance(self, est, real0, k):
+        # Multiplying by a power of two is exact, so no margin is needed.
+        scale = 2.0**k
+        assert decide(est, real0) == decide(est * scale, real0 * scale)
+
+    @given(
+        st.floats(min_value=0.1, max_value=100.0),
+        st.floats(min_value=0.1, max_value=100.0),
         st.floats(min_value=0.001, max_value=1000.0),
     )
     def test_scale_invariance(self, est, real0, scale):
+        # Each product rounds by up to half an ulp, which can reorder a pair
+        # closer than that (est=0.1, real0=0.10000000000000002, scale=449).
+        assume(abs(est - real0) > 1e-12 * real0)
         assert decide(est, real0) == decide(est * scale, real0 * scale)
 
 
