@@ -18,8 +18,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import binomial as binomial_mod
 from . import fusion as fusion_mod
 from . import lstm as lstm_mod
@@ -71,7 +69,7 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
         "batch": (int, lstm_mod.TrainConfig.batch),
         "epochs": (int, lstm_mod.TrainConfig.epochs),
         "lr": (float, lstm_mod.TrainConfig.learning_rate),
-        "train_frac": (float, lstm_mod.TrainConfig.split[0]),
+        "train_frac": (float, lstm_mod.TrainConfig.train_frac),
         "optimizer": (("sgd", "adam"), lstm_mod.TrainConfig.optimizer),
         "seed": (int, lstm_mod.TrainConfig.seed),
     },
@@ -247,14 +245,13 @@ def cmd_train(cfg: dict) -> int:
     """train the direction classifier on a series"""
     records = market_data.load_csv(cfg["input"])
     samples = market_data.build_sequences(records, _default_estimates(records))
-    frac = cfg["train_frac"]
     config = lstm_mod.TrainConfig(
         hidden=cfg["hidden"],
         batch=cfg["batch"],
         epochs=cfg["epochs"],
         learning_rate=cfg["lr"],
         seed=cfg["seed"],
-        split=(frac, 1.0 - frac),
+        train_frac=cfg["train_frac"],
         optimizer=cfg["optimizer"],
     )
     result = lstm_mod.train(samples, config)
@@ -301,13 +298,9 @@ def cmd_backtest(cfg: dict) -> int:
             raise DataError("classifier mode requires --checkpoint")
         params, stats, _ = lstm_mod.load_checkpoint(cfg["checkpoint"])
         samples = market_data.build_sequences(records, _default_estimates(records))
-        standardized = market_data.standardize_samples(samples, stats)
         signals = [None] * len(records)
-        if standardized:
-            windows = np.stack([s.window for s in standardized])
-            probs, _ = lstm_mod.forward_batch(params, windows)
-            for sample, prob in zip(standardized, probs):
-                signals[sample.end_index] = float(prob)
+        for sample, prob in zip(samples, lstm_mod.predict(params, stats, samples)):
+            signals[sample.end_index] = float(prob)
     result = trading.backtest(records, signals, mode=mode)
     out = _out_dir(cfg)
     plot_csv = out / "equity.csv"
@@ -371,10 +364,12 @@ def cmd_binomial(cfg: dict) -> int:
 
 def cmd_rerun(manifest_path: str, out_dir: str | None) -> int:
     manifest = _load_json(manifest_path)
+    if not isinstance(manifest, dict):
+        raise DataError(f"{manifest_path}: manifest must be a JSON object")
     if manifest.get("schema") != MANIFEST_SCHEMA:
         raise DataError(f"unsupported manifest schema {manifest.get('schema')!r}")
     command = manifest.get("command")
-    if command not in _COMMANDS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise DataError(f"manifest names unknown command {command!r}")
     try:
         cfg = _resolve(command, manifest.get("config", {}), manifest_path)

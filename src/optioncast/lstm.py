@@ -17,6 +17,11 @@ The second layer consumes the first layer's h sequence, and a dense head
 maps the final h of layer 2 through a sigmoid to P(next-day mid up).  Loss
 is binary cross-entropy with the probability clamped to [1e-12, 1 - 1e-12].
 
+The classifier owns its input scaling.  :func:`train` computes a per-feature
+z-score (:class:`FeatureStats`) from its training split alone and returns it
+with the parameters; :func:`predict` applies it to raw windows, so callers
+never standardize anything themselves.
+
 Training is mini-batch gradient descent (plain SGD by default, Adam behind
 ``optimizer="adam"``), fully deterministic for a fixed seed: initialization
 and the per-epoch shuffle all come from one seeded PCG64 stream, and the
@@ -33,16 +38,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .market_data import (
-    FeatureStats,
-    N_FEATURES,
-    SequenceSample,
-    WINDOW_LENGTH,
-    compute_feature_stats,
-    standardize_samples,
-)
+from .market_data import N_FEATURES, SequenceSample, WINDOW_LENGTH
 
 __all__ = [
+    "FeatureStats",
     "Layer",
     "LstmParams",
     "Metrics",
@@ -57,6 +56,7 @@ __all__ = [
     "load_checkpoint",
     "loss",
     "params_to_vector",
+    "predict",
     "save_checkpoint",
     "train",
     "vector_to_params",
@@ -351,15 +351,40 @@ class Metrics:
         )
 
 
-def evaluate(params: LstmParams, samples: Sequence[SequenceSample]) -> Metrics:
-    """Threshold the forward probabilities at 0.5 and count the confusion."""
+@dataclass(frozen=True)
+class FeatureStats:
+    """Per-feature mean and standard deviation used for z-scoring."""
+
+    mean: np.ndarray
+    std: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.mean.shape != (N_FEATURES,) or self.std.shape != (N_FEATURES,):
+            raise DataError("feature stats must be 13-wide vectors")
+
+
+def _zscore(windows: np.ndarray, stats: FeatureStats) -> np.ndarray:
+    return (windows - stats.mean) / stats.std
+
+
+def predict(
+    params: LstmParams, stats: FeatureStats, samples: Sequence[SequenceSample]
+) -> np.ndarray:
+    """P(up) for each raw sample, z-scored with ``stats``; no samples give an empty array."""
+    if not samples:
+        return np.empty(0)
+    probs, _ = forward_batch(params, _zscore(np.stack([s.window for s in samples]), stats))
+    return probs
+
+
+def evaluate(
+    params: LstmParams, stats: FeatureStats, samples: Sequence[SequenceSample]
+) -> Metrics:
+    """Threshold :func:`predict` at 0.5 and count the confusion."""
     if not samples:
         raise DataError("cannot evaluate on zero samples")
-    windows = np.stack([s.window for s in samples])
-    labels = np.array([s.label for s in samples])
-    probs, _ = forward_batch(params, windows)
-    preds = probs >= 0.5
-    actual = labels == 1
+    preds = predict(params, stats, samples) >= 0.5
+    actual = np.array([s.label for s in samples]) == 1
     return Metrics.from_counts(
         tp=int(np.sum(preds & actual)),
         fp=int(np.sum(preds & ~actual)),
@@ -375,7 +400,7 @@ class TrainConfig:
     epochs: int = 20
     learning_rate: float = 0.05
     seed: int = 0
-    split: tuple[float, float] = (0.8, 0.2)
+    train_frac: float = 0.8
     optimizer: str = "sgd"
 
     def __post_init__(self) -> None:
@@ -389,8 +414,8 @@ class TrainConfig:
             raise DataError(f"learning_rate must be > 0, got {self.learning_rate}")
         if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
             raise DataError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if len(self.split) != 2 or min(self.split) <= 0 or abs(sum(self.split) - 1.0) > 1e-9:
-            raise DataError(f"split fractions must be positive and sum to 1, got {self.split}")
+        if not 0.0 < self.train_frac < 1.0:
+            raise DataError(f"train_frac must be in (0, 1), got {self.train_frac}")
         if self.optimizer not in ("sgd", "adam"):
             raise DataError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
 
@@ -415,29 +440,29 @@ class TrainResult:
 def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult:
     """Mini-batch gradient descent over a chronological train/validation split.
 
-    The first ``split[0]`` fraction of the samples (in the given order) is
-    the training set; feature statistics come from it alone and are applied
-    to both splits.  Returns the parameters with the best validation
+    The first ``train_frac`` of the samples (in the given order) is the
+    training set.  The feature statistics are the mean and std over every day
+    of its windows alone (std < 1e-12 becomes 1), and both splits are
+    z-scored with them.  Returns the parameters with the best validation
     accuracy (earliest epoch wins ties).
     """
     if not samples:
         raise DataError("cannot train on zero samples")
     n = len(samples)
-    n_train = int(round(config.split[0] * n))
+    n_train = int(round(config.train_frac * n))
     n_train = min(max(n_train, 1), n - 1)
     if n < 2:
         raise DataError("need at least 2 samples to split into train and validation")
     if config.batch > n_train:
         raise DataError(f"batch size {config.batch} exceeds training-set size {n_train}")
 
-    train_samples = list(samples[:n_train])
-    val_samples = list(samples[n_train:])
-    stats = compute_feature_stats(train_samples)
-    train_std = standardize_samples(train_samples, stats)
-    val_std = standardize_samples(val_samples, stats)
-
-    x_train = np.stack([s.window for s in train_std])
-    y_train = np.array([s.label for s in train_std], dtype=np.float64)
+    val_samples = samples[n_train:]
+    x_train = np.stack([s.window for s in samples[:n_train]])
+    y_train = np.array([s.label for s in samples[:n_train]], dtype=np.float64)
+    days = x_train.reshape(-1, N_FEATURES)
+    std = days.std(axis=0)
+    stats = FeatureStats(mean=days.mean(axis=0), std=np.where(std < 1e-12, 1.0, std))
+    x_train = _zscore(x_train, stats)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = init_params(config.hidden, rng)
@@ -474,7 +499,7 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
         epoch_loss /= n_train
         if not (math.isfinite(epoch_loss) and np.all(np.isfinite(vec))):
             raise ConvergenceError(f"training diverged at epoch {epoch} (non-finite loss or weights)")
-        val_metrics = evaluate(params, val_std)
+        val_metrics = evaluate(params, stats, val_samples)
         if val_metrics.accuracy > best_acc:
             best_acc = val_metrics.accuracy
             best_vec = vec.copy()
@@ -509,7 +534,7 @@ def save_checkpoint(path, result: TrainResult, config: TrainConfig) -> None:
             "batch": config.batch,
             "epochs": config.epochs,
             "learning_rate": config.learning_rate,
-            "split": list(config.split),
+            "split": [config.train_frac, 1.0 - config.train_frac],
             "optimizer": config.optimizer,
         },
         "seed": config.seed,

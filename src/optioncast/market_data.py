@@ -20,16 +20,16 @@ Feature layout (one 13-wide vector per trading day, see ``FEATURE_NAMES``):
     11  moneyness, stock mid / strike
     12  fraction of the series remaining, (n-1-k)/(n-1)
 
-Standardization is a per-feature z-score whose statistics must come from the
-training split only; :func:`build_sequences` therefore emits raw features and
-the trainer applies :func:`compute_feature_stats` / :func:`standardize_samples`.
+:func:`build_sequences` emits raw windows.  The classifier owns their scaling:
+:mod:`optioncast.lstm` computes per-feature z-score statistics from its
+training split alone and applies them to every window it reads.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Sequence
 
@@ -41,20 +41,19 @@ from .errors import DataError
 __all__ = [
     "CSV_COLUMNS",
     "FEATURE_NAMES",
-    "FeatureStats",
     "GENERATOR_ID",
     "QuoteRecord",
     "SequenceSample",
+    "SYNTHETIC_MATURITY_YEARS",
+    "SYNTHETIC_STRIKE_FRAC",
     "SyntheticSpec",
     "TRADING_DAY_YEARS",
     "WINDOW_LENGTH",
     "build_sequences",
-    "compute_feature_stats",
     "feature_matrix",
     "generate_gbm",
     "load_csv",
     "save_csv",
-    "standardize_samples",
 ]
 
 TRADING_DAY_YEARS = 1.0 / 252.0
@@ -148,9 +147,10 @@ class SyntheticSpec:
 
     The stock mid follows the exact one-step update
     ``s[k+1] = s[k] * exp((mu - sigma^2/2) dt + sigma sqrt(dt) Z[k])`` with
-    dt = 1/252 years; the option mid is the closed-form call value at a fixed
-    residual maturity, and bid/ask are the mid shifted multiplicatively by
-    half the spread.  Output is a pure function of the spec.
+    dt = 1/252 years; the option mid is the closed-form call value struck at
+    ``SYNTHETIC_STRIKE_FRAC * s0`` with the fixed residual maturity
+    ``SYNTHETIC_MATURITY_YEARS``, and bid/ask are the mid shifted
+    multiplicatively by half the spread.  Output is a pure function of the spec.
     """
 
     s0: float
@@ -160,8 +160,6 @@ class SyntheticSpec:
     n_days: int = 252
     seed: int = 0
     spread_bp: float = 0.0
-    strike_frac: float = SYNTHETIC_STRIKE_FRAC
-    maturity_years: float = SYNTHETIC_MATURITY_YEARS
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.s0) and self.s0 > 0):
@@ -178,10 +176,6 @@ class SyntheticSpec:
             raise DataError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not (math.isfinite(self.spread_bp) and self.spread_bp >= 0):
             raise DataError(f"spread_bp must be >= 0, got {self.spread_bp}")
-        if not (math.isfinite(self.strike_frac) and self.strike_frac > 0):
-            raise DataError(f"strike_frac must be > 0, got {self.strike_frac}")
-        if not (math.isfinite(self.maturity_years) and self.maturity_years > 0):
-            raise DataError(f"maturity_years must be > 0, got {self.maturity_years}")
 
 
 @dataclass(frozen=True)
@@ -206,18 +200,6 @@ class SequenceSample:
             raise DataError("window entries must all be finite")
         if self.label not in (0, 1):
             raise DataError(f"label must be 0 or 1, got {self.label}")
-
-
-@dataclass(frozen=True)
-class FeatureStats:
-    """Per-feature mean and standard deviation used for z-scoring."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.mean.shape != (N_FEATURES,) or self.std.shape != (N_FEATURES,):
-            raise DataError("feature stats must be 13-wide vectors")
 
 
 def _parse_row(row: Sequence[str], line_no: int) -> QuoteRecord:
@@ -293,11 +275,11 @@ def generate_gbm(spec: SyntheticSpec) -> list[QuoteRecord]:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     shocks = rng.standard_normal(spec.n_days - 1)
     stock = _gbm_stock_path(spec.s0, spec.sigma, spec.mu, shocks)
-    strike = spec.strike_frac * spec.s0
+    strike = SYNTHETIC_STRIKE_FRAC * spec.s0
     half = 0.5 * spec.spread_bp * 1e-4
     records = []
     for k in range(spec.n_days):
-        option = call_price(stock[k], spec.maturity_years, strike, spec.sigma, spec.rate)
+        option = call_price(stock[k], SYNTHETIC_MATURITY_YEARS, strike, spec.sigma, spec.rate)
         records.append(
             QuoteRecord(
                 day=_SYNTHETIC_START + timedelta(days=k),
@@ -380,23 +362,3 @@ def build_sequences(
             )
         )
     return samples
-
-
-def compute_feature_stats(samples: Sequence[SequenceSample]) -> FeatureStats:
-    """Mean/std over every day of every window; constant features get std 1."""
-    if not samples:
-        raise DataError("cannot compute feature stats from zero samples")
-    stacked = np.concatenate([s.window for s in samples], axis=0)
-    mean = stacked.mean(axis=0)
-    std = stacked.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
-    return FeatureStats(mean=mean, std=std)
-
-
-def standardize_samples(
-    samples: Sequence[SequenceSample], stats: FeatureStats
-) -> list[SequenceSample]:
-    """Z-score every window with the given statistics."""
-    return [
-        replace(s, window=(s.window - stats.mean) / stats.std) for s in samples
-    ]

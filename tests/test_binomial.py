@@ -19,7 +19,7 @@ from optioncast.binomial import (
 )
 from optioncast.bs_core import call_price
 from optioncast.errors import DataError
-from optioncast.market_data import SyntheticSpec, generate_gbm
+from optioncast.market_data import SYNTHETIC_MATURITY_YEARS, SyntheticSpec, generate_gbm
 
 
 def full_path_oracle(spec):
@@ -159,7 +159,7 @@ class TestEstimateRor:
         records = generate_gbm(spec)
         today = [records[3].option_mid]
         predicted = [
-            call_price(records[4].stock_mid, spec.maturity_years, records[4].strike, 0.0, 0.0)
+            call_price(records[4].stock_mid, SYNTHETIC_MATURITY_YEARS, records[4].strike, 0.0, 0.0)
         ]
         assert estimate_ror(today, predicted) == 1.0
 

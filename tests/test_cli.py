@@ -297,6 +297,17 @@ class TestRerun:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
+        "manifest",
+        [[1, 2], {"schema": 1, "command": ["x"]}],
+        ids=["not-an-object", "unhashable-command"],
+    )
+    def test_rerun_malformed_manifest_exits_three(self, tmp_path, capsys, manifest):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert run(["rerun", "--manifest", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
         "command, extra",
         [("qrm", {"bogus": 1}), ("train", {"n_s": 31})],
         ids=["qrm-bogus", "train-n_s"],

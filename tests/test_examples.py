@@ -1,0 +1,35 @@
+"""The experiment scripts and README's library example run to completion."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_python_example():
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    return block
+
+
+EXAMPLES = {
+    "run_pipeline": [str(ROOT / "scripts" / "run_pipeline.py"),
+                     "--days", "40", "--epochs", "1", "--hidden", "4"],
+    "fusion_gap_demo": [str(ROOT / "scripts" / "fusion_gap_demo.py"), "--samples", "2000"],
+    "binomial_projection": [str(ROOT / "scripts" / "binomial_projection.py")],
+    "readme_python": ["-c", readme_python_example()],
+}
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_example_exits_zero(tmp_path, name):
+    # Run from an empty directory, so run_pipeline's default --out-dir lands there.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, *EXAMPLES[name]], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

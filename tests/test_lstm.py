@@ -7,15 +7,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import separable_dataset
+from helpers import make_series, separable_dataset
 from optioncast import lstm
 from optioncast.errors import ConvergenceError, DataError
-from optioncast.market_data import SequenceSample
+from optioncast.market_data import SequenceSample, build_sequences
 
 
 def random_params(hidden=4, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
     return lstm.init_params(hidden, rng), rng
+
+
+def random_stats(rng):
+    return lstm.FeatureStats(mean=rng.standard_normal(13), std=rng.uniform(0.5, 2.0, 13))
 
 
 GATE_ORDER = "ifog"
@@ -314,12 +318,53 @@ class TestMetrics:
             assert m.recall == tp / (tp + fn)
 
 
+class TestPredict:
+    def test_matches_forward_batch_on_hand_zscored_windows(self):
+        samples = separable_dataset(n=64, seed=5)
+        params, rng = random_params(hidden=4, seed=6)
+        stats = random_stats(rng)
+        windows = np.stack([(s.window - stats.mean) / stats.std for s in samples])
+        expected, _ = lstm.forward_batch(params, windows)
+        assert np.array_equal(lstm.predict(params, stats, samples), expected)
+
+    def test_no_samples_give_an_empty_array(self):
+        params, rng = random_params()
+        assert lstm.predict(params, random_stats(rng), []).shape == (0,)
+
+
+class TestStandardization:
+    # 15 rising days give 5 windows; the default train_frac keeps 4 for training.
+    CONFIG = lstm.TrainConfig(hidden=2, batch=4, epochs=1, seed=0)
+    N_TRAIN = 4
+
+    def test_zscore_uses_given_stats(self):
+        records = make_series([5.0 + 0.11 * k for k in range(15)])
+        samples = build_sequences(records, list(np.linspace(4.0, 5.0, 15)))
+        stats = lstm.train(samples, self.CONFIG).stats
+        stacked = np.concatenate([s.window for s in samples[: self.N_TRAIN]], axis=0)
+        standardized = (stacked - stats.mean) / stats.std
+        varying = stacked.std(axis=0) > 1e-9
+        assert np.allclose(standardized.mean(axis=0)[varying], 0.0, atol=1e-9)
+        assert np.allclose(standardized.std(axis=0)[varying], 1.0, atol=1e-9)
+
+    def test_constant_features_stay_finite(self):
+        records = make_series([5.0 + 0.11 * k for k in range(15)])
+        samples = build_sequences(records, [4.0] * 15)
+        result = lstm.train(samples, self.CONFIG)
+        stacked = np.concatenate([s.window for s in samples[: self.N_TRAIN]], axis=0)
+        constant = stacked.std(axis=0) == 0.0
+        assert constant[0] and np.all(result.stats.std[constant] == 1.0)
+        assert np.all(np.isfinite((stacked - result.stats.mean) / result.stats.std))
+        assert np.all(np.isfinite(lstm.predict(result.params, result.stats, samples)))
+
+
 class TestEvaluate:
     def test_counts_against_manual_threshold(self):
         samples = separable_dataset(n=64, seed=5)
-        params, _ = random_params(hidden=4, seed=6)
-        metrics = lstm.evaluate(params, samples)
-        windows = np.stack([s.window for s in samples])
+        params, rng = random_params(hidden=4, seed=6)
+        stats = random_stats(rng)
+        metrics = lstm.evaluate(params, stats, samples)
+        windows = np.stack([(s.window - stats.mean) / stats.std for s in samples])
         probs, _ = lstm.forward_batch(params, windows)
         preds = probs >= 0.5
         labels = np.array([s.label for s in samples]) == 1
@@ -327,9 +372,9 @@ class TestEvaluate:
         assert metrics.tp + metrics.fp + metrics.tn + metrics.fn == len(samples)
 
     def test_empty_rejected(self):
-        params, _ = random_params()
+        params, rng = random_params()
         with pytest.raises(DataError):
-            lstm.evaluate(params, [])
+            lstm.evaluate(params, random_stats(rng), [])
 
 
 class TestTrain:
@@ -350,6 +395,23 @@ class TestTrain:
         assert np.array_equal(
             lstm.params_to_vector(a.params), lstm.params_to_vector(b.params)
         )
+
+    def test_stats_come_from_the_training_split_alone(self):
+        samples = separable_dataset(n=100, seed=26)
+        config = lstm.TrainConfig(hidden=4, batch=16, epochs=1, learning_rate=0.1, seed=4)
+        n_train = round(config.train_frac * len(samples))
+        rng = np.random.Generator(np.random.PCG64(27))
+        altered = samples[:n_train] + [
+            SequenceSample(window=100.0 + 10.0 * rng.standard_normal((10, 13)),
+                           label=1 - s.label, end_index=s.end_index)
+            for s in samples[n_train:]
+        ]
+        a = lstm.train(samples, config)
+        b = lstm.train(altered, config)
+        assert np.array_equal(a.stats.mean, b.stats.mean)
+        assert np.array_equal(a.stats.std, b.stats.std)
+        assert a.history[0].train_loss == b.history[0].train_loss
+        assert a.history[0].val != b.history[0].val
 
     def test_best_accuracy_is_monotone_nondecreasing(self):
         samples = separable_dataset(n=400, seed=23)
@@ -394,8 +456,9 @@ class TestTrain:
     def test_config_validation(self):
         with pytest.raises(DataError):
             lstm.TrainConfig(hidden=0)
-        with pytest.raises(DataError):
-            lstm.TrainConfig(split=(0.5, 0.6))
+        for frac in (0.0, 1.0, 1.5, float("nan")):
+            with pytest.raises(DataError, match="train_frac"):
+                lstm.TrainConfig(train_frac=frac)
         with pytest.raises(DataError):
             lstm.TrainConfig(optimizer="rmsprop")
 
@@ -415,6 +478,7 @@ class TestCheckpoint:
         assert meta["seed"] == 9 and meta["epoch"] == result.best_epoch
         doc = json.loads(path.read_text())
         assert doc["schema"] == 2
+        assert doc["config"]["split"] == [0.8, 1.0 - 0.8]
         assert doc["shapes"] == {
             "layer1.w": [24, 13], "layer1.u": [24, 6], "layer1.b": [24],
             "layer2.w": [24, 6], "layer2.u": [24, 6], "layer2.b": [24],

@@ -15,16 +15,15 @@ from optioncast.market_data import (
     GENERATOR_ID,
     QuoteRecord,
     SequenceSample,
+    SYNTHETIC_MATURITY_YEARS,
     SyntheticSpec,
     TRADING_DAY_YEARS,
     _gbm_stock_path,
     build_sequences,
-    compute_feature_stats,
     feature_matrix,
     generate_gbm,
     load_csv,
     save_csv,
-    standardize_samples,
 )
 
 HEADER = ",".join(CSV_COLUMNS)
@@ -186,7 +185,7 @@ class TestGenerateGbm:
         records = generate_gbm(spec)
         for rec in records:
             expected = call_price(
-                rec.stock_mid, spec.maturity_years, rec.strike, spec.sigma, spec.rate
+                rec.stock_mid, SYNTHETIC_MATURITY_YEARS, rec.strike, spec.sigma, spec.rate
             )
             assert rec.option_mid == pytest.approx(expected, rel=1e-12)
 
@@ -281,26 +280,6 @@ class TestSequences:
         assert features[0, 9] == 0.0
         assert features[2, 11] == pytest.approx(100.0 / 80.0)
         assert features[0, 12] == 1.0 and features[2, 12] == 0.0
-
-
-class TestStandardization:
-    def test_zscore_uses_given_stats(self):
-        records = make_series([5.0 + 0.11 * k for k in range(15)])
-        samples = build_sequences(records, list(np.linspace(4.0, 5.0, 15)))
-        stats = compute_feature_stats(samples)
-        standardized = standardize_samples(samples, stats)
-        stacked = np.concatenate([s.window for s in standardized], axis=0)
-        varying = stacked.std(axis=0) > 1e-9
-        assert np.allclose(stacked.mean(axis=0)[varying], 0.0, atol=1e-9)
-        assert np.allclose(stacked.std(axis=0)[varying], 1.0, atol=1e-9)
-
-    def test_constant_features_stay_finite(self):
-        records = make_series([5.0 + 0.11 * k for k in range(15)])
-        samples = build_sequences(records, [4.0] * 15)
-        stats = compute_feature_stats(samples)
-        standardized = standardize_samples(samples, stats)
-        for s in standardized:
-            assert np.all(np.isfinite(s.window))
 
 
 def test_sequence_sample_validation():
