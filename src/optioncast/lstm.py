@@ -361,6 +361,10 @@ class FeatureStats:
     def __post_init__(self) -> None:
         if self.mean.shape != (N_FEATURES,) or self.std.shape != (N_FEATURES,):
             raise DataError("feature stats must be 13-wide vectors")
+        if not np.all(np.isfinite(self.mean)):
+            raise DataError("feature stats mean must be finite")
+        if not np.all(np.isfinite(self.std) & (self.std > 0)):
+            raise DataError("feature stats std must be finite and > 0")
 
 
 def _zscore(windows: np.ndarray, stats: FeatureStats) -> np.ndarray:

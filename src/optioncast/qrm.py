@@ -31,6 +31,16 @@ forward elimination and back-substitution solve it directly for the
 correction u - F, whose right-hand side is A^T(-R(F)) with R the PDE
 residual, so data that already satisfy the PDE come back unchanged.
 
+The days of a series are assembled and eliminated together in blocks: each
+tau step makes one stacked solve and one stacked Schur update for every day
+of the block.  Back-substitution keeps every coupling block C_k, which is
+(n_tau - 1)(n_s - 2)^2 floats per day, so the block size is the number of
+days whose coupling blocks fit in a fixed 1 MiB, and at least one day (36
+days on the 21 x 11 grid, one on 81 x 41).  A single solve is a block of
+one day.  Every operation acts on each day separately, so a day's result is
+bit-identical whichever days share its block, and an error names the
+earliest failing day, as solving day by day would.
+
 The forecast EST is the solved surface at the central stock node one trading
 day ahead; odd grid sizes guarantee both indices exist exactly.
 """
@@ -38,7 +48,7 @@ day ahead; odd grid sizes guarantee both indices exist exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +65,10 @@ __all__ = [
     "estimate_series",
     "solve_qrm",
 ]
+
+# Bytes the coupling blocks C_k of one block of days may take; the block
+# size follows from it and the grid, and is at least one day.
+_COUPLING_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -127,6 +141,11 @@ class AssembledSystem:
     surface.  The unknowns are the interior nodes u[1:-1, 1:], flattened
     s-major (the order of ``~known_mask``); the dense matrices below use that
     order and are meant for small-grid diagnostics.
+
+    The solver holds a block of days in the same fields, with a leading day
+    axis on ``kappa``, ``f_surface`` and ``s_values`` (``pde_residual`` works
+    on either form); the dense diagnostics read the single day that
+    :func:`assemble_system` returns.
     """
 
     kappa: np.ndarray
@@ -153,8 +172,8 @@ class AssembledSystem:
 
     def pde_residual(self, u: np.ndarray) -> np.ndarray:
         """R(u) for a full surface: one row per interior stock node, one column per tau step."""
-        return self.inv_dtau * (u[1:-1, 1:] - u[1:-1, :-1]) + self.kappa[:, None] * (
-            2.0 * u[1:-1, :-1] - u[2:, :-1] - u[:-2, :-1]
+        return self.inv_dtau * (u[..., 1:-1, 1:] - u[..., 1:-1, :-1]) + self.kappa[..., None] * (
+            2.0 * u[..., 1:-1, :-1] - u[..., 2:, :-1] - u[..., :-2, :-1]
         )
 
     def pde_matrix(self) -> np.ndarray:
@@ -186,18 +205,89 @@ class AssembledSystem:
         return a.T @ a + self.beta * np.eye(self.n_unknowns)
 
 
+class _DayFailure(Exception):
+    """The earliest failing day of a block: its index there and the error it raises."""
+
+    def __init__(self, index: int, error: DataError | ConvergenceError) -> None:
+        super().__init__(index, error)
+        self.index = index
+        self.error = error
+
+
 def _stencil(kappa: np.ndarray, inv_dtau: float) -> np.ndarray:
-    """T = tridiag(-kappa_i, 2 kappa_i - 1/dtau, -kappa_i), row i holding kappa_i."""
-    return np.diag(2.0 * kappa - inv_dtau) - np.diag(kappa[1:], -1) - np.diag(kappa[:-1], 1)
+    """T = tridiag(-kappa_i, 2 kappa_i - 1/dtau, -kappa_i) per day, row i holding kappa_i."""
+    n = kappa.shape[-1]
+    i = np.arange(n)
+    t = np.zeros(kappa.shape + (n,))
+    t[..., i, i] = 2.0 * kappa - inv_dtau
+    # 0 - kappa rather than -kappa, so a zero coefficient stays +0.0.
+    t[..., i[1:], i[:-1]] = 0.0 - kappa[..., 1:]
+    t[..., i[:-1], i[1:]] = 0.0 - kappa[..., :-1]
+    return t
 
 
-def _data_surface(prev: QuoteRecord, today: QuoteRecord, tau_values: np.ndarray,
-                  n_s: int, horizon: float) -> np.ndarray:
-    lo = today.option_bid + (tau_values / horizon) * (today.option_bid - prev.option_bid)
-    hi = today.option_ask + (tau_values / horizon) * (today.option_ask - prev.option_ask)
-    f = np.linspace(lo, hi, n_s)
-    f[:, 0] = today.option_mid
-    return f
+def _linspace(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
+    """``np.linspace(start[i], stop[i], num)`` for every day i, on a new axis 1.
+
+    One ``np.linspace`` over the stack would take its zero-step branch for
+    every day once a single day has a zero step; here each day takes its own
+    branch, so no day's axis depends on the other days of its block.
+    """
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    ramp = np.arange(num, dtype=np.float64).reshape((num,) + (1,) * (start.ndim - 1))
+    y = ramp * step[:, None]
+    zero = np.any((step == 0).reshape(len(step), -1), axis=1)
+    if zero.any():
+        y[zero] = ramp / div * delta[zero][:, None]
+    y += start[:, None]
+    y[:, -1] = stop
+    return y
+
+
+def _assemble(records: Sequence[QuoteRecord], config: QrmConfig) -> AssembledSystem:
+    """The day pairs (records[i], records[i + 1]) as one system with a leading day axis.
+
+    Raises ``DataError`` for fewer than two records and ``_DayFailure`` for
+    the first day whose stock axis would collapse.
+    """
+    if len(records) < 2:
+        raise DataError(f"need at least 2 records to assemble, got {len(records)}")
+    quotes = np.array([
+        (r.option_bid, r.option_ask, r.option_mid, r.stock_bid, r.stock_ask, r.stock_mid,
+         r.implied_vol)
+        for r in records
+    ])
+    prev_bid, prev_ask = quotes[:-1, 0], quotes[:-1, 1]
+    bid, ask, mid, stock_bid, stock_ask, s_mid, sigma = quotes[1:].T
+    half_width = np.maximum(
+        0.5 * (stock_ask - stock_bid), sigma * math.sqrt(2.0 * config.horizon) * s_mid
+    )
+    collapsed = np.flatnonzero(half_width <= 0.0)
+    if collapsed.size:
+        raise _DayFailure(int(collapsed[0]), DataError(
+            "collapsed stock grid: zero bid/ask spread and zero volatility leave no interval"
+        ))
+
+    # Stock axes in stock-mid units; s^2 d2/ds2 is invariant under the scaling.
+    scaled_half = half_width / s_mid
+    s_scaled = _linspace(1.0 - scaled_half, 1.0 + scaled_half, config.n_s)
+    tau_values = np.linspace(0.0, 2.0 * config.horizon, config.n_tau)
+    tau_values.flags.writeable = False  # shared by every day's grid
+    ds = s_scaled[:, 1] - s_scaled[:, 0]
+    days_ahead = tau_values / config.horizon
+    f_surface = _linspace(bid[:, None] + days_ahead * (bid - prev_bid)[:, None],
+                          ask[:, None] + days_ahead * (ask - prev_ask)[:, None], config.n_s)
+    f_surface[:, :, 0] = mid[:, None]
+    return AssembledSystem(
+        kappa=(0.5 * sigma * sigma)[:, None] * s_scaled[:, 1:-1] ** 2 / (ds * ds)[:, None],
+        inv_dtau=1.0 / (tau_values[1] - tau_values[0]),
+        f_surface=f_surface,
+        s_values=s_scaled * s_mid[:, None],
+        tau_values=tau_values,
+        beta=config.beta,
+    )
 
 
 def assemble_system(records: Sequence[QuoteRecord], config: QrmConfig) -> AssembledSystem:
@@ -207,73 +297,103 @@ def assemble_system(records: Sequence[QuoteRecord], config: QrmConfig) -> Assemb
     Raises ``DataError`` when fewer than two records are given or when the
     stock axis would collapse (zero spread and zero volatility).
     """
-    if len(records) < 2:
-        raise DataError(f"need at least 2 records to assemble, got {len(records)}")
-    prev, today = records[-2], records[-1]
-    sigma = today.implied_vol
-    s_mid = today.stock_mid
-    half_spread = 0.5 * (today.stock_ask - today.stock_bid)
-    half_width = max(half_spread, sigma * math.sqrt(2.0 * config.horizon) * s_mid)
-    if half_width <= 0.0:
-        raise DataError(
-            "collapsed stock grid: zero bid/ask spread and zero volatility leave no interval"
-        )
-
-    n_s, n_tau = config.n_s, config.n_tau
-    # Stock axis in stock-mid units; s^2 d2/ds2 is invariant under the scaling.
-    scaled_half = half_width / s_mid
-    s_scaled = np.linspace(1.0 - scaled_half, 1.0 + scaled_half, n_s)
-    tau_values = np.linspace(0.0, 2.0 * config.horizon, n_tau)
-    ds = s_scaled[1] - s_scaled[0]
-    dtau = tau_values[1] - tau_values[0]
-    return AssembledSystem(
-        kappa=0.5 * sigma * sigma * s_scaled[1:-1] ** 2 / ds ** 2,
-        inv_dtau=1.0 / dtau,
-        f_surface=_data_surface(prev, today, tau_values, n_s, config.horizon),
-        s_values=s_scaled * s_mid,
-        tau_values=tau_values,
-        beta=config.beta,
-    )
+    try:
+        days = _assemble(records[-2:], config)
+    except _DayFailure as fail:
+        raise fail.error from None
+    return replace(days, kappa=days.kappa[0], f_surface=days.f_surface[0],
+                   s_values=days.s_values[0])
 
 
-def _block_solve(system: AssembledSystem) -> np.ndarray:
-    """u - F at the unknowns, as an (n_s - 2) x (n_tau - 1) array.
+def _days_per_block(config: QrmConfig) -> int:
+    coupling_bytes = (config.n_tau - 1) * (config.n_s - 2) ** 2 * 8
+    return max(1, _COUPLING_BUDGET // coupling_bytes)
 
-    Block forward elimination over the tau columns: S_k = D_k - L C_(k-1) is
-    the Schur complement, [C_k | y_k] = S_k^-1 [U | g_k - L y_(k-1)], then
-    back-substitution overwrites y_k with x_k = y_k - C_k x_(k+1).  U = d T^T
-    and L = d T are the off-diagonal blocks.  Raises ``ConvergenceError`` on a
+
+def _solve(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked ``np.linalg.solve``; a singular block raises ``_DayFailure`` for its day."""
+    try:
+        return np.linalg.solve(s, rhs)
+    except np.linalg.LinAlgError as exc:
+        for day in range(len(s)):
+            try:
+                np.linalg.solve(s[day], rhs[day])
+            except np.linalg.LinAlgError:
+                break
+        error = ConvergenceError(f"direct solve failed: {exc}", residual=math.inf)
+        raise _DayFailure(day, error) from exc
+
+
+def _eliminate(days: AssembledSystem) -> np.ndarray:
+    """u - F at the unknowns of every day, as a (days, n_s - 2, n_tau - 1) stack.
+
+    Block forward elimination over the tau columns, all days at once:
+    S_k = D_k - L C_(k-1) is the Schur complement,
+    [C_k | y_k] = S_k^-1 [U | g_k - L y_(k-1)], then back-substitution
+    overwrites y_k with x_k = y_k - C_k x_(k+1).  U = d T^T and L = d T are
+    the off-diagonal blocks.  Raises ``_DayFailure`` for the first day with a
     singular block or a non-finite solution.
     """
-    d, beta = system.inv_dtau, system.beta
-    t = _stencil(system.kappa, d)
-    n, m = t.shape[0], len(system.tau_values) - 1
-    r = -system.pde_residual(system.f_surface)
+    d, beta = days.inv_dtau, days.beta
+    t = _stencil(days.kappa, d)
+    t_trans = np.swapaxes(t, -1, -2)
+    n_days, n = days.kappa.shape
+    m = len(days.tau_values) - 1
+    r = -days.pde_residual(days.f_surface)
     g = d * r
-    g[:, :-1] += t.T @ r[:, 1:]
+    g[..., :-1] += t_trans @ r[..., 1:]
     lower = d * t
-    upper = lower.T
+    upper = np.swapaxes(lower, -1, -2)
     last = (d * d + beta) * np.eye(n)
-    inner = last + t.T @ t
-    coupling = np.empty((m, n, n))
-    y = np.empty((n, m))
+    inner = last + t_trans @ t
+    coupling = np.empty((m, n_days, n, n))
+    y = np.empty((n_days, n, m))
     for k in range(m):
         s = inner if k < m - 1 else last
-        h = g[:, k]
+        h = g[..., k]
         if k:
             s = s - lower @ coupling[k - 1]
-            h = h - lower @ y[:, k - 1]
-        try:
-            sol = np.linalg.solve(s, np.column_stack([upper, h]))
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"direct solve failed: {exc}", residual=math.inf) from exc
-        coupling[k] = sol[:, :n]
-        y[:, k] = sol[:, n]
+            h = h - (lower @ y[..., k - 1, None])[..., 0]
+        sol = _solve(s, np.concatenate([upper, h[..., None]], axis=-1))
+        coupling[k] = sol[..., :n]
+        y[..., k] = sol[..., n]
     for k in range(m - 2, -1, -1):
-        y[:, k] -= coupling[k] @ y[:, k + 1]
-    if not np.all(np.isfinite(y)):
-        raise ConvergenceError("direct solve produced non-finite values", residual=math.inf)
+        y[..., k] -= (coupling[k] @ y[..., k + 1, None])[..., 0]
+    finite = np.isfinite(y).all(axis=(1, 2))
+    if not finite.all():
+        error = ConvergenceError("direct solve produced non-finite values", residual=math.inf)
+        raise _DayFailure(int(np.argmin(finite)), error)
     return y
+
+
+def _solve_days(records: Sequence[QuoteRecord], config: QrmConfig) -> list[Minimizer]:
+    """Minimize J_beta for every day pair (records[i], records[i + 1]) together.
+
+    Raises ``_DayFailure`` for the earliest failing day, the one a day-by-day
+    solve would have stopped at.
+    """
+    try:
+        days = _assemble(records, config)
+        correction = _eliminate(days)
+    except _DayFailure as fail:
+        if fail.index:
+            _solve_days(records[: fail.index + 1], config)  # an earlier day fails first
+        raise
+    surface = days.f_surface.copy()
+    surface[:, 1:-1, 1:] += correction
+    misfit = days.pde_residual(surface)
+    residual = np.sum(misfit * misfit, axis=(1, 2))
+    regularization = np.sum((surface - days.f_surface) ** 2, axis=(1, 2))
+    est = surface[:, (config.n_s - 1) // 2, (config.n_tau - 1) // 2]
+    return [
+        Minimizer(
+            grid=QrmGrid(s_values=days.s_values[i], tau_values=days.tau_values, u=surface[i]),
+            est=float(est[i]),
+            residual=float(residual[i]),
+            regularization=config.beta * float(regularization[i]),
+        )
+        for i in range(len(surface))
+    ]
 
 
 def solve_qrm(records: Sequence[QuoteRecord], config: QrmConfig | None = None) -> Minimizer:
@@ -281,19 +401,10 @@ def solve_qrm(records: Sequence[QuoteRecord], config: QrmConfig | None = None) -
 
     Deterministic: identical inputs produce a bit-identical result.
     """
-    config = config or QrmConfig()
-    system = assemble_system(records, config)
-    surface = system.f_surface.copy()
-    surface[1:-1, 1:] += _block_solve(system)
-    grid = QrmGrid(s_values=system.s_values, tau_values=system.tau_values, u=surface)
-    misfit = system.pde_residual(surface)
-    n_s, n_tau = config.n_s, config.n_tau
-    return Minimizer(
-        grid=grid,
-        est=float(surface[(n_s - 1) // 2, (n_tau - 1) // 2]),
-        residual=float(np.sum(misfit * misfit)),
-        regularization=config.beta * float(np.sum((surface - system.f_surface) ** 2)),
-    )
+    try:
+        return _solve_days(records[-2:], config or QrmConfig())[0]
+    except _DayFailure as fail:
+        raise fail.error from fail.__cause__
 
 
 def estimate_series(
@@ -302,19 +413,25 @@ def estimate_series(
     """One solve per record pair, aligned to the records.
 
     Element k (k >= 1) is the solve on records k-1 and k; element 0 is None
-    since no prior day exists.  Errors are re-raised with the day index.
+    since no prior day exists.  The days are solved together in blocks sized
+    to a fixed memory budget; each result is bit-identical to
+    ``solve_qrm(records[k-1 : k+1], config)``.  Errors are re-raised with the
+    index and date of the earliest failing day.
     """
     if len(records) < 2:
         raise DataError(f"need at least 2 records, got {len(records)}")
     config = config or QrmConfig()
+    block = _days_per_block(config)
     out: list[Minimizer | None] = [None]
-    for k in range(1, len(records)):
+    for first in range(1, len(records), block):
         try:
-            out.append(solve_qrm(records[k - 1 : k + 1], config))
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"day {k} ({records[k].day.isoformat()}): {exc}", residual=exc.residual
-            ) from exc
-        except DataError as exc:
-            raise DataError(f"day {k} ({records[k].day.isoformat()}): {exc}") from exc
+            out += _solve_days(records[first - 1 : first + block], config)
+        except _DayFailure as fail:
+            k = first + fail.index
+            where = f"day {k} ({records[k].day.isoformat()})"
+            if isinstance(fail.error, ConvergenceError):
+                raise ConvergenceError(
+                    f"{where}: {fail.error}", residual=fail.error.residual
+                ) from fail.error
+            raise DataError(f"{where}: {fail.error}") from fail.error
     return out

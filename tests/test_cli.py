@@ -229,6 +229,25 @@ class TestTrainAndBacktest:
         err = capsys.readouterr().err
         assert "schema 1" in err and "retrain" in err
 
+    def test_backtest_classifier_rejects_zero_std_checkpoint(self, tmp_path, series_csv, capsys):
+        train_out = tmp_path / "train_out"
+        run(
+            ["train", "--input", str(series_csv), "--out-dir", str(train_out),
+             "--hidden", "6", "--epochs", "1", "--batch", "8", "--seed", "3"]
+        )
+        ckpt = train_out / "checkpoint.json"
+        doc = json.loads(ckpt.read_text())
+        doc["feature_stats"]["std"][3] = 0.0
+        ckpt.write_text(json.dumps(doc))
+        bt_out = tmp_path / "bt_out"
+        code = run(
+            ["backtest", "--input", str(series_csv), "--out-dir", str(bt_out),
+             "--mode", "classifier", "--checkpoint", str(ckpt)]
+        )
+        assert code == 3
+        assert "feature stats std" in capsys.readouterr().err
+        assert not (bt_out / "equity.csv").exists()
+
 
 class TestFuseAndBinomial:
     def test_fuse_headline_value(self, tmp_path, capsys):

@@ -496,6 +496,25 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="schema 1 .*retrain"):
             lstm.load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("std", 0.0), ("std", -1.0), ("std", float("nan")), ("std", float("inf")),
+        ("mean", float("nan")), ("mean", float("-inf")),
+    ])
+    def test_unusable_feature_stats_are_rejected(self, tmp_path, field, value):
+        samples = separable_dataset(n=120, seed=34)
+        config = lstm.TrainConfig(hidden=6, batch=16, epochs=1, learning_rate=0.1, seed=9)
+        path = tmp_path / "checkpoint.json"
+        lstm.save_checkpoint(path, lstm.train(samples, config), config)
+        doc = json.loads(path.read_text())
+        doc["feature_stats"][field][3] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"feature stats {field}"):
+            lstm.load_checkpoint(path)
+        good = {"mean": np.zeros(13), "std": np.ones(13)}
+        good[field][3] = value
+        with pytest.raises(DataError, match=f"feature stats {field}"):
+            lstm.FeatureStats(**good)
+
     def test_shape_tampering_is_rejected(self, tmp_path):
         import json
 

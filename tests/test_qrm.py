@@ -1,9 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import make_record, make_series
+from optioncast import qrm
 from optioncast.errors import ConvergenceError, DataError
-from optioncast.market_data import SyntheticSpec, generate_gbm
+from optioncast.market_data import TRADING_DAY_YEARS, SyntheticSpec, generate_gbm
 from optioncast.qrm import (
     Minimizer,
     QrmConfig,
@@ -26,6 +30,59 @@ def blown_up_pair():
     # Loader-valid, but sigma^2 overflows, so the diffusion coefficients are
     # not finite and the solve cannot produce a finite surface.
     return [make_record(implied_vol=1e160), make_record(offset=1, implied_vol=1e160)]
+
+
+def drifting_series(n_days=80, seed=5):
+    """Implied vol, stock spread and option quotes that change every day.
+
+    Days alternate at random between a wide stock spread with a small vol,
+    where the spread sets the stock half-width, and a large vol with a tight
+    spread, where the diffusion scale does.  About one day in four quotes the
+    option with no spread, so its data surface has a zero linspace step.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    stock, option = 100.0, 20.0
+    records = []
+    for k in range(n_days):
+        stock *= math.exp(0.01 * rng.standard_normal())
+        option = max(1.0, option + 0.4 * rng.standard_normal())
+        if rng.random() < 0.5:
+            vol, spread = rng.uniform(0.001, 0.02), rng.uniform(0.5, 3.0)
+        else:
+            vol, spread = rng.uniform(0.05, 0.6), rng.uniform(0.0, 0.2)
+        option_spread = 0.0 if rng.random() < 0.25 else rng.uniform(0.01, 0.4)
+        records.append(make_record(
+            offset=k, option_bid=option, option_ask=option + option_spread,
+            stock_bid=stock - spread / 2, stock_ask=stock + spread / 2, implied_vol=vol,
+        ))
+    return records
+
+
+def spread_sets_half_width(record):
+    diffusion = record.implied_vol * math.sqrt(2.0 * TRADING_DAY_YEARS) * record.stock_mid
+    return 0.5 * (record.stock_ask - record.stock_bid) > diffusion
+
+
+def blown_up(k):
+    return make_record(offset=k, implied_vol=1e160)
+
+
+def collapsed(k):
+    # Zero stock spread and zero vol leave the stock axis no width.
+    return make_record(offset=k, implied_vol=0.0, stock_bid=100.0, stock_ask=100.0)
+
+
+def with_days(records, replacements):
+    """A copy of ``records`` with day k replaced by ``replacements[k](k)``."""
+    return [replacements[k](k) if k in replacements else r for k, r in enumerate(records)]
+
+
+def assert_same_solve(a, b):
+    assert a.est == b.est
+    assert a.residual == b.residual
+    assert a.regularization == b.regularization
+    assert np.array_equal(a.grid.u, b.grid.u)
+    assert np.array_equal(a.grid.s_values, b.grid.s_values)
 
 
 def objective(system, u):
@@ -227,6 +284,91 @@ class TestEstimateSeries:
     def test_errors_carry_day_index(self):
         with pytest.raises(ConvergenceError, match="day 1"):
             estimate_series(blown_up_pair(), QrmConfig())
+
+    def test_days_per_block_follow_the_coupling_budget(self):
+        assert qrm._days_per_block(QrmConfig()) == 36
+        assert qrm._days_per_block(QrmConfig(n_s=81, n_tau=41)) == 1
+
+    def test_blocks_equal_the_single_day_solve_on_days_that_differ(self):
+        # 79 days span three blocks of 36, the last one partial.  A block
+        # that mixed up two days' kappa or quotes would differ from the
+        # one-day solve, which sees no other day.
+        records = drifting_series(n_days=80)
+        branches = [spread_sets_half_width(r) for r in records[1:]]
+        assert any(branches) and not all(branches)
+        config = QrmConfig()
+        series = estimate_series(records, config)
+        assert len(series) == len(records)
+        for k in range(1, len(records)):
+            assert_same_solve(series[k], solve_qrm(records[k - 1 : k + 1], config))
+
+    def test_fine_grid_equals_the_single_day_solve(self):
+        records = drifting_series(n_days=5, seed=6)
+        config = QrmConfig(n_s=81, n_tau=41)
+        series = estimate_series(records, config)
+        for k in range(1, len(records)):
+            assert_same_solve(series[k], solve_qrm(records[k - 1 : k + 1], config))
+
+    def test_error_names_a_day_beyond_the_first_block(self):
+        records = drifting_series(n_days=80)
+        day_50 = r"^day 50 \(2021-02-23\): "
+        with pytest.raises(ConvergenceError, match=day_50 + "direct solve") as excinfo:
+            estimate_series(with_days(records, {50: blown_up}), QrmConfig())
+        assert excinfo.value.residual == math.inf
+        with pytest.raises(DataError, match=day_50 + "collapsed"):
+            estimate_series(with_days(records, {50: collapsed}), QrmConfig())
+
+    def test_earliest_failing_day_wins_within_a_block(self):
+        # Days 45 and 50 share the second block, and a collapsed grid is found
+        # while assembling, before any solve; still day 45 fails first.
+        records = drifting_series(n_days=80)
+        with pytest.raises(ConvergenceError, match=r"^day 45 "):
+            estimate_series(with_days(records, {45: blown_up, 50: collapsed}), QrmConfig())
+        with pytest.raises(DataError, match=r"^day 45 "):
+            estimate_series(with_days(records, {45: collapsed, 50: blown_up}), QrmConfig())
+
+    def test_singular_block_names_its_day(self, monkeypatch):
+        # LAPACK reports a singular block only for exactly zero pivots, which
+        # the data cannot reach; a solve that reports non-finite matrices as
+        # singular stands in for it.  The stacked call fails for the whole
+        # block, and the error must still name day 50 alone.
+        real_solve = np.linalg.solve
+
+        def strict_solve(a, b):
+            if not np.all(np.isfinite(a)):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(qrm.np.linalg, "solve", strict_solve)
+        records = with_days(drifting_series(n_days=80), {50: blown_up})
+        with pytest.raises(ConvergenceError, match=r"^day 50 .*direct solve failed: Singular"):
+            estimate_series(records, QrmConfig())
+        with pytest.raises(ConvergenceError, match=r"^direct solve failed: Singular"):
+            solve_qrm(records[49:51], QrmConfig())
+
+    def test_a_year_takes_one_stacked_solve_per_step_and_block(self, monkeypatch):
+        # A silent fall back to one solve per day, or one unbounded stack,
+        # would only show in the benchmark's spread; both show here.
+        records = bs_series(n_days=252, spread_bp=20.0)
+        config = QrmConfig()
+        real_solve = np.linalg.solve
+        calls = []
+
+        def counting_solve(a, b):
+            calls.append(a.shape)
+            return real_solve(a, b)
+
+        monkeypatch.setattr(qrm.np.linalg, "solve", counting_solve)
+        tracemalloc.start()
+        try:
+            series = estimate_series(records, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 252
+        blocks = math.ceil(251 / qrm._days_per_block(config))
+        assert len(calls) == (config.n_tau - 1) * blocks == 70
+        assert peak <= 4 * 2**20
 
     def test_requires_two_records(self):
         with pytest.raises(DataError):
