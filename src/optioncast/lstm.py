@@ -17,10 +17,30 @@ The second layer consumes the first layer's h sequence, and a dense head
 maps the final h of layer 2 through a sigmoid to P(next-day mid up).  Loss
 is binary cross-entropy with the probability clamped to [1e-12, 1 - 1e-12].
 
+Both layers run as one wavefront of T + 1 iterations over the T = 10 steps.
+Iteration s runs layer-1 step s in slot 0 and layer-2 step s - 1 in slot 1 of
+stacked (B, 2, 4H) gate and (B, 2, H) state buffers; layer-2 step s - 1
+needs only h1_s, which the iteration before wrote.  One product of the input
+row z_s = [x_s | 1 | h1_s | h2_(s-1)] with the block matrix
+
+    M = [[W1^T,    0],
+         [  b1,   b2],
+         [U1^T, W2^T],
+         [   0, U2^T]]        (in + 1 + 2H, 8H)
+
+gives both slots' pre-activations, biases included.  Backpropagation runs
+the iterations in reverse, and one product of the gate gradients with the
+transpose of M's last 2H rows returns dh1_s = da1_s U1 + da2_s W2 and
+dh2_(s-1) = da2_s U2 together.  The edge iterations are one-sided: s = 0 has
+no layer-2 step and s = T no layer-1 step.  Their empty slot's gates are set
+to zero after the activations, so that slot writes c = h = 0 (the initial
+state layer 2 starts from) and passes no gradient back.
+
 The classifier owns its input scaling.  :func:`train` computes a per-feature
 z-score (:class:`FeatureStats`) from its training split alone and returns it
 with the parameters; :func:`predict` applies it to raw windows, so callers
-never standardize anything themselves.
+never standardize anything themselves.  Inference keeps only the current
+state of the wavefront, not the cache that backpropagation reads.
 
 Training is mini-batch gradient descent (plain SGD by default, Adam behind
 ``optimizer="adam"``), fully deterministic for a fixed seed: initialization
@@ -68,10 +88,17 @@ CHECKPOINT_SCHEMA = 2
 _GATES = ("i", "f", "o", "g")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function; exp only ever sees -|x|, so it cannot overflow."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function; exp only ever sees -|x|, so it cannot overflow.
+
+    ``out`` may be ``x`` itself.
+    """
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    numerator = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(numerator, e, out=out)
 
 
 def _layout(hidden: int, input_size: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -172,8 +199,8 @@ class _LayerCache:
     """One layer over all steps, time-major.
 
     ``x`` (T, B, in) holds the step inputs and ``gates`` (T, B, 4H) the gate
-    activations i, f, o, g, written over the pre-activations in place.
-    ``c`` and ``h`` (T + 1, B, H) hold the zero initial state at index 0.
+    activations i, f, o, g.  ``c`` and ``h`` (T + 1, B, H) hold the zero
+    initial state at index 0.  All four are views into a :class:`ForwardCache`.
     """
 
     x: np.ndarray
@@ -184,30 +211,107 @@ class _LayerCache:
 
 @dataclass
 class ForwardCache:
+    """The wavefront's full storage, everything backpropagation reads.
+
+    Index s of ``z`` (T + 2, B, in + 1 + 2H) holds iteration s's input row
+    [x_s | 1 | h1_s | h2_(s-1)], and index s of ``c`` (T + 2, B, 2, H) the
+    cell states [c1_s | c2_(s-1)] it starts from; index T + 1 is the state
+    after the last iteration.  Index s of ``gates`` (T + 1, B, 2, 4H) and
+    ``tanh_c`` (T + 1, B, 2, H) holds iteration s's activations and the tanh
+    of the cell states it wrote.  ``block`` is the matrix M they came from.
+    """
+
     params: LstmParams
-    layer1: _LayerCache
-    layer2: _LayerCache
     probs: np.ndarray
+    z: np.ndarray
+    c: np.ndarray
+    tanh_c: np.ndarray
+    gates: np.ndarray
+    block: np.ndarray
+
+    def _h(self) -> np.ndarray:
+        """(T + 2, B, 2, H) view of the h columns of ``z``."""
+        hid = self.params.hidden
+        return self.z[..., -2 * hid :].reshape(*self.z.shape[:2], 2, hid)
+
+    @property
+    def layer1(self) -> _LayerCache:
+        return _LayerCache(
+            x=self.z[:-2, :, : self.params.input_size], gates=self.gates[:-1, :, 0],
+            c=self.c[:-1, :, 0], h=self._h()[:-1, :, 0],
+        )
+
+    @property
+    def layer2(self) -> _LayerCache:
+        return _LayerCache(
+            x=self.layer1.h[1:], gates=self.gates[1:, :, 1], c=self.c[1:, :, 1], h=self._h()[1:, :, 1],
+        )
 
 
-def _layer_forward(layer: Layer, x: np.ndarray) -> _LayerCache:
-    n_steps, batch, _ = x.shape
-    hid = layer.u.shape[1]
-    # The input projection of every step at once; the loop adds U h per step.
-    gates = x @ layer.w.T
-    gates += layer.b
-    c = np.zeros((n_steps + 1, batch, hid))
-    h = np.zeros((n_steps + 1, batch, hid))
-    u_t = layer.u.T
-    for t in range(n_steps):
-        a = gates[t]
-        a += h[t] @ u_t
-        a[:, : 3 * hid] = _sigmoid(a[:, : 3 * hid])
-        np.tanh(a[:, 3 * hid :], out=a[:, 3 * hid :])
-        i, f, o, g = a[:, :hid], a[:, hid : 2 * hid], a[:, 2 * hid : 3 * hid], a[:, 3 * hid :]
-        np.add(f * c[t], i * g, out=c[t + 1])
-        np.multiply(o, np.tanh(c[t + 1]), out=h[t + 1])
-    return _LayerCache(x=x, gates=gates, c=c, h=h)
+def _block(params: LstmParams) -> np.ndarray:
+    """The wavefront's block matrix M (in + 1 + 2H, 8H) of the module docstring."""
+    hid, n_in = params.hidden, params.input_size
+    four = 4 * hid
+    block = np.zeros((n_in + 1 + 2 * hid, 2 * four))
+    block[:n_in, :four] = params.layer1.w.T
+    block[n_in, :four] = params.layer1.b
+    block[n_in, four:] = params.layer2.b
+    block[n_in + 1 : n_in + 1 + hid, :four] = params.layer1.u.T
+    block[n_in + 1 : n_in + 1 + hid, four:] = params.layer2.w.T
+    block[n_in + 1 + hid :, four:] = params.layer2.u.T
+    return block
+
+
+def _storage(params: LstmParams, batch: int, n_states: int, n_iters: int):
+    """Zeroed wavefront storage: ``n_states`` rows of z and c (the ones column
+    set), ``n_iters`` rows of gates and tanh(c)."""
+    hid, n_in = params.hidden, params.input_size
+    z = np.zeros((n_states, batch, n_in + 1 + 2 * hid))
+    z[..., n_in] = 1.0
+    c = np.zeros((n_states, batch, 2, hid))
+    return z, c, np.empty((n_iters, batch, 2, hid)), np.empty((n_iters, batch, 2, 4 * hid))
+
+
+def _wavefront(
+    params: LstmParams, block: np.ndarray, windows: np.ndarray,
+    z: np.ndarray, c: np.ndarray, tanh_c: np.ndarray, gates: np.ndarray,
+) -> np.ndarray:
+    """Run both layers over (B, T, in) windows; return layer 2's final h (B, H).
+
+    The caller chooses the storage (see :func:`_storage`).  Iteration s reads
+    its input row and cell states at index s % len(z) of ``z`` and ``c``,
+    writes the next ones at (s + 1) % len(z), and writes its activations at
+    s % len(gates) of ``gates`` and ``tanh_c``.  T + 2 and T + 1 rows keep
+    every iteration for backpropagation; two and one keep only the current
+    state, and give the same numbers.
+    """
+    batch, n_steps, n_in = windows.shape
+    hid = params.hidden
+    for s in range(n_steps + 1):
+        row, c_prev = z[s % len(z)], c[s % len(c)]
+        if s < n_steps:
+            row[:, :n_in] = windows[:, s]
+        a = gates[s % len(gates)]
+        np.matmul(row, block, out=a.reshape(batch, -1))
+        _sigmoid(a[..., : 3 * hid], out=a[..., : 3 * hid])
+        np.tanh(a[..., 3 * hid :], out=a[..., 3 * hid :])
+        if s == 0:
+            a[:, 1] = 0.0  # no layer-2 step yet: its state stays zero
+        if s == n_steps:
+            a[:, 0] = 0.0  # layer 1 has no step left: the last state is [0 | h2_T]
+        i, f, o, g = (a[..., k * hid : (k + 1) * hid] for k in range(4))
+        c_next, t = c[(s + 1) % len(c)], tanh_c[s % len(tanh_c)]
+        np.multiply(f, c_prev, out=c_next)
+        c_next += i * g
+        np.tanh(c_next, out=t)
+        h_next = z[(s + 1) % len(z)][:, n_in + 1 :].reshape(batch, 2, hid)
+        np.multiply(o, t, out=h_next)
+    return h_next[:, 1]
+
+
+def _head(params: LstmParams, h_last: np.ndarray) -> np.ndarray:
+    """P(up) from layer 2's final h."""
+    return _sigmoid(h_last @ params.dense_w + params.dense_b)
 
 
 def forward_batch(params: LstmParams, windows: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -222,10 +326,18 @@ def forward_batch(params: LstmParams, windows: np.ndarray) -> tuple[np.ndarray, 
             f"windows must have shape (batch, {WINDOW_LENGTH}, {params.input_size}), "
             f"got {windows.shape}"
         )
-    layer1 = _layer_forward(params.layer1, np.ascontiguousarray(windows.transpose(1, 0, 2)))
-    layer2 = _layer_forward(params.layer2, layer1.h[1:])
-    probs = _sigmoid(layer2.h[-1] @ params.dense_w + params.dense_b)
-    return probs, ForwardCache(params=params, layer1=layer1, layer2=layer2, probs=probs)
+    z, c, tanh_c, gates = _storage(params, len(windows), WINDOW_LENGTH + 2, WINDOW_LENGTH + 1)
+    block = _block(params)
+    probs = _head(params, _wavefront(params, block, windows, z, c, tanh_c, gates))
+    return probs, ForwardCache(
+        params=params, probs=probs, z=z, c=c, tanh_c=tanh_c, gates=gates, block=block
+    )
+
+
+def _infer(params: LstmParams, windows: np.ndarray) -> np.ndarray:
+    """:func:`forward_batch`'s probabilities, bit for bit, keeping only the current state."""
+    storage = _storage(params, len(windows), 2, 1)
+    return _head(params, _wavefront(params, _block(params), windows, *storage))
 
 
 def forward(params: LstmParams, window: np.ndarray) -> tuple[float, ForwardCache]:
@@ -248,41 +360,6 @@ def _loss_vector(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
 
 
-def _layer_backward(layer: Layer, grads: Layer, lc: _LayerCache, dh_out: np.ndarray) -> np.ndarray:
-    """Write one layer's gradients into ``grads`` and return the (T, B, 4H)
-    pre-activation gradients; ``dh_out`` (T, B, H) is the loss gradient that
-    reaches each step's h from above."""
-    n_steps, batch, four = lc.gates.shape
-    hid = four // 4
-    # da starts as each activation's derivative for all steps at once; the
-    # loop multiplies in the gradient that reaches the activation.
-    da = np.empty_like(lc.gates)
-    sig = lc.gates[..., : 3 * hid]
-    np.multiply(sig, 1.0 - sig, out=da[..., : 3 * hid])
-    np.subtract(1.0, lc.gates[..., 3 * hid :] ** 2, out=da[..., 3 * hid :])
-    tanh_c = np.tanh(lc.c[1:])
-    dtanh_c = 1.0 - tanh_c ** 2
-    dh = np.zeros((batch, hid))
-    dc = np.zeros((batch, hid))
-    for t in range(n_steps - 1, -1, -1):
-        s = lc.gates[t]
-        i, f, o, g = s[:, :hid], s[:, hid : 2 * hid], s[:, 2 * hid : 3 * hid], s[:, 3 * hid :]
-        dh = dh + dh_out[t]
-        dc = dc + dh * o * dtanh_c[t]
-        d = da[t]
-        d[:, :hid] *= dc * g
-        d[:, hid : 2 * hid] *= dc * lc.c[t]
-        d[:, 2 * hid : 3 * hid] *= dh * tanh_c[t]
-        d[:, 3 * hid :] *= dc * i
-        dc = dc * f
-        dh = d @ layer.u
-    flat = da.reshape(-1, four)
-    grads.w[...] = flat.T @ lc.x.reshape(-1, lc.x.shape[2])
-    grads.u[...] = flat.T @ lc.h[:-1].reshape(-1, hid)
-    grads.b[...] = flat.sum(axis=0)
-    return da
-
-
 def backward_batch(cache: ForwardCache, labels: np.ndarray) -> LstmParams:
     """Gradient of the summed cross-entropy over the batch.
 
@@ -295,16 +372,54 @@ def backward_batch(cache: ForwardCache, labels: np.ndarray) -> LstmParams:
     batch = cache.probs.shape[0]
     if labels.shape != (batch,):
         raise DataError(f"labels shape {labels.shape} does not match batch {batch}")
-    grads = LstmParams.zeros(params.hidden, params.input_size)
+    hid, n_in = params.hidden, params.input_size
+    gates, tanh_c, z = cache.gates, cache.tanh_c, cache.z
+    grads = LstmParams.zeros(hid, n_in)
 
     dz = cache.probs - labels
-    grads.dense_w[:] = dz @ cache.layer2.h[-1]
+    grads.dense_w[:] = dz @ z[-1, :, n_in + 1 + hid :]
     grads.dense_b[0] = dz.sum()
 
-    dh2 = np.zeros_like(cache.layer2.h[1:])
-    dh2[-1] = dz[:, None] * params.dense_w[None, :]
-    da2 = _layer_backward(params.layer2, grads.layer2, cache.layer2, dh2)
-    _layer_backward(params.layer1, grads.layer1, cache.layer1, da2 @ params.layer2.w)
+    # Every factor of the gate gradients that does not depend on dh or dc,
+    # for all iterations at once: sig'(i) g, sig'(f) c_prev and tanh'(g) i,
+    # which multiply dc, sig'(o) tanh c, which multiplies dh, and o tanh'(c)
+    # for the cell.  ``da`` holds the first three and turns into the gate
+    # gradients iteration by iteration.
+    i, f, o, g = (gates[..., k * hid : (k + 1) * hid] for k in range(4))
+    da = np.subtract(1.0, gates)
+    da *= gates
+    da[..., :hid] *= g
+    da[..., hid : 2 * hid] *= cache.c[:-1]
+    o_coef = da[..., 2 * hid : 3 * hid] * tanh_c
+    np.multiply(1.0 - g * g, i, out=da[..., 3 * hid :])
+    o_dtanh_c = o * (1.0 - tanh_c * tanh_c)
+
+    n_iters = len(gates)
+    da_gates = da.reshape(n_iters, batch, 2, 4, hid)  # so dc broadcasts over the gates
+    back = np.ascontiguousarray(cache.block[n_in + 1 :].T)
+    dh = np.zeros((batch, 2, hid))
+    dh[:, 1] = dz[:, None] * params.dense_w
+    dc = np.zeros((batch, 2, hid))
+    for s in range(n_iters - 1, -1, -1):
+        dc += dh * o_dtanh_c[s]
+        da_gates[s] *= dc[:, :, None]
+        np.multiply(o_coef[s], dh, out=da[s, ..., 2 * hid : 3 * hid])
+        dc *= f[s]
+        if s:
+            np.matmul(da[s].reshape(batch, -1), back, out=dh.reshape(batch, -1))
+
+    # Layer 1's steps are iterations 0..T-1 with rows [x | 1 | h1] and layer
+    # 2's are 1..T with rows [1 | h1 | h2], so each layer's w, b and u come
+    # from one product; the ones column gives the bias.
+    four, n_steps, width = 4 * hid, n_iters - 1, n_in + 1 + hid
+    d1 = da[:n_steps, :, 0].reshape(-1, four).T @ z[:n_steps, :, :width].reshape(-1, width)
+    d2 = da[1:, :, 1].reshape(-1, four).T @ z[1:n_iters, :, n_in:].reshape(-1, 1 + 2 * hid)
+    grads.layer1.w[...] = d1[:, :n_in]
+    grads.layer1.b[...] = d1[:, n_in]
+    grads.layer1.u[...] = d1[:, n_in + 1 :]
+    grads.layer2.b[...] = d2[:, 0]
+    grads.layer2.w[...] = d2[:, 1 : 1 + hid]
+    grads.layer2.u[...] = d2[:, 1 + hid :]
     return grads
 
 
@@ -367,8 +482,28 @@ class FeatureStats:
             raise DataError("feature stats std must be finite and > 0")
 
 
+def _stack(samples: Sequence[SequenceSample]) -> np.ndarray:
+    """The samples' windows as a new float64 (B, T, features) array."""
+    return np.stack([s.window for s in samples]).astype(np.float64, copy=False)
+
+
 def _zscore(windows: np.ndarray, stats: FeatureStats) -> np.ndarray:
-    return (windows - stats.mean) / stats.std
+    """Z-score a freshly stacked (B, T, features) array in place and return it."""
+    windows -= stats.mean
+    windows /= stats.std
+    return windows
+
+
+def _confusion(probs: np.ndarray, labels: np.ndarray) -> Metrics:
+    """Threshold ``probs`` at 0.5 and count the confusion against 0/1 ``labels``."""
+    preds = probs >= 0.5
+    actual = labels == 1
+    return Metrics.from_counts(
+        tp=int(np.sum(preds & actual)),
+        fp=int(np.sum(preds & ~actual)),
+        tn=int(np.sum(~preds & ~actual)),
+        fn=int(np.sum(~preds & actual)),
+    )
 
 
 def predict(
@@ -377,8 +512,7 @@ def predict(
     """P(up) for each raw sample, z-scored with ``stats``; no samples give an empty array."""
     if not samples:
         return np.empty(0)
-    probs, _ = forward_batch(params, _zscore(np.stack([s.window for s in samples]), stats))
-    return probs
+    return _infer(params, _zscore(_stack(samples), stats))
 
 
 def evaluate(
@@ -387,14 +521,7 @@ def evaluate(
     """Threshold :func:`predict` at 0.5 and count the confusion."""
     if not samples:
         raise DataError("cannot evaluate on zero samples")
-    preds = predict(params, stats, samples) >= 0.5
-    actual = np.array([s.label for s in samples]) == 1
-    return Metrics.from_counts(
-        tp=int(np.sum(preds & actual)),
-        fp=int(np.sum(preds & ~actual)),
-        tn=int(np.sum(~preds & ~actual)),
-        fn=int(np.sum(~preds & actual)),
-    )
+    return _confusion(predict(params, stats, samples), np.array([s.label for s in samples]))
 
 
 @dataclass(frozen=True)
@@ -460,13 +587,14 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
     if config.batch > n_train:
         raise DataError(f"batch size {config.batch} exceeds training-set size {n_train}")
 
-    val_samples = samples[n_train:]
-    x_train = np.stack([s.window for s in samples[:n_train]])
+    x_train = _stack(samples[:n_train])
     y_train = np.array([s.label for s in samples[:n_train]], dtype=np.float64)
     days = x_train.reshape(-1, N_FEATURES)
     std = days.std(axis=0)
     stats = FeatureStats(mean=days.mean(axis=0), std=np.where(std < 1e-12, 1.0, std))
     x_train = _zscore(x_train, stats)
+    x_val = _zscore(_stack(samples[n_train:]), stats)
+    y_val = np.array([s.label for s in samples[n_train:]])
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = init_params(config.hidden, rng)
@@ -503,7 +631,7 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
         epoch_loss /= n_train
         if not (math.isfinite(epoch_loss) and np.all(np.isfinite(vec))):
             raise ConvergenceError(f"training diverged at epoch {epoch} (non-finite loss or weights)")
-        val_metrics = evaluate(params, stats, val_samples)
+        val_metrics = _confusion(_infer(params, x_val), y_val)
         if val_metrics.accuracy > best_acc:
             best_acc = val_metrics.accuracy
             best_vec = vec.copy()

@@ -103,10 +103,30 @@ class QrmGrid:
         n_s, n_tau = len(self.s_values), len(self.tau_values)
         if self.u.shape != (n_s, n_tau):
             raise DataError(f"surface shape {self.u.shape} does not match grid {(n_s, n_tau)}")
-        if np.any(np.diff(self.s_values) <= 0) or np.any(np.diff(self.tau_values) <= 0):
+        _check_grids(np.atleast_2d(self.s_values), self.tau_values, self.u[None])
+
+    @classmethod
+    def _checked(cls, s_values: np.ndarray, tau_values: np.ndarray, u: np.ndarray) -> "QrmGrid":
+        """A grid whose axes and surface have passed :func:`_check_grids` already."""
+        grid = object.__new__(cls)
+        grid.__dict__.update(s_values=s_values, tau_values=tau_values, u=u)
+        return grid
+
+
+def _check_grids(s_values: np.ndarray, tau_values: np.ndarray, u: np.ndarray) -> None:
+    """:class:`QrmGrid`'s checks for a stack of days at once.
+
+    ``s_values`` is (days, n_s), ``tau_values`` the shared (n_tau,) axis and
+    ``u`` (days, n_s, n_tau).  Raises the ``DataError`` that the earliest
+    failing day's grid raises.
+    """
+    bad_axes = np.any(np.diff(s_values, axis=-1) <= 0, axis=-1) | np.any(np.diff(tau_values) <= 0)
+    bad_surface = ~np.all(np.isfinite(u), axis=(-2, -1))
+    bad = bad_axes | bad_surface
+    if bad.any():
+        if bad_axes[np.argmax(bad)]:
             raise DataError("grid axes must be strictly increasing")
-        if not np.all(np.isfinite(self.u)):
-            raise DataError("surface contains non-finite values")
+        raise DataError("surface contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -385,9 +405,10 @@ def _solve_days(records: Sequence[QuoteRecord], config: QrmConfig) -> list[Minim
     residual = np.sum(misfit * misfit, axis=(1, 2))
     regularization = np.sum((surface - days.f_surface) ** 2, axis=(1, 2))
     est = surface[:, (config.n_s - 1) // 2, (config.n_tau - 1) // 2]
+    _check_grids(days.s_values, days.tau_values, surface)
     return [
         Minimizer(
-            grid=QrmGrid(s_values=days.s_values[i], tau_values=days.tau_values, u=surface[i]),
+            grid=QrmGrid._checked(days.s_values[i], days.tau_values, surface[i]),
             est=float(est[i]),
             residual=float(residual[i]),
             regularization=config.beta * float(regularization[i]),

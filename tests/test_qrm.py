@@ -387,18 +387,33 @@ class TestConfigAndGrid:
             QrmConfig(horizon=0.0)
 
     def test_grid_validation(self):
-        with pytest.raises(DataError):
-            QrmGrid(
-                s_values=np.array([1.0, 0.5, 2.0]),
-                tau_values=np.array([0.0, 1.0]),
-                u=np.zeros((3, 2)),
-            )
-        with pytest.raises(DataError):
-            QrmGrid(
-                s_values=np.array([1.0, 2.0]),
-                tau_values=np.array([0.0, 1.0]),
-                u=np.full((2, 2), np.nan),
-            )
+        # A grid built directly runs its own checks; only the solver builds
+        # grids that a per-block check has already covered.
+        increasing, flat = np.array([1.0, 2.0, 3.0]), np.zeros((3, 2))
+        for s_values, tau_values in (
+            (np.array([1.0, 0.5, 2.0]), np.array([0.0, 1.0])),
+            (increasing, np.array([1.0, 1.0])),
+        ):
+            with pytest.raises(DataError, match="strictly increasing"):
+                QrmGrid(s_values=s_values, tau_values=tau_values, u=flat)
+        for bad in (np.nan, np.inf):
+            u = flat.copy()
+            u[1, 1] = bad
+            with pytest.raises(DataError, match="non-finite"):
+                QrmGrid(s_values=increasing, tau_values=np.array([0.0, 1.0]), u=u)
+
+    def test_block_check_raises_the_earliest_failing_days_error(self):
+        s_values = np.tile(np.array([1.0, 2.0, 3.0]), (3, 1))
+        tau_values = np.array([0.0, 1.0])
+        u = np.zeros((3, 3, 2))
+        qrm._check_grids(s_values, tau_values, u)
+        u[1, 0, 1] = np.nan
+        s_values[2, 1] = 3.0
+        with pytest.raises(DataError, match="non-finite"):
+            qrm._check_grids(s_values, tau_values, u)
+        s_values[0, 1] = 0.5
+        with pytest.raises(DataError, match="strictly increasing"):
+            qrm._check_grids(s_values, tau_values, u)
 
     def test_grid_covers_at_least_the_quoted_spread(self):
         records = bs_series(n_days=12, spread_bp=500.0)[:2]
