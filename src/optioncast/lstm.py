@@ -314,8 +314,8 @@ def _head(params: LstmParams, h_last: np.ndarray) -> np.ndarray:
     return _sigmoid(h_last @ params.dense_w + params.dense_b)
 
 
-def forward_batch(params: LstmParams, windows: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Probabilities for a (batch, 10, features) stack of windows."""
+def _checked_windows(params: LstmParams, windows: np.ndarray) -> np.ndarray:
+    """``windows`` as float64, or a DataError unless shaped (batch, 10, input_size)."""
     windows = np.asarray(windows, dtype=np.float64)
     if (
         windows.ndim != 3
@@ -326,6 +326,12 @@ def forward_batch(params: LstmParams, windows: np.ndarray) -> tuple[np.ndarray, 
             f"windows must have shape (batch, {WINDOW_LENGTH}, {params.input_size}), "
             f"got {windows.shape}"
         )
+    return windows
+
+
+def forward_batch(params: LstmParams, windows: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Probabilities for a (batch, 10, features) stack of windows."""
+    windows = _checked_windows(params, windows)
     z, c, tanh_c, gates = _storage(params, len(windows), WINDOW_LENGTH + 2, WINDOW_LENGTH + 1)
     block = _block(params)
     probs = _head(params, _wavefront(params, block, windows, z, c, tanh_c, gates))
@@ -336,6 +342,7 @@ def forward_batch(params: LstmParams, windows: np.ndarray) -> tuple[np.ndarray, 
 
 def _infer(params: LstmParams, windows: np.ndarray) -> np.ndarray:
     """:func:`forward_batch`'s probabilities, bit for bit, keeping only the current state."""
+    windows = _checked_windows(params, windows)
     storage = _storage(params, len(windows), 2, 1)
     return _head(params, _wavefront(params, _block(params), windows, *storage))
 
