@@ -36,6 +36,13 @@ no layer-2 step and s = T no layer-1 step.  Their empty slot's gates are set
 to zero after the activations, so that slot writes c = h = 0 (the initial
 state layer 2 starts from) and passes no gradient back.
 
+One tanh per iteration gives every gate.  The sigmoid gates use
+sig(x) = 1/2 + tanh(x / 2) / 2: the forward multiplies by M with its i, f
+and o columns halved, which is exact (a power of two), and then scales and
+shifts those columns in place; backpropagation reads the true M.  The
+identity stays within 2^-52 of the two-branch logistic, except that a gate
+is exactly 0 below x ~ -38, where the logistic is still e^x (< 3.2e-17).
+
 The classifier owns its input scaling.  :func:`train` computes a per-feature
 z-score (:class:`FeatureStats`) from its training split alone and returns it
 with the parameters; :func:`predict` applies it to raw windows, so callers
@@ -46,6 +53,10 @@ Training is mini-batch gradient descent (plain SGD by default, Adam behind
 ``optimizer="adam"``), fully deterministic for a fixed seed: initialization
 and the per-epoch shuffle all come from one seeded PCG64 stream, and the
 returned parameters are the ones with the best validation accuracy seen.
+:func:`train` allocates the wavefront storage and M once per epoch and the
+gradient once, and reuses them for every minibatch; a smaller last
+minibatch uses leading slices of them.  The storage is freed before each
+validation pass.
 """
 
 from __future__ import annotations
@@ -218,7 +229,8 @@ class ForwardCache:
     cell states [c1_s | c2_(s-1)] it starts from; index T + 1 is the state
     after the last iteration.  Index s of ``gates`` (T + 1, B, 2, 4H) and
     ``tanh_c`` (T + 1, B, 2, H) holds iteration s's activations and the tanh
-    of the cell states it wrote.  ``block`` is the matrix M they came from.
+    of the cell states it wrote.  ``block`` is the matrix M they came from
+    (the forward multiplied by it with the sigmoid columns halved).
     """
 
     params: LstmParams
@@ -248,17 +260,32 @@ class ForwardCache:
         )
 
 
-def _block(params: LstmParams) -> np.ndarray:
-    """The wavefront's block matrix M (in + 1 + 2H, 8H) of the module docstring."""
+def _block(params: LstmParams, out: np.ndarray | None = None) -> np.ndarray:
+    """The wavefront's block matrix M (in + 1 + 2H, 8H) of the module docstring.
+
+    Written into ``out`` when given; only the nonzero blocks are written, so
+    its zero blocks must already be zero.
+    """
     hid, n_in = params.hidden, params.input_size
     four = 4 * hid
-    block = np.zeros((n_in + 1 + 2 * hid, 2 * four))
+    block = np.zeros((n_in + 1 + 2 * hid, 2 * four)) if out is None else out
     block[:n_in, :four] = params.layer1.w.T
     block[n_in, :four] = params.layer1.b
     block[n_in, four:] = params.layer2.b
     block[n_in + 1 : n_in + 1 + hid, :four] = params.layer1.u.T
     block[n_in + 1 : n_in + 1 + hid, four:] = params.layer2.w.T
     block[n_in + 1 + hid :, four:] = params.layer2.u.T
+    return block
+
+
+def _halve_sigmoid_columns(block: np.ndarray) -> np.ndarray:
+    """Halve M's i, f and o columns in place (exact: a power of two) and return it.
+
+    The forward multiplies by this matrix, so one tanh gives tanh(x / 2) for
+    every sigmoid gate and tanh(x) for g.
+    """
+    hid = block.shape[1] // 8
+    block.reshape(len(block), 2, 4 * hid)[..., : 3 * hid] *= 0.5
     return block
 
 
@@ -272,29 +299,54 @@ def _storage(params: LstmParams, batch: int, n_states: int, n_iters: int):
     return z, c, np.empty((n_iters, batch, 2, hid)), np.empty((n_iters, batch, 2, 4 * hid))
 
 
+class _Workspace:
+    """A minibatch step's storage, for batches of up to ``batch`` windows.
+
+    :func:`train` makes one per epoch and reuses it for every minibatch; a
+    smaller batch uses leading slices along the batch axis.  Each pass
+    overwrites all it reads except the zero initial state, the ones column
+    and M's zero blocks, which no pass writes.  ``block`` holds M and
+    ``halved`` the matrix the forward multiplies by.
+    """
+
+    def __init__(self, params: LstmParams, batch: int):
+        self.block = _block(params)
+        self.halved = np.empty_like(self.block)
+        self.z, self.c, self.tanh_c, self.gates = _storage(
+            params, batch, WINDOW_LENGTH + 2, WINDOW_LENGTH + 1
+        )
+
+
 def _wavefront(
     params: LstmParams, block: np.ndarray, windows: np.ndarray,
     z: np.ndarray, c: np.ndarray, tanh_c: np.ndarray, gates: np.ndarray,
 ) -> np.ndarray:
     """Run both layers over (B, T, in) windows; return layer 2's final h (B, H).
 
+    ``block`` is M with its sigmoid columns halved (:func:`_halve_sigmoid_columns`).
     The caller chooses the storage (see :func:`_storage`).  Iteration s reads
     its input row and cell states at index s % len(z) of ``z`` and ``c``,
     writes the next ones at (s + 1) % len(z), and writes its activations at
     s % len(gates) of ``gates`` and ``tanh_c``.  T + 2 and T + 1 rows keep
-    every iteration for backpropagation; two and one keep only the current
-    state, and give the same numbers.
+    every iteration for backpropagation, and all step inputs are copied in
+    at once; two and one keep only the current state, and give the same
+    numbers.
     """
     batch, n_steps, n_in = windows.shape
     hid = params.hidden
+    keep_all = len(z) == n_steps + 2
+    if keep_all:
+        z[:n_steps, :, :n_in] = windows.transpose(1, 0, 2)
     for s in range(n_steps + 1):
         row, c_prev = z[s % len(z)], c[s % len(c)]
-        if s < n_steps:
+        if s < n_steps and not keep_all:
             row[:, :n_in] = windows[:, s]
         a = gates[s % len(gates)]
         np.matmul(row, block, out=a.reshape(batch, -1))
-        _sigmoid(a[..., : 3 * hid], out=a[..., : 3 * hid])
-        np.tanh(a[..., 3 * hid :], out=a[..., 3 * hid :])
+        np.tanh(a, out=a)
+        sig = a[..., : 3 * hid]  # sig(x) = 1/2 + tanh(x / 2) / 2
+        sig *= 0.5
+        sig += 0.5
         if s == 0:
             a[:, 1] = 0.0  # no layer-2 step yet: its state stays zero
         if s == n_steps:
@@ -329,22 +381,35 @@ def _checked_windows(params: LstmParams, windows: np.ndarray) -> np.ndarray:
     return windows
 
 
-def forward_batch(params: LstmParams, windows: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Probabilities for a (batch, 10, features) stack of windows."""
-    windows = _checked_windows(params, windows)
-    z, c, tanh_c, gates = _storage(params, len(windows), WINDOW_LENGTH + 2, WINDOW_LENGTH + 1)
-    block = _block(params)
-    probs = _head(params, _wavefront(params, block, windows, z, c, tanh_c, gates))
+def _forward(
+    params: LstmParams, windows: np.ndarray, work: _Workspace
+) -> tuple[np.ndarray, ForwardCache]:
+    """:func:`forward_batch` on ``work``; the cache holds views into it."""
+    block = _block(params, out=work.block)
+    np.copyto(work.halved, block)
+    batch = len(windows)
+    z, c, tanh_c, gates = (a[:, :batch] for a in (work.z, work.c, work.tanh_c, work.gates))
+    h_last = _wavefront(
+        params, _halve_sigmoid_columns(work.halved), windows, z, c, tanh_c, gates
+    )
+    probs = _head(params, h_last)
     return probs, ForwardCache(
         params=params, probs=probs, z=z, c=c, tanh_c=tanh_c, gates=gates, block=block
     )
+
+
+def forward_batch(params: LstmParams, windows: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Probabilities for a (batch, 10, features) stack of windows."""
+    windows = _checked_windows(params, windows)
+    return _forward(params, windows, _Workspace(params, len(windows)))
 
 
 def _infer(params: LstmParams, windows: np.ndarray) -> np.ndarray:
     """:func:`forward_batch`'s probabilities, bit for bit, keeping only the current state."""
     windows = _checked_windows(params, windows)
     storage = _storage(params, len(windows), 2, 1)
-    return _head(params, _wavefront(params, _block(params), windows, *storage))
+    block = _halve_sigmoid_columns(_block(params))
+    return _head(params, _wavefront(params, block, windows, *storage))
 
 
 def forward(params: LstmParams, window: np.ndarray) -> tuple[float, ForwardCache]:
@@ -375,13 +440,18 @@ def backward_batch(cache: ForwardCache, labels: np.ndarray) -> LstmParams:
     is probs - labels, exact wherever the clamp is inactive.
     """
     labels = np.asarray(labels, dtype=np.float64)
-    params = cache.params
     batch = cache.probs.shape[0]
     if labels.shape != (batch,):
         raise DataError(f"labels shape {labels.shape} does not match batch {batch}")
+    return _backward(cache, labels, LstmParams.zeros(cache.params.hidden, cache.params.input_size))
+
+
+def _backward(cache: ForwardCache, labels: np.ndarray, grads: LstmParams) -> LstmParams:
+    """:func:`backward_batch` into ``grads``, every entry of which it overwrites."""
+    params = cache.params
+    batch = cache.probs.shape[0]
     hid, n_in = params.hidden, params.input_size
     gates, tanh_c, z = cache.gates, cache.tanh_c, cache.z
-    grads = LstmParams.zeros(hid, n_in)
 
     dz = cache.probs - labels
     grads.dense_w[:] = dz @ z[-1, :, n_in + 1 + hid :]
@@ -403,7 +473,7 @@ def backward_batch(cache: ForwardCache, labels: np.ndarray) -> LstmParams:
 
     n_iters = len(gates)
     da_gates = da.reshape(n_iters, batch, 2, 4, hid)  # so dc broadcasts over the gates
-    back = np.ascontiguousarray(cache.block[n_in + 1 :].T)
+    back = cache.block[n_in + 1 :].T
     dh = np.zeros((batch, 2, hid))
     dh[:, 1] = dz[:, None] * params.dense_w
     dc = np.zeros((batch, 2, hid))
@@ -618,14 +688,19 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
     best_epoch = 0
     history: list[EpochStats] = []
 
+    grads = LstmParams.zeros(config.hidden, params.input_size)
+    gvec = grads.vector
     for epoch in range(1, config.epochs + 1):
+        work = _Workspace(params, config.batch)
         order = rng.permutation(n_train)
         epoch_loss = 0.0
         for start in range(0, n_train, config.batch):
             idx = order[start : start + config.batch]
-            probs, cache = forward_batch(params, x_train[idx])
-            epoch_loss += float(_loss_vector(probs, y_train[idx]).sum())
-            gvec = backward_batch(cache, y_train[idx]).vector / len(idx)
+            labels = y_train[idx]
+            probs, cache = _forward(params, x_train[idx], work)
+            epoch_loss += float(_loss_vector(probs, labels).sum())
+            _backward(cache, labels, grads)
+            gvec /= len(idx)
             if use_adam:
                 adam_t += 1
                 adam_m = adam_b1 * adam_m + (1 - adam_b1) * gvec
@@ -634,10 +709,14 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
                 v_hat = adam_v / (1 - adam_b2 ** adam_t)
                 vec -= config.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
             else:
-                vec -= config.learning_rate * gvec
+                gvec *= config.learning_rate
+                vec -= gvec
         epoch_loss /= n_train
         if not (math.isfinite(epoch_loss) and np.all(np.isfinite(vec))):
             raise ConvergenceError(f"training diverged at epoch {epoch} (non-finite loss or weights)")
+        # Validation allocates its own storage: with the workspace still held,
+        # the heap grows instead of reusing it.
+        del work, cache
         val_metrics = _confusion(_infer(params, x_val), y_val)
         if val_metrics.accuracy > best_acc:
             best_acc = val_metrics.accuracy

@@ -300,8 +300,12 @@ def _assemble(records: Sequence[QuoteRecord], config: QrmConfig) -> AssembledSys
     f_surface = _linspace(bid[:, None] + days_ahead * (bid - prev_bid)[:, None],
                           ask[:, None] + days_ahead * (ask - prev_ask)[:, None], config.n_s)
     f_surface[:, :, 0] = mid[:, None]
+    # A vol whose square overflows leaves kappa non-finite, and the solve then
+    # fails that day with a ConvergenceError; numpy's warnings would repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = (0.5 * sigma * sigma)[:, None] * s_scaled[:, 1:-1] ** 2 / (ds * ds)[:, None]
     return AssembledSystem(
-        kappa=(0.5 * sigma * sigma)[:, None] * s_scaled[:, 1:-1] ** 2 / (ds * ds)[:, None],
+        kappa=kappa,
         inv_dtau=1.0 / (tau_values[1] - tau_values[0]),
         f_surface=f_surface,
         s_values=s_scaled * s_mid[:, None],

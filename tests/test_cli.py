@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -126,9 +127,15 @@ class TestQrmCommand:
         # Loader-valid, but sigma^2 overflows and the solve cannot be finite.
         data = tmp_path / "series.csv"
         save_csv([make_record(offset=k, implied_vol=1e160) for k in range(3)], data)
-        code = run(["qrm", "--input", str(data), "--out-dir", str(tmp_path / "o")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["qrm", "--input", str(data), "--out-dir", str(tmp_path / "o")])
         assert code == 4
-        assert "day 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "day 1" in err
+        # Only the error reaches the user: no numpy overflow or invalid-value noise.
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_cg_flags_are_gone(self, tmp_path, capsys):
         data = tmp_path / "series.csv"

@@ -135,6 +135,33 @@ class TestForward:
         assert got[1000] == 0.5 and got[1001] == 0.5
         assert got[-2] == 1.0 and got[-1] == 0.0
 
+    def test_sigmoid_gates_match_the_masked_form_of_textbook_preactivations(self):
+        """The forward computes sig(x) as 1/2 + tanh(x / 2) / 2.
+
+        On its own that identity is within 2^-52 of the masked form.  Here
+        the pre-activations are recomputed gate by gate, so they also differ
+        from the fused product by rounding.  Below x ~ -38 the gate is
+        exactly 0 while the masked form still returns e^x (< 3.2e-17); the
+        scaled inputs reach that range.
+        """
+        params, rng = random_params(hidden=8, seed=14)
+        for layer in (params.layer1, params.layer2):
+            layer.b[:] = rng.uniform(-1.0, 1.0, layer.b.shape)
+        windows = rng.standard_normal((32, 10, 13)) * np.geomspace(0.1, 40.0, 32)[:, None, None]
+        _, cache = lstm.forward_batch(params, windows)
+        lowest = np.inf
+        for layer_params, layer in ((params.layer1, cache.layer1), (params.layer2, cache.layer2)):
+            blocks = per_gate(layer_params, params.hidden)
+            for k, gate in enumerate("ifo"):
+                w, u, b = blocks[gate]
+                pre = layer.x @ w.T + layer.h[:-1] @ u.T + b
+                lowest = min(lowest, pre.min())
+                got = layer.gates[..., k * params.hidden : (k + 1) * params.hidden]
+                np.testing.assert_allclose(
+                    got, masked_sigmoid(pre), rtol=0, atol=1e-15, err_msg=gate
+                )
+        assert lowest < -38.0
+
     def test_output_strictly_inside_unit_interval(self):
         params, rng = random_params(hidden=8, seed=1)
         probs, _ = lstm.forward_batch(params, rng.standard_normal((64, 10, 13)))
@@ -319,6 +346,83 @@ class TestBackward:
         _, cache = lstm.forward_batch(params, rng.standard_normal((3, 10, 13)))
         with pytest.raises(DataError):
             lstm.backward_batch(cache, np.array([1.0, 0.0]))
+
+
+def reference_train(samples, config):
+    """Per-epoch losses and weights of ``config``, from the public forward and
+    backward and the textbook SGD and Adam updates, along with the stats."""
+    n_train = round(config.train_frac * len(samples))
+    x = np.stack([s.window for s in samples[:n_train]])
+    y = np.array([s.label for s in samples[:n_train]], dtype=float)
+    days = x.reshape(-1, 13)
+    std = days.std(axis=0)
+    stats = lstm.FeatureStats(mean=days.mean(axis=0), std=np.where(std < 1e-12, 1.0, std))
+    x = (x - stats.mean) / stats.std
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    params = lstm.init_params(config.hidden, rng)
+    vec = params.vector
+    m, v, t = np.zeros_like(vec), np.zeros_like(vec), 0
+    losses, weights = [], []
+    for _ in range(config.epochs):
+        order = rng.permutation(n_train)
+        total = 0.0
+        for start in range(0, n_train, config.batch):
+            idx = order[start : start + config.batch]
+            probs, cache = lstm.forward_batch(params, x[idx])
+            total += sum(lstm.loss(p, label) for p, label in zip(probs, y[idx]))
+            grad = lstm.backward_batch(cache, y[idx]).vector / len(idx)
+            if config.optimizer == "adam":
+                t += 1
+                m = 0.9 * m + 0.1 * grad
+                v = 0.999 * v + (1 - 0.999) * grad ** 2
+                m_hat, v_hat = m / (1 - 0.9 ** t), v / (1 - 0.999 ** t)
+                vec -= config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+            else:
+                vec -= config.learning_rate * grad
+        losses.append(total / n_train)
+        weights.append(vec.copy())
+    return losses, weights, stats
+
+
+class TestTrainPath:
+    """``train`` runs every minibatch on one reused workspace."""
+
+    def test_reused_workspace_matches_fresh_calls(self):
+        params, rng = random_params(hidden=6, seed=61)
+        for layer in (params.layer1, params.layer2):
+            layer.b[:] = rng.uniform(-1.0, 1.0, layer.b.shape)
+        work = lstm._Workspace(params, 8)
+        grads = lstm.LstmParams.zeros(6)
+        # Full, partial, then full again: each pass starts on storage the
+        # one before left dirty, with weights an update step has moved.
+        for batch in (8, 5, 8, 1):
+            windows = rng.standard_normal((batch, 10, 13))
+            labels = (rng.random(batch) > 0.5).astype(float)
+            probs, cache = lstm._forward(params, windows, work)
+            lstm._backward(cache, labels, grads)
+            fresh_probs, fresh_cache = lstm.forward_batch(params, windows)
+            fresh = lstm.backward_batch(fresh_cache, labels)
+            assert np.array_equal(probs, fresh_probs)
+            assert np.array_equal(grads.vector, fresh.vector)
+            params.vector -= 0.5 * grads.vector
+
+    @pytest.mark.parametrize("optimizer, learning_rate", [("sgd", 0.2), ("adam", 0.01)])
+    def test_train_matches_a_reference_loop_over_public_calls(self, optimizer, learning_rate):
+        samples = separable_dataset(n=70, seed=62)
+        config = lstm.TrainConfig(hidden=5, batch=12, epochs=2, learning_rate=learning_rate,
+                                  seed=11, optimizer=optimizer)
+        assert round(config.train_frac * len(samples)) % config.batch != 0
+        result = lstm.train(samples, config)
+        losses, weights, stats = reference_train(samples, config)
+        assert np.array_equal(result.stats.mean, stats.mean)
+        assert np.array_equal(result.stats.std, stats.std)
+        np.testing.assert_allclose([h.train_loss for h in result.history], losses, rtol=1e-12)
+        n_train = round(config.train_frac * len(samples))
+        for h, w in zip(result.history, weights):
+            val = lstm.evaluate(lstm.vector_to_params(w, 5), stats, samples[n_train:])
+            assert h.val == val
+        best = weights[result.best_epoch - 1]
+        np.testing.assert_allclose(result.params.vector, best, rtol=1e-12)
 
 
 class TestMetrics:
