@@ -95,16 +95,30 @@ def per_step_growth(spec: BinomialSpec) -> float:
     return spec.p * spec.ror + (1.0 - spec.p) * spec.rol
 
 
+def _overflow(spec: BinomialSpec) -> DataError:
+    return DataError(f"binomial projection overflows float64 for {spec}")
+
+
 def expected_wealth(spec: BinomialSpec) -> float:
-    """Closed form of the day-by-day expectation recursion."""
-    return spec.initial * per_step_growth(spec) ** spec.days
+    """Closed form of the day-by-day expectation recursion.
+
+    Raises DataError when the value does not fit a float64.
+    """
+    try:
+        expectation = spec.initial * per_step_growth(spec) ** spec.days
+    except OverflowError:
+        raise _overflow(spec) from None
+    if not math.isfinite(expectation):
+        raise _overflow(spec)
+    return expectation
 
 
 def enumerate_tree(spec: BinomialSpec) -> WealthDistribution:
     """All k+1 recombining outcomes with exact binomial probabilities.
 
     Guarded at ``ENUMERATION_LIMIT`` days; beyond that the closed form
-    :func:`expected_wealth` is the intended tool.
+    :func:`expected_wealth` is the intended tool.  Raises DataError when a
+    wealth or the expectation does not fit a float64.
     """
     k = spec.days
     if k > ENUMERATION_LIMIT:
@@ -114,11 +128,17 @@ def enumerate_tree(spec: BinomialSpec) -> WealthDistribution:
         )
     outcomes = []
     expectation = 0.0
-    for j in range(k + 1):
-        wealth = spec.initial * spec.ror**j * spec.rol ** (k - j)
-        prob = math.comb(k, j) * spec.p**j * (1.0 - spec.p) ** (k - j)
-        outcomes.append((wealth, prob))
-        expectation += wealth * prob
+    try:
+        for j in range(k + 1):
+            wealth = spec.initial * spec.ror**j * spec.rol ** (k - j)
+            prob = math.comb(k, j) * spec.p**j * (1.0 - spec.p) ** (k - j)
+            outcomes.append((wealth, prob))
+            expectation += wealth * prob
+    except OverflowError:
+        raise _overflow(spec) from None
+    # An infinite wealth makes the expectation inf, or nan at probability 0.
+    if not math.isfinite(expectation):
+        raise _overflow(spec)
     outcomes.sort(key=lambda pair: pair[0])
     return WealthDistribution(outcomes=outcomes, expectation=expectation)
 

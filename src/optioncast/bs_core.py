@@ -8,18 +8,10 @@ which keeps the absolute error well below 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = ["BsInputs", "bs_call", "call_price", "payoff", "std_normal_cdf"]
+__all__ = ["call_price", "std_normal_cdf"]
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def payoff(s: float, strike: float) -> float:
-    """Call exercise value max(s - strike, 0)."""
-    if not (math.isfinite(s) and math.isfinite(strike)) or s <= 0 or strike <= 0:
-        raise ValueError(f"payoff needs s > 0 and strike > 0, got s={s}, strike={strike}")
-    return max(s - strike, 0.0)
 
 
 def std_normal_cdf(x: float) -> float:
@@ -29,56 +21,29 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
-@dataclass(frozen=True)
-class BsInputs:
-    """Call-pricing inputs.
+def call_price(s: float, tau: float, strike: float, sigma: float, rate: float) -> float:
+    """Price a European call with ``tau`` years to maturity.
 
-    ``tau`` is the remaining time to maturity in years.  ``sigma`` may be
-    zero, in which case the price degenerates to the discounted intrinsic
-    value (the sigma -> 0 limit of the closed form).
+    Inputs must be finite, with s, strike > 0 and tau, sigma >= 0.  tau = 0
+    returns the payoff max(s - strike, 0) exactly, and sigma = 0 the
+    discounted intrinsic value max(s - strike * exp(-rate * tau), 0).
     """
-
-    s: float
-    tau: float
-    strike: float
-    sigma: float
-    rate: float
-
-    def __post_init__(self) -> None:
-        for name in ("s", "tau", "strike", "sigma", "rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"BsInputs.{name} must be finite")
-        if self.s <= 0:
-            raise ValueError(f"BsInputs.s must be positive, got {self.s}")
-        if self.strike <= 0:
-            raise ValueError(f"BsInputs.strike must be positive, got {self.strike}")
-        if self.sigma < 0:
-            raise ValueError(f"BsInputs.sigma must be nonnegative, got {self.sigma}")
-        if self.tau < 0:
-            raise ValueError(f"BsInputs.tau must be nonnegative, got {self.tau}")
-
-
-def bs_call(inputs: BsInputs) -> float:
-    """Price a European call.
-
-    tau = 0 returns the payoff exactly (no 0/0 in the log-moneyness terms),
-    and sigma = 0 returns max(s - strike * exp(-rate * tau), 0).
-    """
-    s, tau, strike = inputs.s, inputs.tau, inputs.strike
-    sigma, rate = inputs.sigma, inputs.rate
+    inputs = {"s": s, "tau": tau, "strike": strike, "sigma": sigma, "rate": rate}
+    for name, value in inputs.items():
+        if not math.isfinite(value):
+            raise ValueError(f"call_price needs a finite {name}, got {value}")
+    if s <= 0 or strike <= 0:
+        raise ValueError(f"call_price needs s > 0 and strike > 0, got s={s}, strike={strike}")
+    if tau < 0 or sigma < 0:
+        raise ValueError(f"call_price needs tau >= 0 and sigma >= 0, got tau={tau}, sigma={sigma}")
     if tau == 0.0:
         return max(s - strike, 0.0)
-    if sigma == 0.0:
-        return max(s - strike * math.exp(-rate * tau), 0.0)
+    discounted_strike = strike * math.exp(-rate * tau)
     vol_sqrt_tau = sigma * math.sqrt(tau)
-    theta_plus = (math.log(s / strike) + (rate + 0.5 * sigma * sigma) * tau) / vol_sqrt_tau
-    if not math.isfinite(theta_plus):
-        # sigma * sqrt(tau) too small for the quotient; use the sigma -> 0 limit.
-        return max(s - strike * math.exp(-rate * tau), 0.0)
-    theta_minus = theta_plus - vol_sqrt_tau
-    return s * std_normal_cdf(theta_plus) - strike * math.exp(-rate * tau) * std_normal_cdf(theta_minus)
-
-
-def call_price(s: float, tau: float, strike: float, sigma: float, rate: float) -> float:
-    """Scalar-argument convenience wrapper around :func:`bs_call`."""
-    return bs_call(BsInputs(s, tau, strike, sigma, rate))
+    if vol_sqrt_tau > 0.0:
+        theta_plus = (math.log(s / strike) + (rate + 0.5 * sigma * sigma) * tau) / vol_sqrt_tau
+        if math.isfinite(theta_plus):
+            theta_minus = theta_plus - vol_sqrt_tau
+            return s * std_normal_cdf(theta_plus) - discounted_strike * std_normal_cdf(theta_minus)
+    # sigma = 0, or sigma * sqrt(tau) too small for the quotient: the sigma -> 0 limit.
+    return max(s - discounted_strike, 0.0)

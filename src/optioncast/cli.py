@@ -337,10 +337,11 @@ def cmd_binomial(cfg: dict) -> int:
     )
     expectation = binomial_mod.expected_wealth(spec)
     report = binomial_mod.martingale_check(spec)
+    enumerable = spec.days <= binomial_mod.ENUMERATION_LIMIT
+    dist = binomial_mod.enumerate_tree(spec) if enumerable else None
     out = _out_dir(cfg)
     artifacts = []
-    if spec.days <= binomial_mod.ENUMERATION_LIMIT:
-        dist = binomial_mod.enumerate_tree(spec)
+    if dist is not None:
         dist_csv = out / "distribution.csv"
         dist.write_csv(dist_csv)
         artifacts.append(dist_csv)

@@ -53,22 +53,16 @@ def joint_precision(p1: float, p2: float) -> float:
     return agree / (agree + (1.0 - p1) * (1.0 - p2))
 
 
-def _fold_joint(precisions: Sequence[float]) -> float:
-    # The odds-product form makes the pairwise fold order-independent.
-    return reduce(joint_precision, precisions)
-
-
 @dataclass(frozen=True)
 class ModelReport:
-    """A named per-sample prediction vector with its claimed precision.
+    """A named per-sample 0/1 prediction vector.
 
-    The claimed precision is informational; :func:`unanimous_combine` always
-    recomputes precision against the supplied ground truth.
+    :func:`unanimous_combine` computes each model's precision against the
+    supplied ground truth.
     """
 
     name: str
     predictions: np.ndarray
-    precision: float | None = None
 
     def __post_init__(self) -> None:
         preds = np.asarray(self.predictions)
@@ -135,7 +129,8 @@ def unanimous_combine(reports: Sequence[ModelReport], truth: np.ndarray) -> Fusi
             )
         precisions[report.name] = float(np.sum((preds == 1) & (truth == 1)) / positives)
 
-    theoretical = _fold_joint(list(precisions.values()))
+    # The odds-product form makes the pairwise fold order-independent.
+    theoretical = reduce(joint_precision, precisions.values())
 
     combined = np.ones(n, dtype=bool)
     for report in reports:

@@ -72,7 +72,9 @@ from .errors import ConvergenceError, DataError
 from .market_data import N_FEATURES, SequenceSample, WINDOW_LENGTH
 
 __all__ = [
+    "EpochStats",
     "FeatureStats",
+    "ForwardCache",
     "Layer",
     "LstmParams",
     "Metrics",
@@ -774,12 +776,17 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
     """Load a schema-2 checkpoint, validating every declared shape."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise DataError("checkpoint must be a JSON object")
     schema = doc.get("schema")
     if schema != CHECKPOINT_SCHEMA:
         raise DataError(
             f"checkpoint schema {schema} is not supported: this version reads schema "
             f"{CHECKPOINT_SCHEMA} (gates stacked per layer); retrain to write a new checkpoint"
         )
+    for field in ("config", "shapes", "weights", "feature_stats"):
+        if not isinstance(doc.get(field, {}), dict):
+            raise DataError(f"checkpoint field {field!r} must be a JSON object")
     try:
         hidden = int(doc["config"]["hidden"])
         input_size = int(doc["input_size"])
@@ -791,16 +798,23 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
         )
     except KeyError as exc:
         raise DataError(f"checkpoint is missing field {exc}") from exc
+    except TypeError as exc:
+        raise DataError(f"checkpoint has a field of the wrong type: {exc}") from exc
     if hidden <= 0 or input_size <= 0:
         raise DataError(f"checkpoint hidden ({hidden}) and input_size ({input_size}) must be positive")
     params = LstmParams.zeros(hidden, input_size)
     for name, target in params.arrays.items():
         if name not in weights:
             raise DataError(f"checkpoint is missing weights for {name}")
-        declared = tuple(shapes.get(name, ()))
+        try:
+            declared = tuple(shapes.get(name, ()))
+            flat = np.asarray(weights[name], dtype=np.float64)
+        except TypeError as exc:
+            raise DataError(
+                f"checkpoint shape or weights for {name} have the wrong type: {exc}"
+            ) from exc
         if declared != target.shape:
             raise DataError(f"checkpoint shape for {name} is {declared}, expected {target.shape}")
-        flat = np.asarray(weights[name], dtype=np.float64)
         if flat.size != target.size:
             raise DataError(f"checkpoint weights for {name} have size {flat.size}, expected {target.size}")
         target[...] = flat.reshape(target.shape)

@@ -22,20 +22,13 @@ __all__ = [
     "BacktestResult",
     "TradeDecision",
     "backtest",
-    "decide",
     "emit_plot_data",
+    "est_covers",
 ]
 
 BUY = "buy"
 ABSTAIN = "abstain"
 CLASSIFIER_THRESHOLD = 0.5
-
-
-def decide(est: float, real0: float) -> str:
-    """``"buy"`` iff est >= real0 (boundary included), else ``"abstain"``."""
-    if not math.isfinite(real0) or real0 <= 0:
-        raise ValueError(f"real0 must be finite and positive, got {real0}")
-    return BUY if est_covers(est, real0) else ABSTAIN
 
 
 @dataclass(frozen=True)
@@ -53,19 +46,14 @@ class TradeDecision:
     real0: float
     pnl: float | None = None
 
-    def __post_init__(self) -> None:
-        expected = BUY if est_covers(self.est, self.real0) else ABSTAIN
-        if self.action != expected:
-            raise DataError(
-                f"action {self.action!r} contradicts est={self.est} vs real0={self.real0}"
-            )
-        if (self.pnl is not None) != (self.action == BUY):
-            raise DataError("pnl must be set exactly on buy days")
-
 
 def est_covers(est: float, real0: float) -> bool:
-    """The buy rule; a non-positive reference (a zero ask) never trades."""
-    return real0 > 0 and not math.isnan(est) and est >= real0
+    """The buy rule est >= real0, boundary included.
+
+    A nan on either side compares false, so a missing signal never trades;
+    neither does a non-positive reference (a zero ask).
+    """
+    return real0 > 0 and est >= real0
 
 
 @dataclass(frozen=True)

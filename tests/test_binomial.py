@@ -54,6 +54,16 @@ class TestExpectedWealth:
         spec = BinomialSpec(p=0.56, ror=2.0, rol=0.5, initial=7.5, days=0)
         assert expected_wealth(spec) == 7.5
 
+    @pytest.mark.parametrize("kwargs", [
+        {"ror": 2.0, "rol": 0.5, "days": 100000},
+        {"ror": 1e300, "days": 30},
+        {"ror": 2.0, "days": 3, "initial": 1e308},
+    ])
+    def test_overflow_is_a_data_error(self, kwargs):
+        spec = BinomialSpec(p=0.56, **kwargs)
+        with pytest.raises(DataError, match="overflows float64 for BinomialSpec"):
+            expected_wealth(spec)
+
     def test_five_days_against_path_enumeration(self):
         spec = BinomialSpec(p=2.0 / 3.0, ror=2.0, rol=0.5, initial=1.0, days=5)
         _, oracle = full_path_oracle(spec)
@@ -133,6 +143,16 @@ class TestEnumerateTree:
     def test_enumeration_guard(self):
         spec = BinomialSpec(p=0.5, ror=2.0, rol=0.5, days=ENUMERATION_LIMIT + 1)
         with pytest.raises(ValueError, match="expected_wealth"):
+            enumerate_tree(spec)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"ror": 1e300, "days": 2},
+        {"ror": 1e11, "rol": 0.5, "days": 30, "p": 1e-12},
+        {"ror": 2.0, "days": 3, "initial": 1e308},
+    ])
+    def test_overflow_is_a_data_error(self, kwargs):
+        spec = BinomialSpec(**{"p": 0.56, **kwargs})
+        with pytest.raises(DataError, match="overflows float64 for BinomialSpec"):
             enumerate_tree(spec)
 
     def test_csv_round_trip(self, tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from optioncast.bs_core import BsInputs, bs_call, call_price, payoff, std_normal_cdf
+from optioncast.bs_core import call_price, std_normal_cdf
 
 
 def _gaussian_density(t):
@@ -13,19 +13,20 @@ def _gaussian_density(t):
 
 
 class TestPayoff:
+    # At tau = 0 the call price is the exercise value max(s - strike, 0).
     def test_at_the_money(self):
-        assert payoff(1.0, 1.0) == 0.0
+        assert call_price(1.0, 0.0, 1.0, 0.2, 0.0) == 0.0
 
     def test_in_the_money(self):
-        assert payoff(2.0, 1.0) == 1.0
+        assert call_price(2.0, 0.0, 1.0, 0.2, 0.0) == 1.0
 
     def test_out_of_the_money(self):
-        assert payoff(0.5, 1.0) == 0.0
+        assert call_price(0.5, 0.0, 1.0, 0.2, 0.0) == 0.0
 
     @pytest.mark.parametrize("s,k", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
     def test_rejects_nonpositive_inputs(self, s, k):
         with pytest.raises(ValueError):
-            payoff(s, k)
+            call_price(s, 0.0, k, 0.2, 0.0)
 
 
 class TestNormalCdf:
@@ -76,17 +77,21 @@ class TestCallPrice:
             100.0 - 80.0 * math.exp(-0.01), abs=1e-12
         )
 
+    def test_underflowing_vol_is_the_sigma_zero_limit(self):
+        # sigma * sqrt(tau) rounds to 0 for a positive sigma.
+        assert call_price(1.0, 1e-10, 0.5, 5e-324, 0.0) == 0.5
+
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             call_price(1.0, -0.1, 1.0, 0.2, 0.0)
 
     def test_bs_inputs_validation(self):
         with pytest.raises(ValueError):
-            BsInputs(s=-1.0, tau=1.0, strike=1.0, sigma=0.2, rate=0.0)
+            call_price(-1.0, 1.0, 1.0, 0.2, 0.0)
         with pytest.raises(ValueError):
-            BsInputs(s=1.0, tau=1.0, strike=1.0, sigma=-0.2, rate=0.0)
+            call_price(1.0, 1.0, 1.0, -0.2, 0.0)
         with pytest.raises(ValueError):
-            BsInputs(s=1.0, tau=1.0, strike=math.nan, sigma=0.2, rate=0.0)
+            call_price(1.0, 1.0, math.nan, 0.2, 0.0)
 
 
 _price_inputs = st.tuples(
@@ -146,7 +151,3 @@ class TestProperties:
         chord = 0.5 * (call_price(s1, tau, k, sigma, r) + call_price(s2, tau, k, sigma, r))
         assert mid <= chord + 1e-12
 
-
-def test_bs_call_matches_call_price():
-    inputs = BsInputs(s=105.0, tau=0.7, strike=100.0, sigma=0.25, rate=0.03)
-    assert bs_call(inputs) == call_price(105.0, 0.7, 100.0, 0.25, 0.03)

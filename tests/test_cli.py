@@ -255,6 +255,23 @@ class TestTrainAndBacktest:
         assert "feature stats std" in capsys.readouterr().err
         assert not (bt_out / "equity.csv").exists()
 
+    @pytest.mark.parametrize("doc", [[], {"schema": 2, "config": []}])
+    def test_backtest_classifier_rejects_malformed_checkpoint(
+        self, tmp_path, series_csv, capsys, doc
+    ):
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(doc))
+        bt_out = tmp_path / "bt_out"
+        code = run(
+            ["backtest", "--input", str(series_csv), "--out-dir", str(bt_out),
+             "--mode", "classifier", "--checkpoint", str(ckpt)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "JSON object" in err
+        assert not (bt_out / "equity.csv").exists()
+
 
 class TestFuseAndBinomial:
     def test_fuse_headline_value(self, tmp_path, capsys):
@@ -291,6 +308,18 @@ class TestFuseAndBinomial:
         )
         assert code == 0
         assert not (out / "distribution.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--ror", "2", "--rol", "0.5", "--days", "100000"],
+        ["--ror", "1e300", "--days", "30"],
+    ])
+    def test_binomial_overflow_exits_three(self, tmp_path, capsys, flags):
+        out = tmp_path / "binomial_out"
+        assert run(["binomial", "--p", "0.56", *flags, "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflows" in err and "BinomialSpec(p=0.56" in err
+        assert not out.exists()
 
 
 class TestRerun:

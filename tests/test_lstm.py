@@ -687,3 +687,35 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="dense_w"):
             lstm.load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", [None, "config", "shapes", "weights", "feature_stats"])
+    def test_non_object_document_is_rejected(self, tmp_path, field):
+        samples = separable_dataset(n=120, seed=35)
+        config = lstm.TrainConfig(hidden=6, batch=16, epochs=1, learning_rate=0.1, seed=9)
+        path = tmp_path / "checkpoint.json"
+        lstm.save_checkpoint(path, lstm.train(samples, config), config)
+        doc = json.loads(path.read_text())
+        if field is None:
+            doc = []
+        else:
+            doc[field] = []
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="JSON object"):
+            lstm.load_checkpoint(path)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("config", "hidden", None),
+        ("shapes", "dense_w", 5),
+        ("weights", "dense_w", {"a": 1}),
+        ("feature_stats", "mean", {"a": 1}),
+    ])
+    def test_wrong_typed_field_is_rejected(self, tmp_path, section, key, value):
+        samples = separable_dataset(n=120, seed=36)
+        config = lstm.TrainConfig(hidden=6, batch=16, epochs=1, learning_rate=0.1, seed=9)
+        path = tmp_path / "checkpoint.json"
+        lstm.save_checkpoint(path, lstm.train(samples, config), config)
+        doc = json.loads(path.read_text())
+        doc[section][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="wrong type"):
+            lstm.load_checkpoint(path)
