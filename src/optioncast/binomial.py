@@ -61,6 +61,8 @@ class BinomialSpec:
             raise DataError(f"initial capital must be > 0, got {self.initial}")
         if int(self.days) != self.days or self.days < 0:
             raise DataError(f"days must be an integer >= 0, got {self.days}")
+        # A whole-valued float such as 3.0 passes; the tree needs an int.
+        object.__setattr__(self, "days", int(self.days))
 
 
 @dataclass(frozen=True)

@@ -31,15 +31,23 @@ forward elimination and back-substitution solve it directly for the
 correction u - F, whose right-hand side is A^T(-R(F)) with R the PDE
 residual, so data that already satisfy the PDE come back unchanged.
 
-The days of a series are assembled and eliminated together in blocks: each
-tau step makes one stacked solve and one stacked Schur update for every day
-of the block.  Back-substitution keeps every coupling block C_k, which is
-(n_tau - 1)(n_s - 2)^2 floats per day, so the block size is the number of
-days whose coupling blocks fit in a fixed 1 MiB, and at least one day (36
-days on the 21 x 11 grid, one on 81 x 41).  A single solve is a block of
-one day.  Every operation acts on each day separately, so a day's result is
-bit-identical whichever days share its block, and an error names the
-earliest failing day, as solving day by day would.
+The days of a series are assembled and eliminated together in blocks.  The
+normal matrix depends on a day only through its kappa row, so the days of a
+block are grouped by the bits of that row and each distinct system is
+factored once per tau step: its solve takes U and, as extra columns, the
+right-hand side of every day that shares it, and one Schur update serves
+them all.  With a constant implied vol every day of a block shares one
+system; with a vol that changes daily each day has its own, and each step
+makes one stacked solve with a matrix per day.  The block size is counted in
+days: back-substitution keeps the coupling blocks C_k, (n_tau - 1)(n_s - 2)^2
+floats per system, and a block holds the number of days whose coupling
+blocks would fit in a fixed 1 MiB if every day differed, and at least one
+day (36 days on the 21 x 11 grid, one on 81 x 41).  A single solve is a
+block of one day.  LAPACK gives each right-hand-side column the same bits
+whatever the column count, and the products L y and C x stay one
+matrix-vector product per day, so a day's result is bit-identical whichever
+days share its block or its system, and an error names the earliest failing
+day, as solving day by day would.
 
 The forecast EST is the solved surface at the central stock node one trading
 day ahead; odd grid sizes guarantee both indices exist exactly.
@@ -66,8 +74,9 @@ __all__ = [
     "solve_qrm",
 ]
 
-# Bytes the coupling blocks C_k of one block of days may take; the block
-# size follows from it and the grid, and is at least one day.
+# Bytes the coupling blocks C_k of one block of days may take when every day
+# has a system of its own; the block size follows from it and the grid, and
+# is at least one day.
 _COUPLING_BUDGET = 1 << 20
 
 
@@ -334,59 +343,115 @@ def _days_per_block(config: QrmConfig) -> int:
     return max(1, _COUPLING_BUDGET // coupling_bytes)
 
 
-def _solve(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Stacked ``np.linalg.solve``; a singular block raises ``_DayFailure`` for its day."""
+def _solve(s: np.ndarray, rhs: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Stacked ``np.linalg.solve`` over systems whose earliest days are ``first``.
+
+    A singular block raises ``_DayFailure`` for its system's earliest day.
+    """
     try:
         return np.linalg.solve(s, rhs)
     except np.linalg.LinAlgError as exc:
-        for day in range(len(s)):
+        for system in range(len(s)):
             try:
-                np.linalg.solve(s[day], rhs[day])
+                np.linalg.solve(s[system], rhs[system])
             except np.linalg.LinAlgError:
                 break
         error = ConvergenceError(f"direct solve failed: {exc}", residual=math.inf)
-        raise _DayFailure(day, error) from exc
+        raise _DayFailure(int(first[system]), error) from exc
+
+
+def _systems(kappa: np.ndarray) -> list[np.ndarray]:
+    """The days of a block grouped by the bits of their ``kappa`` row.
+
+    The normal matrix depends on a day only through that row, so each group
+    is one system.  Returns one (systems, c) index array per number c of
+    days a system has: each row holds one system's days in order, and the
+    rows are in order of their first day.
+    """
+    raw = kappa.tobytes()
+    width = len(raw) // len(kappa)
+    keys = [raw[i : i + width] for i in range(0, len(raw), width)]
+    if len(set(keys)) == len(keys):  # every day differs: no grouping to do
+        return [np.arange(len(keys))[:, None]]
+    systems: dict[bytes, list[int]] = {}
+    for day, key in enumerate(keys):
+        systems.setdefault(key, []).append(day)
+    by_size: dict[int, list[list[int]]] = {}
+    for members in systems.values():
+        by_size.setdefault(len(members), []).append(members)
+    return [np.array(members) for members in by_size.values()]
 
 
 def _eliminate(days: AssembledSystem) -> np.ndarray:
     """u - F at the unknowns of every day, as a (days, n_s - 2, n_tau - 1) stack.
 
-    Block forward elimination over the tau columns, all days at once:
-    S_k = D_k - L C_(k-1) is the Schur complement,
-    [C_k | y_k] = S_k^-1 [U | g_k - L y_(k-1)], then back-substitution
-    overwrites y_k with x_k = y_k - C_k x_(k+1).  U = d T^T and L = d T are
-    the off-diagonal blocks.  Raises ``_DayFailure`` for the first day with a
-    singular block or a non-finite solution.
+    Each distinct system is eliminated once for all of its days; the systems
+    with the same number of days go through :func:`_eliminate_systems`
+    together.  Raises ``_DayFailure`` for the first day of a system with a
+    singular block, or for the earliest day with a non-finite solution.
     """
-    d, beta = days.inv_dtau, days.beta
-    t = _stencil(days.kappa, d)
-    t_trans = np.swapaxes(t, -1, -2)
-    n_days, n = days.kappa.shape
-    m = len(days.tau_values) - 1
     r = -days.pde_residual(days.f_surface)
+    groups = _systems(days.kappa)
+    if len(groups) == 1 and groups[0].shape[1] == 1:
+        # Every day has a system of its own: the days go in as they are.
+        y = _eliminate_systems(days.kappa, r, days.inv_dtau, days.beta, groups[0][:, 0])
+    else:
+        y = np.empty_like(r)
+        for members in groups:
+            first = members[:, 0]
+            y[members.T] = _eliminate_systems(days.kappa[first], r[members.T],
+                                              days.inv_dtau, days.beta, first)
+    finite = np.isfinite(y).all(axis=(1, 2))
+    if not finite.all():
+        error = ConvergenceError("direct solve produced non-finite values", residual=math.inf)
+        raise _DayFailure(int(np.argmin(finite)), error)
+    return y
+
+
+def _eliminate_systems(
+    kappa: np.ndarray, r: np.ndarray, d: float, beta: float, first: np.ndarray
+) -> np.ndarray:
+    """u - F for c days of each of J systems, in the layout of ``r``.
+
+    ``kappa`` holds one row per system and ``first`` each system's earliest
+    day in the block.  ``r`` holds -R(F) per day, as (c, J, n_s - 2,
+    n_tau - 1) with day i of system j at [i, j]; when c is 1 it may also be
+    (J, n_s - 2, n_tau - 1).  Block forward elimination over the tau columns:
+    S_k = D_k - L C_(k-1) is the Schur complement, and one solve per system
+    and tau step,
+    [C_k | y_k(day 1) | ... | y_k(day c)] = S_k^-1 [U | h_k(day 1) | ... | h_k(day c)]
+    with h_k = g_k - L y_(k-1), gives the coupling block and every day's
+    y_k.  Back-substitution overwrites y_k with x_k = y_k - C_k x_(k+1).
+    U = d T^T and L = d T are the off-diagonal blocks.  LAPACK gives each
+    right-hand-side column the same bits whatever the column count, and
+    L y and C x stay one matrix-vector product per day, with the system's
+    matrix broadcast over its days; so each day is bit-identical to its
+    one-day solve.
+    """
+    n_systems, n = kappa.shape
+    t = _stencil(kappa, d)
+    t_trans = t.swapaxes(-1, -2)
+    m = r.shape[-1]
     g = d * r
     g[..., :-1] += t_trans @ r[..., 1:]
     lower = d * t
-    upper = np.swapaxes(lower, -1, -2)
+    upper = lower.swapaxes(-1, -2)
     last = (d * d + beta) * np.eye(n)
     inner = last + t_trans @ t
-    coupling = np.empty((m, n_days, n, n))
-    y = np.empty((n_days, n, m))
+    coupling = np.empty((m, n_systems, n, n))
+    y = np.empty_like(r)
     for k in range(m):
         s = inner if k < m - 1 else last
         h = g[..., k]
         if k:
             s = s - lower @ coupling[k - 1]
             h = h - (lower @ y[..., k - 1, None])[..., 0]
-        sol = _solve(s, np.concatenate([upper, h[..., None]], axis=-1))
+        columns = h.reshape(-1, n_systems, n).transpose(1, 2, 0)
+        sol = _solve(s, np.concatenate([upper, columns], axis=-1), first)
         coupling[k] = sol[..., :n]
-        y[..., k] = sol[..., n]
+        y[..., k] = sol[..., n:].transpose(2, 0, 1)
     for k in range(m - 2, -1, -1):
         y[..., k] -= (coupling[k] @ y[..., k + 1, None])[..., 0]
-    finite = np.isfinite(y).all(axis=(1, 2))
-    if not finite.all():
-        error = ConvergenceError("direct solve produced non-finite values", residual=math.inf)
-        raise _DayFailure(int(np.argmin(finite)), error)
     return y
 
 

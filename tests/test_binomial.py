@@ -269,6 +269,13 @@ class TestSpecValidation:
         with pytest.raises(DataError):
             BinomialSpec(**kwargs)
 
+    def test_whole_valued_float_days_is_stored_as_an_int(self):
+        as_float = BinomialSpec(p=0.56, ror=2.0, rol=0.5, days=3.0)
+        as_int = BinomialSpec(p=0.56, ror=2.0, rol=0.5, days=3)
+        assert as_float == as_int and type(as_float.days) is int
+        assert enumerate_tree(as_float) == enumerate_tree(as_int)
+        assert expected_wealth(as_float) == expected_wealth(as_int)
+
     def test_growth_helper(self):
         assert per_step_growth(BinomialSpec(p=0.56, ror=2.0, rol=0.5)) == pytest.approx(
             1.34, abs=1e-12

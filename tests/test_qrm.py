@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -58,6 +59,31 @@ def drifting_series(n_days=80, seed=5):
     return records
 
 
+def mixed_series(n_days=80, seed=8):
+    """Runs of days that share their normal matrix, between days that do not.
+
+    Days k with k % 9 < 4 quote the stock at 100 +/- 0.1 with an implied vol
+    of 0.25 on every third run and 0.4 on the others, so each run shares one
+    ``kappa`` row with the other runs of its vol, and the two shared systems
+    of a block have different numbers of days.  The other days draw vol and
+    stock afresh.  The option quotes move every day.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    option = 10.0
+    records = []
+    for k in range(n_days):
+        option = max(1.0, option + 0.3 * rng.standard_normal())
+        if k % 9 < 4:
+            vol, stock = (0.25, 0.4, 0.4)[(k // 9) % 3], 100.0
+        else:
+            vol, stock = rng.uniform(0.1, 0.5), 100.0 * math.exp(0.02 * rng.standard_normal())
+        records.append(make_record(
+            offset=k, option_bid=option, option_ask=option + 0.2,
+            stock_bid=stock - 0.1, stock_ask=stock + 0.1, implied_vol=vol,
+        ))
+    return records
+
+
 def spread_sets_half_width(record):
     diffusion = record.implied_vol * math.sqrt(2.0 * TRADING_DAY_YEARS) * record.stock_mid
     return 0.5 * (record.stock_ask - record.stock_bid) > diffusion
@@ -75,6 +101,22 @@ def collapsed(k):
 def with_days(records, replacements):
     """A copy of ``records`` with day k replaced by ``replacements[k](k)``."""
     return [replacements[k](k) if k in replacements else r for k, r in enumerate(records)]
+
+
+def report_non_finite_as_singular(monkeypatch):
+    """Make ``np.linalg.solve`` in qrm raise LinAlgError for non-finite matrices.
+
+    LAPACK reports a singular block only for exactly zero pivots, which the
+    data cannot reach; this stands in for it.
+    """
+    real_solve = np.linalg.solve
+
+    def strict_solve(a, b):
+        if not np.all(np.isfinite(a)):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(qrm.np.linalg, "solve", strict_solve)
 
 
 def assert_same_solve(a, b):
@@ -302,6 +344,31 @@ class TestEstimateSeries:
         for k in range(1, len(records)):
             assert_same_solve(series[k], solve_qrm(records[k - 1 : k + 1], config))
 
+    def test_blocks_that_mix_shared_and_distinct_systems(self):
+        # Runs of days with one vol and one stock quote share their normal
+        # matrix; the days between change both daily.  The first two blocks
+        # hold two shared systems of different sizes, interleaved with days
+        # of their own; the option quotes differ on every day.
+        records = mixed_series(n_days=80)
+        config = QrmConfig()
+        days_per_system = {1: [1] * 20 + [7, 9], 37: [1] * 20 + [4, 12], 73: [1] * 4 + [3]}
+        for first, sizes in days_per_system.items():
+            kappa = qrm._assemble(records[first - 1 : first + 36], config).kappa
+            assert sorted(Counter(row.tobytes() for row in kappa).values()) == sizes
+        series = estimate_series(records, config)
+        for k in range(1, len(records)):
+            assert_same_solve(series[k], solve_qrm(records[k - 1 : k + 1], config))
+
+    def test_days_that_share_a_failing_system_name_the_earlier(self, monkeypatch):
+        records = with_days(mixed_series(n_days=80), {40: blown_up, 50: blown_up})
+        kappa = qrm._assemble(records[39:51], QrmConfig()).kappa
+        assert kappa[0].tobytes() == kappa[10].tobytes()
+        with pytest.raises(ConvergenceError, match=r"^day 40 .*non-finite"):
+            estimate_series(records, QrmConfig())
+        report_non_finite_as_singular(monkeypatch)
+        with pytest.raises(ConvergenceError, match=r"^day 40 .*direct solve failed: Singular"):
+            estimate_series(records, QrmConfig())
+
     def test_fine_grid_equals_the_single_day_solve(self):
         records = drifting_series(n_days=5, seed=6)
         config = QrmConfig(n_s=81, n_tau=41)
@@ -328,18 +395,9 @@ class TestEstimateSeries:
             estimate_series(with_days(records, {45: collapsed, 50: blown_up}), QrmConfig())
 
     def test_singular_block_names_its_day(self, monkeypatch):
-        # LAPACK reports a singular block only for exactly zero pivots, which
-        # the data cannot reach; a solve that reports non-finite matrices as
-        # singular stands in for it.  The stacked call fails for the whole
-        # block, and the error must still name day 50 alone.
-        real_solve = np.linalg.solve
-
-        def strict_solve(a, b):
-            if not np.all(np.isfinite(a)):
-                raise np.linalg.LinAlgError("Singular matrix")
-            return real_solve(a, b)
-
-        monkeypatch.setattr(qrm.np.linalg, "solve", strict_solve)
+        # The stacked call fails for the whole block, and the error must
+        # still name day 50 alone.
+        report_non_finite_as_singular(monkeypatch)
         records = with_days(drifting_series(n_days=80), {50: blown_up})
         with pytest.raises(ConvergenceError, match=r"^day 50 .*direct solve failed: Singular"):
             estimate_series(records, QrmConfig())
@@ -368,7 +426,14 @@ class TestEstimateSeries:
         assert len(series) == 252
         blocks = math.ceil(251 / qrm._days_per_block(config))
         assert len(calls) == (config.n_tau - 1) * blocks == 70
-        assert peak <= 4 * 2**20
+        # Every day of the year has the same normal matrix, so each step
+        # factors one system for the whole block.
+        assert all(shape[0] == 1 for shape in calls)
+        assert peak <= 2 * 2**20
+        # Where every day differs, each step still stacks one matrix per day.
+        calls.clear()
+        estimate_series(drifting_series(n_days=80), config)
+        assert [shape[0] for shape in calls] == [36] * 10 + [36] * 10 + [7] * 10
 
     def test_requires_two_records(self):
         with pytest.raises(DataError):
