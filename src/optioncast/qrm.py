@@ -43,11 +43,13 @@ days: back-substitution keeps the coupling blocks C_k, (n_tau - 1)(n_s - 2)^2
 floats per system, and a block holds the number of days whose coupling
 blocks would fit in a fixed 1 MiB if every day differed, and at least one
 day (36 days on the 21 x 11 grid, one on 81 x 41).  A single solve is a
-block of one day.  LAPACK gives each right-hand-side column the same bits
-whatever the column count, and the products L y and C x stay one
-matrix-vector product per day, so a day's result is bit-identical whichever
-days share its block or its system, and an error names the earliest failing
-day, as solving day by day would.
+block of one day.  The products L y and C x stay one matrix-vector product
+per day, and the BLAS in use (OpenBLAS, measured with one thread) gives each
+right-hand-side column of a solve the same bits whatever the column count;
+LAPACK does not promise this, and the exact-equality tests in
+``tests/test_qrm.py`` catch a BLAS where it fails.  So a day's result is
+bit-identical whichever days share its block or its system, and an error
+names the earliest failing day, as solving day by day would.
 
 The forecast EST is the solved surface at the central stock node one trading
 day ahead; odd grid sizes guarantee both indices exist exactly.
@@ -371,8 +373,6 @@ def _systems(kappa: np.ndarray) -> list[np.ndarray]:
     raw = kappa.tobytes()
     width = len(raw) // len(kappa)
     keys = [raw[i : i + width] for i in range(0, len(raw), width)]
-    if len(set(keys)) == len(keys):  # every day differs: no grouping to do
-        return [np.arange(len(keys))[:, None]]
     systems: dict[bytes, list[int]] = {}
     for day, key in enumerate(keys):
         systems.setdefault(key, []).append(day)
@@ -422,11 +422,11 @@ def _eliminate_systems(
     [C_k | y_k(day 1) | ... | y_k(day c)] = S_k^-1 [U | h_k(day 1) | ... | h_k(day c)]
     with h_k = g_k - L y_(k-1), gives the coupling block and every day's
     y_k.  Back-substitution overwrites y_k with x_k = y_k - C_k x_(k+1).
-    U = d T^T and L = d T are the off-diagonal blocks.  LAPACK gives each
-    right-hand-side column the same bits whatever the column count, and
-    L y and C x stay one matrix-vector product per day, with the system's
-    matrix broadcast over its days; so each day is bit-identical to its
-    one-day solve.
+    U = d T^T and L = d T are the off-diagonal blocks.  L y and C x stay
+    one matrix-vector product per day, with the system's matrix broadcast
+    over its days, and the BLAS in use solves each right-hand-side column
+    to the same bits whatever the column count (a measured property, not a
+    LAPACK guarantee); so each day is bit-identical to its one-day solve.
     """
     n_systems, n = kappa.shape
     t = _stencil(kappa, d)
