@@ -85,12 +85,6 @@ class MartingaleReport:
     is_martingale: bool
     per_step_growth: float
 
-    def to_json(self) -> dict:
-        return {
-            "is_martingale": self.is_martingale,
-            "per_step_growth": self.per_step_growth,
-        }
-
 
 def per_step_growth(spec: BinomialSpec) -> float:
     """Expected one-day wealth multiplier p*ror + (1-p)*rol."""

@@ -53,10 +53,6 @@ Training is mini-batch gradient descent (plain SGD by default, Adam behind
 ``optimizer="adam"``), fully deterministic for a fixed seed: initialization
 and the per-epoch shuffle all come from one seeded PCG64 stream, and the
 returned parameters are the ones with the best validation accuracy seen.
-:func:`train` allocates the wavefront storage and M once per epoch and the
-gradient once, and reuses them for every minibatch; a smaller last
-minibatch uses leading slices of them.  The storage is freed before each
-validation pass.
 """
 
 from __future__ import annotations
@@ -81,10 +77,7 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "backward",
-    "backward_batch",
-    "evaluate",
     "forward",
-    "forward_batch",
     "init_params",
     "load_checkpoint",
     "loss",
@@ -101,17 +94,14 @@ CHECKPOINT_SCHEMA = 2
 _GATES = ("i", "f", "o", "g")
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function; exp only ever sees -|x|, so it cannot overflow.
-
-    ``out`` may be ``x`` itself.
-    """
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function; exp only ever sees -|x|, so it cannot overflow."""
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
     numerator = np.where(x >= 0, 1.0, e)
     e += 1.0
-    return np.divide(numerator, e, out=out)
+    return numerator / e
 
 
 def _layout(hidden: int, input_size: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -208,21 +198,6 @@ def init_params(hidden: int, rng: np.random.Generator, input_size: int = N_FEATU
 
 
 @dataclass
-class _LayerCache:
-    """One layer over all steps, time-major.
-
-    ``x`` (T, B, in) holds the step inputs and ``gates`` (T, B, 4H) the gate
-    activations i, f, o, g.  ``c`` and ``h`` (T + 1, B, H) hold the zero
-    initial state at index 0.  All four are views into a :class:`ForwardCache`.
-    """
-
-    x: np.ndarray
-    gates: np.ndarray
-    c: np.ndarray
-    h: np.ndarray
-
-
-@dataclass
 class ForwardCache:
     """The wavefront's full storage, everything backpropagation reads.
 
@@ -242,24 +217,6 @@ class ForwardCache:
     tanh_c: np.ndarray
     gates: np.ndarray
     block: np.ndarray
-
-    def _h(self) -> np.ndarray:
-        """(T + 2, B, 2, H) view of the h columns of ``z``."""
-        hid = self.params.hidden
-        return self.z[..., -2 * hid :].reshape(*self.z.shape[:2], 2, hid)
-
-    @property
-    def layer1(self) -> _LayerCache:
-        return _LayerCache(
-            x=self.z[:-2, :, : self.params.input_size], gates=self.gates[:-1, :, 0],
-            c=self.c[:-1, :, 0], h=self._h()[:-1, :, 0],
-        )
-
-    @property
-    def layer2(self) -> _LayerCache:
-        return _LayerCache(
-            x=self.layer1.h[1:], gates=self.gates[1:, :, 1], c=self.c[1:, :, 1], h=self._h()[1:, :, 1],
-        )
 
 
 def _block(params: LstmParams, out: np.ndarray | None = None) -> np.ndarray:
@@ -364,12 +321,10 @@ def _wavefront(
 
 
 def _head(params: LstmParams, h_last: np.ndarray) -> np.ndarray:
-    """P(up) from layer 2's final h."""
     return _sigmoid(h_last @ params.dense_w + params.dense_b)
 
 
 def _checked_windows(params: LstmParams, windows: np.ndarray) -> np.ndarray:
-    """``windows`` as float64, or a DataError unless shaped (batch, 10, input_size)."""
     windows = np.asarray(windows, dtype=np.float64)
     if (
         windows.ndim != 3
@@ -386,7 +341,7 @@ def _checked_windows(params: LstmParams, windows: np.ndarray) -> np.ndarray:
 def _forward(
     params: LstmParams, windows: np.ndarray, work: _Workspace
 ) -> tuple[np.ndarray, ForwardCache]:
-    """:func:`forward_batch` on ``work``; the cache holds views into it."""
+    """Probabilities for (batch, 10, in) windows; the cache holds views into ``work``."""
     block = _block(params, out=work.block)
     np.copyto(work.halved, block)
     batch = len(windows)
@@ -400,14 +355,8 @@ def _forward(
     )
 
 
-def forward_batch(params: LstmParams, windows: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Probabilities for a (batch, 10, features) stack of windows."""
-    windows = _checked_windows(params, windows)
-    return _forward(params, windows, _Workspace(params, len(windows)))
-
-
 def _infer(params: LstmParams, windows: np.ndarray) -> np.ndarray:
-    """:func:`forward_batch`'s probabilities, bit for bit, keeping only the current state."""
+    """:func:`_forward`'s probabilities, bit for bit, keeping only the current state."""
     windows = _checked_windows(params, windows)
     storage = _storage(params, len(windows), 2, 1)
     block = _halve_sigmoid_columns(_block(params))
@@ -419,7 +368,7 @@ def forward(params: LstmParams, window: np.ndarray) -> tuple[float, ForwardCache
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 2:
         raise DataError(f"window must be 2-d (steps, features), got shape {window.shape}")
-    probs, cache = forward_batch(params, window[None, :, :])
+    probs, cache = _forward(params, _checked_windows(params, window[None]), _Workspace(params, 1))
     return float(probs[0]), cache
 
 
@@ -434,22 +383,14 @@ def _loss_vector(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
 
 
-def backward_batch(cache: ForwardCache, labels: np.ndarray) -> LstmParams:
-    """Gradient of the summed cross-entropy over the batch.
-
-    Summed (not averaged), so duplicating a sample doubles its contribution;
-    the trainer divides by the batch size.  The dense pre-activation gradient
-    is probs - labels, exact wherever the clamp is inactive.
-    """
-    labels = np.asarray(labels, dtype=np.float64)
-    batch = cache.probs.shape[0]
-    if labels.shape != (batch,):
-        raise DataError(f"labels shape {labels.shape} does not match batch {batch}")
-    return _backward(cache, labels, LstmParams.zeros(cache.params.hidden, cache.params.input_size))
-
-
 def _backward(cache: ForwardCache, labels: np.ndarray, grads: LstmParams) -> LstmParams:
-    """:func:`backward_batch` into ``grads``, every entry of which it overwrites."""
+    """Gradient of the summed cross-entropy over the batch, into ``grads``.
+
+    Every entry of ``grads`` is overwritten.  Summed (not averaged), so
+    duplicating a sample doubles its contribution; the trainer divides by the
+    batch size.  The dense pre-activation gradient is probs - labels, exact
+    wherever the clamp is inactive.
+    """
     params = cache.params
     batch = cache.probs.shape[0]
     hid, n_in = params.hidden, params.input_size
@@ -506,7 +447,8 @@ def backward(cache: ForwardCache, label: float) -> LstmParams:
     """Gradient of the loss for a single-window cache."""
     if cache.probs.shape[0] != 1:
         raise DataError(f"single-sample backward got a batch of {cache.probs.shape[0]}")
-    return backward_batch(cache, np.array([label], dtype=np.float64))
+    grads = LstmParams.zeros(cache.params.hidden, cache.params.input_size)
+    return _backward(cache, np.array([label], dtype=np.float64), grads)
 
 
 @dataclass(frozen=True)
@@ -594,15 +536,6 @@ def predict(
     return _infer(params, _zscore(_stack(samples), stats))
 
 
-def evaluate(
-    params: LstmParams, stats: FeatureStats, samples: Sequence[SequenceSample]
-) -> Metrics:
-    """Threshold :func:`predict` at 0.5 and count the confusion."""
-    if not samples:
-        raise DataError("cannot evaluate on zero samples")
-    return _confusion(predict(params, stats, samples), np.array([s.label for s in samples]))
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     hidden: int = 32
@@ -669,8 +602,11 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
     x_train = _stack(samples[:n_train])
     y_train = np.array([s.label for s in samples[:n_train]], dtype=np.float64)
     days = x_train.reshape(-1, N_FEATURES)
-    std = days.std(axis=0)
-    stats = FeatureStats(mean=days.mean(axis=0), std=np.where(std < 1e-12, 1.0, std))
+    # A feature near the float64 limit overflows its std, which FeatureStats
+    # then rejects; numpy's warnings would repeat that error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = days.mean(axis=0), days.std(axis=0)
+    stats = FeatureStats(mean=mean, std=np.where(std < 1e-12, 1.0, std))
     x_train = _zscore(x_train, stats)
     x_val = _zscore(_stack(samples[n_train:]), stats)
     y_val = np.array([s.label for s in samples[n_train:]])
@@ -773,7 +709,7 @@ def save_checkpoint(path, result: TrainResult, config: TrainConfig) -> None:
 
 
 def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
-    """Load a schema-2 checkpoint, validating every declared shape."""
+    """Load a schema-2 checkpoint, validating every size, shape and weight length."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -788,8 +724,7 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
         if not isinstance(doc.get(field, {}), dict):
             raise DataError(f"checkpoint field {field!r} must be a JSON object")
     try:
-        hidden = int(doc["config"]["hidden"])
-        input_size = int(doc["input_size"])
+        hidden, input_size = doc["config"]["hidden"], doc["input_size"]
         shapes = doc["shapes"]
         weights = doc["weights"]
         stats = FeatureStats(
@@ -800,10 +735,17 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
         raise DataError(f"checkpoint is missing field {exc}") from exc
     except TypeError as exc:
         raise DataError(f"checkpoint has a field of the wrong type: {exc}") from exc
-    if hidden <= 0 or input_size <= 0:
-        raise DataError(f"checkpoint hidden ({hidden}) and input_size ({input_size}) must be positive")
-    params = LstmParams.zeros(hidden, input_size)
-    for name, target in params.arrays.items():
+    for name, size in (("hidden", hidden), ("input_size", input_size)):
+        if type(size) not in (int, float):
+            raise DataError(f"checkpoint {name} has the wrong type: {size!r}")
+        # is_integer() is False for inf and nan; an int, however large, skips it.
+        if not (size > 0 and (type(size) is int or size.is_integer())):
+            raise DataError(f"checkpoint {name} must be a positive integer, got {size!r}")
+    hidden, input_size = int(hidden), int(input_size)
+    # Every declared shape and weight length is checked before anything is
+    # allocated, so a forged size cannot ask for more memory than the weights hold.
+    flats = []
+    for name, shape in _layout(hidden, input_size):
         if name not in weights:
             raise DataError(f"checkpoint is missing weights for {name}")
         try:
@@ -813,10 +755,13 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
             raise DataError(
                 f"checkpoint shape or weights for {name} have the wrong type: {exc}"
             ) from exc
-        if declared != target.shape:
-            raise DataError(f"checkpoint shape for {name} is {declared}, expected {target.shape}")
-        if flat.size != target.size:
-            raise DataError(f"checkpoint weights for {name} have size {flat.size}, expected {target.size}")
-        target[...] = flat.reshape(target.shape)
+        if declared != shape:
+            raise DataError(f"checkpoint shape for {name} is {declared}, expected {shape}")
+        if flat.size != math.prod(shape):
+            raise DataError(
+                f"checkpoint weights for {name} have size {flat.size}, expected {math.prod(shape)}"
+            )
+        flats.append(flat.reshape(-1))
+    params = LstmParams(np.concatenate(flats), hidden, input_size)
     meta = {"seed": doc.get("seed"), "epoch": doc.get("epoch"), "config": doc.get("config", {})}
     return params, stats, meta

@@ -153,15 +153,6 @@ class Minimizer:
     residual: float
     regularization: float
 
-    def to_json(self) -> dict:
-        return {
-            "est": self.est,
-            "residual": self.residual,
-            "regularization": self.regularization,
-            "n_s": len(self.grid.s_values),
-            "n_tau": len(self.grid.tau_values),
-        }
-
 
 @dataclass(frozen=True)
 class AssembledSystem:
@@ -170,8 +161,8 @@ class AssembledSystem:
     The PDE operator is held as its coefficients: ``kappa`` per interior stock
     node and ``inv_dtau``.  ``f_surface`` is the full n_s x n_tau data
     surface.  The unknowns are the interior nodes u[1:-1, 1:], flattened
-    s-major (the order of ``~known_mask``); the dense matrices below use that
-    order and are meant for small-grid diagnostics.
+    s-major; the dense oracle below (``pde_matrix``, ``apply_normal``,
+    ``normal_rhs``) uses that order and is meant for small-grid diagnostics.
 
     The solver holds a block of days in the same fields, with a leading day
     axis on ``kappa``, ``f_surface`` and ``s_values`` (``pde_residual`` works
@@ -189,17 +180,6 @@ class AssembledSystem:
     @property
     def n_unknowns(self) -> int:
         return self.kappa.size * (len(self.tau_values) - 1)
-
-    @property
-    def known_mask(self) -> np.ndarray:
-        """Imposed nodes in the flattened (s-major) node ordering."""
-        known = np.ones(self.f_surface.shape, dtype=bool)
-        known[1:-1, 1:] = False
-        return known.reshape(-1)
-
-    @property
-    def f_interior(self) -> np.ndarray:
-        return self.f_surface[1:-1, 1:].reshape(-1)
 
     def pde_residual(self, u: np.ndarray) -> np.ndarray:
         """R(u) for a full surface: one row per interior stock node, one column per tau step."""
@@ -228,12 +208,7 @@ class AssembledSystem:
         known = self.f_surface.copy()
         known[1:-1, 1:] = 0.0
         b = -self.pde_residual(known).reshape(-1)
-        return self.pde_matrix().T @ b + self.beta * self.f_interior
-
-    def normal_matrix(self) -> np.ndarray:
-        """Dense A^T A + beta I."""
-        a = self.pde_matrix()
-        return a.T @ a + self.beta * np.eye(self.n_unknowns)
+        return self.pde_matrix().T @ b + self.beta * self.f_surface[1:-1, 1:].reshape(-1)
 
 
 class _DayFailure(Exception):
@@ -391,16 +366,11 @@ def _eliminate(days: AssembledSystem) -> np.ndarray:
     singular block, or for the earliest day with a non-finite solution.
     """
     r = -days.pde_residual(days.f_surface)
-    groups = _systems(days.kappa)
-    if len(groups) == 1 and groups[0].shape[1] == 1:
-        # Every day has a system of its own: the days go in as they are.
-        y = _eliminate_systems(days.kappa, r, days.inv_dtau, days.beta, groups[0][:, 0])
-    else:
-        y = np.empty_like(r)
-        for members in groups:
-            first = members[:, 0]
-            y[members.T] = _eliminate_systems(days.kappa[first], r[members.T],
-                                              days.inv_dtau, days.beta, first)
+    y = np.empty_like(r)
+    for members in _systems(days.kappa):
+        first = members[:, 0]
+        y[members.T] = _eliminate_systems(days.kappa[first], r[members.T],
+                                          days.inv_dtau, days.beta, first)
     finite = np.isfinite(y).all(axis=(1, 2))
     if not finite.all():
         error = ConvergenceError("direct solve produced non-finite values", residual=math.inf)
@@ -415,8 +385,8 @@ def _eliminate_systems(
 
     ``kappa`` holds one row per system and ``first`` each system's earliest
     day in the block.  ``r`` holds -R(F) per day, as (c, J, n_s - 2,
-    n_tau - 1) with day i of system j at [i, j]; when c is 1 it may also be
-    (J, n_s - 2, n_tau - 1).  Block forward elimination over the tau columns:
+    n_tau - 1) with day i of system j at [i, j].  Block forward elimination
+    over the tau columns:
     S_k = D_k - L C_(k-1) is the Schur complement, and one solve per system
     and tau step,
     [C_k | y_k(day 1) | ... | y_k(day c)] = S_k^-1 [U | h_k(day 1) | ... | h_k(day c)]
@@ -470,9 +440,16 @@ def _solve_days(records: Sequence[QuoteRecord], config: QrmConfig) -> list[Minim
         raise
     surface = days.f_surface.copy()
     surface[:, 1:-1, 1:] += correction
-    misfit = days.pde_residual(surface)
-    residual = np.sum(misfit * misfit, axis=(1, 2))
-    regularization = np.sum((surface - days.f_surface) ** 2, axis=(1, 2))
+    # A finite solve can still overflow J_beta; that day fails as a
+    # non-finite solve does, and numpy's warnings would repeat the error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        misfit = days.pde_residual(surface)
+        residual = np.sum(misfit * misfit, axis=(1, 2))
+        regularization = config.beta * np.sum((surface - days.f_surface) ** 2, axis=(1, 2))
+    finite = np.isfinite(residual) & np.isfinite(regularization)
+    if not finite.all():
+        error = ConvergenceError("objective J_beta is not finite", residual=math.inf)
+        raise _DayFailure(int(np.argmin(finite)), error)
     est = surface[:, (config.n_s - 1) // 2, (config.n_tau - 1) // 2]
     _check_grids(days.s_values, days.tau_values, surface)
     return [
@@ -480,7 +457,7 @@ def _solve_days(records: Sequence[QuoteRecord], config: QrmConfig) -> list[Minim
             grid=QrmGrid._checked(days.s_values[i], days.tau_values, surface[i]),
             est=float(est[i]),
             residual=float(residual[i]),
-            regularization=config.beta * float(regularization[i]),
+            regularization=float(regularization[i]),
         )
         for i in range(len(surface))
     ]

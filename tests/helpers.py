@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 from datetime import date, timedelta
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,3 +68,31 @@ def separable_dataset(n=2000, seed=123, permute=False):
         SequenceSample(window=windows[i], label=int(labels[i]), end_index=i)
         for i in range(len(labels))
     ]
+
+
+class LayerViews(NamedTuple):
+    """One LSTM layer of a training-pass cache over all steps, time-major.
+
+    ``x`` (T, B, in) holds the step inputs and ``gates`` (T, B, 4H) the gate
+    activations i, f, o, g; ``c`` and ``h`` (T + 1, B, H) hold the zero
+    initial state at index 0.  All four are views into the cache.
+    """
+
+    x: np.ndarray
+    gates: np.ndarray
+    c: np.ndarray
+    h: np.ndarray
+
+
+def layer_views(cache, layer):
+    """Layer 1 or 2 of an ``lstm.ForwardCache``, read from its wavefront storage.
+
+    Iteration s holds layer-1 step s in slot 0 and layer-2 step s - 1 in
+    slot 1; the h states are the last 2H columns of the input rows ``z``.
+    """
+    hid, n_in = cache.params.hidden, cache.params.input_size
+    h = cache.z[..., -2 * hid :].reshape(*cache.z.shape[:2], 2, hid)
+    if layer == 1:
+        return LayerViews(cache.z[:-2, :, :n_in], cache.gates[:-1, :, 0], cache.c[:-1, :, 0],
+                          h[:-1, :, 0])
+    return LayerViews(h[1:-1, :, 0], cache.gates[1:, :, 1], cache.c[1:, :, 1], h[1:, :, 1])

@@ -208,10 +208,6 @@ class TestMartingale:
         assert report.is_martingale
         assert report.per_step_growth == 1.0
 
-    def test_json(self):
-        payload = martingale_check(BinomialSpec(p=0.5, ror=2.0, rol=0.5)).to_json()
-        assert set(payload) == {"is_martingale", "per_step_growth"}
-
 
 class TestWald:
     def test_single_day_value_and_monte_carlo_oracle(self):

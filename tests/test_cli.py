@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import make_record
+from helpers import make_record, make_series
 from optioncast import cli
 from optioncast.market_data import load_csv, save_csv
 
@@ -137,6 +137,23 @@ class TestQrmCommand:
         assert "RuntimeWarning" not in err
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    def test_infinite_objective_exits_four(self, tmp_path, capsys):
+        # Every solve is finite, but the 1e300 quote overflows J_beta on
+        # both days, so the earlier one is named.
+        data = tmp_path / "series.csv"
+        quotes = [5.0, 1e300, 5.0]
+        save_csv([make_record(offset=k, option_bid=q, option_ask=q) for k, q in enumerate(quotes)],
+                 data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["qrm", "--input", str(data), "--out-dir", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "day 1" in err and "not finite" in err
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert not (tmp_path / "o" / "estimates.csv").exists()
+
     def test_cg_flags_are_gone(self, tmp_path, capsys):
         data = tmp_path / "series.csv"
         run(synth_args(data, days=12))
@@ -253,6 +270,37 @@ class TestTrainAndBacktest:
         )
         assert code == 3
         assert "feature stats std" in capsys.readouterr().err
+        assert not (bt_out / "equity.csv").exists()
+
+    def test_train_overflowing_feature_exits_three_without_warnings(self, tmp_path, capsys):
+        data = tmp_path / "series.csv"
+        save_csv(make_series([5.0 + 0.1 * k for k in range(30)], stock_mid=1e300), data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["train", "--input", str(data), "--out-dir", str(tmp_path / "t")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "feature stats std must be finite" in err
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_backtest_classifier_rejects_infinite_hidden(self, tmp_path, series_csv, capsys):
+        train_out = tmp_path / "train_out"
+        run(
+            ["train", "--input", str(series_csv), "--out-dir", str(train_out),
+             "--hidden", "6", "--epochs", "1", "--batch", "8", "--seed", "3"]
+        )
+        ckpt = train_out / "checkpoint.json"
+        doc = json.loads(ckpt.read_text())
+        doc["config"]["hidden"] = float("inf")
+        ckpt.write_text(json.dumps(doc))  # Python's json writes and reads Infinity
+        bt_out = tmp_path / "bt_out"
+        code = run(
+            ["backtest", "--input", str(series_csv), "--out-dir", str(bt_out),
+             "--mode", "classifier", "--checkpoint", str(ckpt)]
+        )
+        assert code == 3
+        assert "hidden must be a positive integer" in capsys.readouterr().err
         assert not (bt_out / "equity.csv").exists()
 
     @pytest.mark.parametrize("doc", [[], {"schema": 2, "config": []}])

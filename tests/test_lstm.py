@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import make_series, separable_dataset
+from helpers import layer_views, make_series, separable_dataset
 from optioncast import lstm
 from optioncast.errors import ConvergenceError, DataError
 from optioncast.market_data import SequenceSample, build_sequences
@@ -21,6 +21,14 @@ def random_params(hidden=4, seed=0):
 
 def random_stats(rng):
     return lstm.FeatureStats(mean=rng.standard_normal(13), std=rng.uniform(0.5, 2.0, 13))
+
+
+# Mean 0 and std 1 z-score exactly, so predict sees the windows as given.
+IDENTITY = lstm.FeatureStats(mean=np.zeros(13), std=np.ones(13))
+
+
+def as_samples(windows):
+    return [SequenceSample(window=w, label=0, end_index=k) for k, w in enumerate(windows)]
 
 
 GATE_ORDER = "ifog"
@@ -148,9 +156,11 @@ class TestForward:
         for layer in (params.layer1, params.layer2):
             layer.b[:] = rng.uniform(-1.0, 1.0, layer.b.shape)
         windows = rng.standard_normal((32, 10, 13)) * np.geomspace(0.1, 40.0, 32)[:, None, None]
-        _, cache = lstm.forward_batch(params, windows)
+        _, cache = lstm._forward(params, windows, lstm._Workspace(params, len(windows)))
         lowest = np.inf
-        for layer_params, layer in ((params.layer1, cache.layer1), (params.layer2, cache.layer2)):
+        for layer_params, layer in (
+            (params.layer1, layer_views(cache, 1)), (params.layer2, layer_views(cache, 2))
+        ):
             blocks = per_gate(layer_params, params.hidden)
             for k, gate in enumerate("ifo"):
                 w, u, b = blocks[gate]
@@ -164,23 +174,23 @@ class TestForward:
 
     def test_output_strictly_inside_unit_interval(self):
         params, rng = random_params(hidden=8, seed=1)
-        probs, _ = lstm.forward_batch(params, rng.standard_normal((64, 10, 13)))
+        probs = lstm.predict(params, IDENTITY, as_samples(rng.standard_normal((64, 10, 13))))
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
     def test_batch_permutation_permutes_outputs_identically(self):
         params, rng = random_params(hidden=8, seed=2)
         windows = rng.standard_normal((6, 10, 13))
         perm = np.array([3, 1, 4, 0, 5, 2])
-        base, _ = lstm.forward_batch(params, windows)
-        permuted, _ = lstm.forward_batch(params, windows[perm])
+        base = lstm.predict(params, IDENTITY, as_samples(windows))
+        permuted = lstm.predict(params, IDENTITY, as_samples(windows[perm]))
         assert np.array_equal(base[perm], permuted)
 
     def test_shape_mismatch_rejected(self):
         params, rng = random_params()
         with pytest.raises(DataError):
-            lstm.forward_batch(params, rng.standard_normal((4, 10, 12)))
+            lstm.forward(params, rng.standard_normal((10, 12)))
         with pytest.raises(DataError):
-            lstm.forward_batch(params, rng.standard_normal((4, 9, 13)))
+            lstm.forward(params, rng.standard_normal((9, 13)))
         with pytest.raises(DataError):
             lstm.forward(params, rng.standard_normal(13))
 
@@ -190,19 +200,20 @@ class TestForward:
         params, rng = random_params(hidden=6, seed=4)
         for layer in (params.layer1, params.layer2):
             layer.b[:] = rng.uniform(-1.0, 1.0, layer.b.shape)
-        _, cache = lstm.forward_batch(params, rng.standard_normal((5, 10, 13)))
+        windows = rng.standard_normal((5, 10, 13))
+        _, cache = lstm._forward(params, windows, lstm._Workspace(params, 5))
         h_last = cache.z[-1][:, params.input_size + 1 :].reshape(5, 2, 6)
         assert np.all(h_last[:, 0] == 0.0) and np.all(cache.c[-1][:, 0] == 0.0)
-        assert np.array_equal(h_last[:, 1], cache.layer2.h[-1])
+        assert np.array_equal(h_last[:, 1], layer_views(cache, 2).h[-1])
         assert np.all(h_last[:, 1] != 0.0)
 
     def test_activations_bounded_over_many_random_passes(self):
         # One vectorized pass over 10^4 windows doubles as 10^4 forward passes.
         params, rng = random_params(hidden=8, seed=3)
         windows = rng.standard_normal((10_000, 10, 13))
-        probs, cache = lstm.forward_batch(params, windows)
+        probs, cache = lstm._forward(params, windows, lstm._Workspace(params, len(windows)))
         hid = params.hidden
-        for layer in (cache.layer1, cache.layer2):
+        for layer in (layer_views(cache, 1), layer_views(cache, 2)):
             for t in range(layer.gates.shape[0]):
                 for k in range(3):  # the sigmoid gates i, f, o
                     gate = layer.gates[t][:, k * hid : (k + 1) * hid]
@@ -314,8 +325,8 @@ class TestBackward:
             layer.b[:] = rng.uniform(-1.0, 1.0, layer.b.shape)
         windows = rng.standard_normal((batch, 10, 13))
         labels = (rng.random(batch) > 0.5).astype(float)
-        probs, cache = lstm.forward_batch(params, windows)
-        grads = lstm.backward_batch(cache, labels)
+        probs, cache = lstm._forward(params, windows, lstm._Workspace(params, batch))
+        grads = lstm._backward(cache, labels, lstm.LstmParams.zeros(hidden))
         ref_probs, ref_grads = textbook_probs_and_grads(params, windows, labels)
         np.testing.assert_allclose(probs, ref_probs, rtol=1e-12)
         for name, ref in ref_grads.items():
@@ -330,22 +341,33 @@ class TestBackward:
         grads = lstm.params_to_vector(lstm.backward(cache, prob))
         assert np.all(grads == 0.0)
 
-    def test_duplicated_sample_doubles_its_contribution(self):
-        params, rng = random_params(hidden=4, seed=13)
-        window = rng.standard_normal((10, 13))
-        _, single_cache = lstm.forward(params, window)
-        single = lstm.params_to_vector(lstm.backward(single_cache, 1.0))
-        _, double_cache = lstm.forward_batch(params, np.stack([window, window]))
-        double = lstm.params_to_vector(
-            lstm.backward_batch(double_cache, np.array([1.0, 1.0]))
-        )
-        np.testing.assert_allclose(double, 2.0 * single, rtol=1e-12, atol=1e-300)
+    def test_batch_gradient_is_the_sum_of_single_window_gradients(self):
+        # Pins train's batch path to the single-window forward and backward
+        # that gate test_05 audits.  The gradient is summed, not averaged, so
+        # window 4, a copy of window 1 with its label, counts twice.
+        params, rng = random_params(hidden=5, seed=13)
+        for layer in (params.layer1, params.layer2):
+            layer.b[:] = rng.uniform(-1.0, 1.0, layer.b.shape)
+        windows = rng.standard_normal((6, 10, 13))
+        windows[4] = windows[1]
+        labels = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0])
+        _, cache = lstm._forward(params, windows, lstm._Workspace(params, 6))
+        batch = lstm._backward(cache, labels, lstm.LstmParams.zeros(5))
+        singles = [lstm.backward(lstm.forward(params, w)[1], y) for w, y in zip(windows, labels)]
+        # The two sides sum in different orders, and entries that cancel keep
+        # only an absolute accuracy, so the bound is relative to each array's
+        # largest entry (over 200 seeds the worst ratio is 1.9e-14).
+        for name, got in batch.arrays.items():
+            ref = np.sum([s.arrays[name] for s in singles], axis=0)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
     def test_label_batch_mismatch_rejected(self):
+        # The single-window backward takes one label, so a batch cache fails.
         params, rng = random_params()
-        _, cache = lstm.forward_batch(params, rng.standard_normal((3, 10, 13)))
-        with pytest.raises(DataError):
-            lstm.backward_batch(cache, np.array([1.0, 0.0]))
+        windows = rng.standard_normal((3, 10, 13))
+        _, cache = lstm._forward(params, windows, lstm._Workspace(params, 3))
+        with pytest.raises(DataError, match="batch of 3"):
+            lstm.backward(cache, 1.0)
 
 
 def reference_train(samples, config):
@@ -368,9 +390,12 @@ def reference_train(samples, config):
         total = 0.0
         for start in range(0, n_train, config.batch):
             idx = order[start : start + config.batch]
-            probs, cache = lstm.forward_batch(params, x[idx])
-            total += sum(lstm.loss(p, label) for p, label in zip(probs, y[idx]))
-            grad = lstm.backward_batch(cache, y[idx]).vector / len(idx)
+            grad = np.zeros_like(vec)
+            for k in idx:
+                prob, cache = lstm.forward(params, x[k])
+                total += lstm.loss(prob, y[k])
+                grad += lstm.backward(cache, y[k]).vector
+            grad /= len(idx)
             if config.optimizer == "adam":
                 t += 1
                 m = 0.9 * m + 0.1 * grad
@@ -400,8 +425,9 @@ class TestTrainPath:
             labels = (rng.random(batch) > 0.5).astype(float)
             probs, cache = lstm._forward(params, windows, work)
             lstm._backward(cache, labels, grads)
-            fresh_probs, fresh_cache = lstm.forward_batch(params, windows)
-            fresh = lstm.backward_batch(fresh_cache, labels)
+            fresh_work = lstm._Workspace(params, batch)
+            fresh_probs, fresh_cache = lstm._forward(params, windows, fresh_work)
+            fresh = lstm._backward(fresh_cache, labels, lstm.LstmParams.zeros(6))
             assert np.array_equal(probs, fresh_probs)
             assert np.array_equal(grads.vector, fresh.vector)
             params.vector -= 0.5 * grads.vector
@@ -418,9 +444,13 @@ class TestTrainPath:
         assert np.array_equal(result.stats.std, stats.std)
         np.testing.assert_allclose([h.train_loss for h in result.history], losses, rtol=1e-12)
         n_train = round(config.train_frac * len(samples))
+        actual = np.array([s.label for s in samples[n_train:]]) == 1
         for h, w in zip(result.history, weights):
-            val = lstm.evaluate(lstm.vector_to_params(w, 5), stats, samples[n_train:])
-            assert h.val == val
+            up = lstm.predict(lstm.vector_to_params(w, 5), stats, samples[n_train:]) >= 0.5
+            assert h.val == lstm.Metrics.from_counts(
+                tp=int(np.sum(up & actual)), fp=int(np.sum(up & ~actual)),
+                tn=int(np.sum(~up & ~actual)), fn=int(np.sum(~up & actual)),
+            )
         best = weights[result.best_epoch - 1]
         np.testing.assert_allclose(result.params.vector, best, rtol=1e-12)
 
@@ -457,12 +487,12 @@ class TestMetrics:
 
 
 class TestPredict:
-    def test_matches_forward_batch_on_hand_zscored_windows(self):
+    def test_matches_the_training_forward_on_hand_zscored_windows(self):
         samples = separable_dataset(n=64, seed=5)
         params, rng = random_params(hidden=4, seed=6)
         stats = random_stats(rng)
         windows = np.stack([(s.window - stats.mean) / stats.std for s in samples])
-        expected, _ = lstm.forward_batch(params, windows)
+        expected, _ = lstm._forward(params, windows, lstm._Workspace(params, len(windows)))
         assert np.array_equal(lstm.predict(params, stats, samples), expected)
 
     def test_window_width_other_than_input_size_rejected(self):
@@ -515,25 +545,6 @@ class TestStandardization:
         assert constant[0] and np.all(result.stats.std[constant] == 1.0)
         assert np.all(np.isfinite((stacked - result.stats.mean) / result.stats.std))
         assert np.all(np.isfinite(lstm.predict(result.params, result.stats, samples)))
-
-
-class TestEvaluate:
-    def test_counts_against_manual_threshold(self):
-        samples = separable_dataset(n=64, seed=5)
-        params, rng = random_params(hidden=4, seed=6)
-        stats = random_stats(rng)
-        metrics = lstm.evaluate(params, stats, samples)
-        windows = np.stack([(s.window - stats.mean) / stats.std for s in samples])
-        probs, _ = lstm.forward_batch(params, windows)
-        preds = probs >= 0.5
-        labels = np.array([s.label for s in samples]) == 1
-        assert metrics.tp == int(np.sum(preds & labels))
-        assert metrics.tp + metrics.fp + metrics.tn + metrics.fn == len(samples)
-
-    def test_empty_rejected(self):
-        params, rng = random_params()
-        with pytest.raises(DataError):
-            lstm.evaluate(params, random_stats(rng), [])
 
 
 class TestTrain:
@@ -673,6 +684,46 @@ class TestCheckpoint:
         good[field][3] = value
         with pytest.raises(DataError, match=f"feature stats {field}"):
             lstm.FeatureStats(**good)
+
+    @pytest.mark.parametrize("key, value, message", [
+        pytest.param("hidden", float("inf"), "hidden must be a positive integer", id="hidden-inf"),
+        pytest.param("hidden", 6.5, "hidden must be a positive integer", id="hidden-6.5"),
+        pytest.param("hidden", True, "hidden has the wrong type", id="hidden-true"),
+        pytest.param("input_size", float("nan"), "input_size must be a positive integer",
+                     id="input_size-nan"),
+        pytest.param("input_size", 0, "input_size must be a positive integer", id="input_size-0"),
+        # Whole and positive, so only the declared shapes can refuse it; the
+        # parameters it names would take 8.5 PiB.
+        pytest.param("hidden", 10**7, r"shape for layer1\.w is \(24, 13\)", id="hidden-1e7"),
+    ])
+    def test_forged_sizes_are_rejected_before_allocating(self, tmp_path, key, value, message):
+        params, rng = random_params(hidden=6, seed=37)
+        path = tmp_path / "checkpoint.json"
+        result = lstm.TrainResult(params=params, stats=random_stats(rng))
+        lstm.save_checkpoint(path, result, lstm.TrainConfig(hidden=6))
+        doc = json.loads(path.read_text())
+        (doc["config"] if key == "hidden" else doc)[key] = value
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=message):
+                lstm.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_whole_float_sizes_load_as_ints(self, tmp_path):
+        params, rng = random_params(hidden=6, seed=38)
+        path = tmp_path / "checkpoint.json"
+        result = lstm.TrainResult(params=params, stats=random_stats(rng))
+        lstm.save_checkpoint(path, result, lstm.TrainConfig(hidden=6))
+        doc = json.loads(path.read_text())
+        doc["config"]["hidden"], doc["input_size"] = 6.0, 13.0
+        path.write_text(json.dumps(doc))
+        loaded, _, _ = lstm.load_checkpoint(path)
+        assert (loaded.hidden, loaded.input_size) == (6, 13)
+        assert np.array_equal(loaded.vector, params.vector)
 
     def test_shape_tampering_is_rejected(self, tmp_path):
         import json
