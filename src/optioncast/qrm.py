@@ -48,8 +48,8 @@ per day, and the BLAS in use (OpenBLAS, measured with one thread) gives each
 right-hand-side column of a solve the same bits whatever the column count;
 LAPACK does not promise this, and the exact-equality tests in
 ``tests/test_qrm.py`` catch a BLAS where it fails.  So a day's result is
-bit-identical whichever days share its block or its system, and an error
-names the earliest failing day, as solving day by day would.
+bit-identical whichever days share its block or its system, and a failed
+block is solved again one day at a time to name its earliest failing day.
 
 The forecast EST is the solved surface at the central stock node one trading
 day ahead; odd grid sizes guarantee both indices exist exactly.
@@ -100,6 +100,9 @@ class QrmConfig:
             raise DataError(f"beta must be > 0, got {self.beta}")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise DataError(f"horizon must be > 0, got {self.horizon}")
+        span = 2.0 * self.horizon
+        if not (math.isfinite(span) and math.isfinite((self.n_tau - 1) / span)):
+            raise DataError(f"horizon {self.horizon} leaves the tau grid or 1/dtau non-finite")
 
 
 @dataclass(frozen=True)
@@ -128,15 +131,11 @@ def _check_grids(s_values: np.ndarray, tau_values: np.ndarray, u: np.ndarray) ->
     """:class:`QrmGrid`'s checks for a stack of days at once.
 
     ``s_values`` is (days, n_s), ``tau_values`` the shared (n_tau,) axis and
-    ``u`` (days, n_s, n_tau).  Raises the ``DataError`` that the earliest
-    failing day's grid raises.
+    ``u`` (days, n_s, n_tau); the axes are checked before the surfaces.
     """
-    bad_axes = np.any(np.diff(s_values, axis=-1) <= 0, axis=-1) | np.any(np.diff(tau_values) <= 0)
-    bad_surface = ~np.all(np.isfinite(u), axis=(-2, -1))
-    bad = bad_axes | bad_surface
-    if bad.any():
-        if bad_axes[np.argmax(bad)]:
-            raise DataError("grid axes must be strictly increasing")
+    if np.any(np.diff(s_values, axis=-1) <= 0) or np.any(np.diff(tau_values) <= 0):
+        raise DataError("grid axes must be strictly increasing")
+    if not np.all(np.isfinite(u)):
         raise DataError("surface contains non-finite values")
 
 
@@ -211,15 +210,6 @@ class AssembledSystem:
         return self.pde_matrix().T @ b + self.beta * self.f_surface[1:-1, 1:].reshape(-1)
 
 
-class _DayFailure(Exception):
-    """The earliest failing day of a block: its index there and the error it raises."""
-
-    def __init__(self, index: int, error: DataError | ConvergenceError) -> None:
-        super().__init__(index, error)
-        self.index = index
-        self.error = error
-
-
 def _stencil(kappa: np.ndarray, inv_dtau: float) -> np.ndarray:
     """T = tridiag(-kappa_i, 2 kappa_i - 1/dtau, -kappa_i) per day, row i holding kappa_i."""
     n = kappa.shape[-1]
@@ -255,8 +245,8 @@ def _linspace(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
 def _assemble(records: Sequence[QuoteRecord], config: QrmConfig) -> AssembledSystem:
     """The day pairs (records[i], records[i + 1]) as one system with a leading day axis.
 
-    Raises ``DataError`` for fewer than two records and ``_DayFailure`` for
-    the first day whose stock axis would collapse.
+    Raises ``DataError`` for fewer than two records or when any day's stock
+    axis would collapse.
     """
     if len(records) < 2:
         raise DataError(f"need at least 2 records to assemble, got {len(records)}")
@@ -270,11 +260,10 @@ def _assemble(records: Sequence[QuoteRecord], config: QrmConfig) -> AssembledSys
     half_width = np.maximum(
         0.5 * (stock_ask - stock_bid), sigma * math.sqrt(2.0 * config.horizon) * s_mid
     )
-    collapsed = np.flatnonzero(half_width <= 0.0)
-    if collapsed.size:
-        raise _DayFailure(int(collapsed[0]), DataError(
+    if np.any(half_width <= 0.0):
+        raise DataError(
             "collapsed stock grid: zero bid/ask spread and zero volatility leave no interval"
-        ))
+        )
 
     # Stock axes in stock-mid units; s^2 d2/ds2 is invariant under the scaling.
     scaled_half = half_width / s_mid
@@ -307,10 +296,7 @@ def assemble_system(records: Sequence[QuoteRecord], config: QrmConfig) -> Assemb
     Raises ``DataError`` when fewer than two records are given or when the
     stock axis would collapse (zero spread and zero volatility).
     """
-    try:
-        days = _assemble(records[-2:], config)
-    except _DayFailure as fail:
-        raise fail.error from None
+    days = _assemble(records[-2:], config)
     return replace(days, kappa=days.kappa[0], f_surface=days.f_surface[0],
                    s_values=days.s_values[0])
 
@@ -318,23 +304,6 @@ def assemble_system(records: Sequence[QuoteRecord], config: QrmConfig) -> Assemb
 def _days_per_block(config: QrmConfig) -> int:
     coupling_bytes = (config.n_tau - 1) * (config.n_s - 2) ** 2 * 8
     return max(1, _COUPLING_BUDGET // coupling_bytes)
-
-
-def _solve(s: np.ndarray, rhs: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Stacked ``np.linalg.solve`` over systems whose earliest days are ``first``.
-
-    A singular block raises ``_DayFailure`` for its system's earliest day.
-    """
-    try:
-        return np.linalg.solve(s, rhs)
-    except np.linalg.LinAlgError as exc:
-        for system in range(len(s)):
-            try:
-                np.linalg.solve(s[system], rhs[system])
-            except np.linalg.LinAlgError:
-                break
-        error = ConvergenceError(f"direct solve failed: {exc}", residual=math.inf)
-        raise _DayFailure(int(first[system]), error) from exc
 
 
 def _systems(kappa: np.ndarray) -> list[np.ndarray]:
@@ -362,33 +331,26 @@ def _eliminate(days: AssembledSystem) -> np.ndarray:
 
     Each distinct system is eliminated once for all of its days; the systems
     with the same number of days go through :func:`_eliminate_systems`
-    together.  Raises ``_DayFailure`` for the first day of a system with a
-    singular block, or for the earliest day with a non-finite solution.
+    together.  Raises ``ConvergenceError`` for a singular block or a
+    non-finite solution.
     """
     r = -days.pde_residual(days.f_surface)
     y = np.empty_like(r)
     for members in _systems(days.kappa):
-        first = members[:, 0]
-        y[members.T] = _eliminate_systems(days.kappa[first], r[members.T],
-                                          days.inv_dtau, days.beta, first)
-    finite = np.isfinite(y).all(axis=(1, 2))
-    if not finite.all():
-        error = ConvergenceError("direct solve produced non-finite values", residual=math.inf)
-        raise _DayFailure(int(np.argmin(finite)), error)
+        y[members.T] = _eliminate_systems(days.kappa[members[:, 0]], r[members.T],
+                                          days.inv_dtau, days.beta)
+    if not np.all(np.isfinite(y)):
+        raise ConvergenceError("direct solve produced non-finite values", residual=math.inf)
     return y
 
 
-def _eliminate_systems(
-    kappa: np.ndarray, r: np.ndarray, d: float, beta: float, first: np.ndarray
-) -> np.ndarray:
+def _eliminate_systems(kappa: np.ndarray, r: np.ndarray, d: float, beta: float) -> np.ndarray:
     """u - F for c days of each of J systems, in the layout of ``r``.
 
-    ``kappa`` holds one row per system and ``first`` each system's earliest
-    day in the block.  ``r`` holds -R(F) per day, as (c, J, n_s - 2,
-    n_tau - 1) with day i of system j at [i, j].  Block forward elimination
-    over the tau columns:
-    S_k = D_k - L C_(k-1) is the Schur complement, and one solve per system
-    and tau step,
+    ``kappa`` holds one row per system.  ``r`` holds -R(F) per day, as (c, J,
+    n_s - 2, n_tau - 1) with day i of system j at [i, j].  Block forward
+    elimination over the tau columns: S_k = D_k - L C_(k-1) is the Schur
+    complement, and one solve per system and tau step,
     [C_k | y_k(day 1) | ... | y_k(day c)] = S_k^-1 [U | h_k(day 1) | ... | h_k(day c)]
     with h_k = g_k - L y_(k-1), gives the coupling block and every day's
     y_k.  Back-substitution overwrites y_k with x_k = y_k - C_k x_(k+1).
@@ -417,7 +379,10 @@ def _eliminate_systems(
             s = s - lower @ coupling[k - 1]
             h = h - (lower @ y[..., k - 1, None])[..., 0]
         columns = h.reshape(-1, n_systems, n).transpose(1, 2, 0)
-        sol = _solve(s, np.concatenate([upper, columns], axis=-1), first)
+        try:
+            sol = np.linalg.solve(s, np.concatenate([upper, columns], axis=-1))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"direct solve failed: {exc}", residual=math.inf) from exc
         coupling[k] = sol[..., :n]
         y[..., k] = sol[..., n:].transpose(2, 0, 1)
     for k in range(m - 2, -1, -1):
@@ -428,16 +393,11 @@ def _eliminate_systems(
 def _solve_days(records: Sequence[QuoteRecord], config: QrmConfig) -> list[Minimizer]:
     """Minimize J_beta for every day pair (records[i], records[i + 1]) together.
 
-    Raises ``_DayFailure`` for the earliest failing day, the one a day-by-day
-    solve would have stopped at.
+    Raises ``DataError`` or ``ConvergenceError`` when any day fails, without
+    naming the day; :func:`estimate_series` finds it.
     """
-    try:
-        days = _assemble(records, config)
-        correction = _eliminate(days)
-    except _DayFailure as fail:
-        if fail.index:
-            _solve_days(records[: fail.index + 1], config)  # an earlier day fails first
-        raise
+    days = _assemble(records, config)
+    correction = _eliminate(days)
     surface = days.f_surface.copy()
     surface[:, 1:-1, 1:] += correction
     # A finite solve can still overflow J_beta; that day fails as a
@@ -446,10 +406,8 @@ def _solve_days(records: Sequence[QuoteRecord], config: QrmConfig) -> list[Minim
         misfit = days.pde_residual(surface)
         residual = np.sum(misfit * misfit, axis=(1, 2))
         regularization = config.beta * np.sum((surface - days.f_surface) ** 2, axis=(1, 2))
-    finite = np.isfinite(residual) & np.isfinite(regularization)
-    if not finite.all():
-        error = ConvergenceError("objective J_beta is not finite", residual=math.inf)
-        raise _DayFailure(int(np.argmin(finite)), error)
+    if not (np.all(np.isfinite(residual)) and np.all(np.isfinite(regularization))):
+        raise ConvergenceError("objective J_beta is not finite", residual=math.inf)
     est = surface[:, (config.n_s - 1) // 2, (config.n_tau - 1) // 2]
     _check_grids(days.s_values, days.tau_values, surface)
     return [
@@ -468,10 +426,7 @@ def solve_qrm(records: Sequence[QuoteRecord], config: QrmConfig | None = None) -
 
     Deterministic: identical inputs produce a bit-identical result.
     """
-    try:
-        return _solve_days(records[-2:], config or QrmConfig())[0]
-    except _DayFailure as fail:
-        raise fail.error from fail.__cause__
+    return _solve_days(records[-2:], config or QrmConfig())[0]
 
 
 def estimate_series(
@@ -482,8 +437,9 @@ def estimate_series(
     Element k (k >= 1) is the solve on records k-1 and k; element 0 is None
     since no prior day exists.  The days are solved together in blocks sized
     to a fixed memory budget; each result is bit-identical to
-    ``solve_qrm(records[k-1 : k+1], config)``.  Errors are re-raised with the
-    index and date of the earliest failing day.
+    ``solve_qrm(records[k-1 : k+1], config)``.  When a block fails, its days
+    are solved again one at a time, and the first day that fails alone,
+    the earliest failing day, is named with its index and date.
     """
     if len(records) < 2:
         raise DataError(f"need at least 2 records, got {len(records)}")
@@ -493,12 +449,14 @@ def estimate_series(
     for first in range(1, len(records), block):
         try:
             out += _solve_days(records[first - 1 : first + block], config)
-        except _DayFailure as fail:
-            k = first + fail.index
-            where = f"day {k} ({records[k].day.isoformat()})"
-            if isinstance(fail.error, ConvergenceError):
-                raise ConvergenceError(
-                    f"{where}: {fail.error}", residual=fail.error.residual
-                ) from fail.error
-            raise DataError(f"{where}: {fail.error}") from fail.error
+        except (DataError, ConvergenceError):
+            for k in range(first, min(first + block, len(records))):
+                try:
+                    _solve_days(records[k - 1 : k + 1], config)
+                except (DataError, ConvergenceError) as exc:
+                    message = f"day {k} ({records[k].day.isoformat()}): {exc}"
+                    if isinstance(exc, ConvergenceError):
+                        raise ConvergenceError(message, residual=exc.residual) from exc
+                    raise DataError(message) from exc
+            raise
     return out

@@ -137,6 +137,21 @@ class TestQrmCommand:
         assert "RuntimeWarning" not in err
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    @pytest.mark.parametrize("horizon", ["1e308", "1e-320"])
+    def test_horizon_overflowing_the_tau_grid_exits_three(self, tmp_path, capsys, horizon):
+        # 2 * 1e308 and 10 / (2 * 1e-320) overflow: bad input, not a failed solve.
+        data = tmp_path / "series.csv"
+        save_csv(make_series([5.0, 5.1, 5.2]), data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["qrm", "--input", str(data), "--out-dir", str(tmp_path / "o"),
+                        "--horizon", horizon])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     def test_infinite_objective_exits_four(self, tmp_path, capsys):
         # Every solve is finite, but the 1e300 quote overflows J_beta on
         # both days, so the earlier one is named.

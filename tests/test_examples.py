@@ -21,6 +21,7 @@ EXAMPLES = {
                      "--days", "40", "--epochs", "1", "--hidden", "4"],
     "fusion_gap_demo": [str(ROOT / "scripts" / "fusion_gap_demo.py"), "--samples", "2000"],
     "binomial_projection": [str(ROOT / "scripts" / "binomial_projection.py")],
+    "count_lines": [str(ROOT / "scripts" / "count_lines.py")],
     "readme_python": ["-c", readme_python_example()],
 }
 

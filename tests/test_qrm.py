@@ -400,6 +400,42 @@ class TestEstimateSeries:
         with pytest.raises(ConvergenceError, match=r"^direct solve failed: Singular"):
             solve_qrm(records[49:51], QrmConfig())
 
+    @pytest.mark.parametrize("k, date", [(73, "2021-03-18"), (79, "2021-03-24")])
+    @pytest.mark.parametrize("bad_day, error", [(blown_up, ConvergenceError), (collapsed, DataError)])
+    def test_error_names_a_day_of_the_last_partial_block(self, k, date, bad_day, error):
+        # Day 79 is the series' last: the one-day replay must reach it.
+        records = with_days(drifting_series(n_days=80), {k: bad_day})
+        with pytest.raises(error, match=rf"^day {k} \({date}\): "):
+            estimate_series(records, QrmConfig())
+
+    def test_a_failed_block_is_replayed_day_by_day_up_to_its_failure(self, monkeypatch):
+        records = with_days(drifting_series(n_days=80), {50: blown_up})
+        index = {r.day: k for k, r in enumerate(records)}
+        real_solve_days = qrm._solve_days
+        solved = []
+
+        def recording_solve_days(pairs, config):
+            solved.append((index[pairs[1].day], index[pairs[-1].day]))
+            return real_solve_days(pairs, config)
+
+        monkeypatch.setattr(qrm, "_solve_days", recording_solve_days)
+        with pytest.raises(ConvergenceError, match=r"^day 50 "):
+            estimate_series(records, QrmConfig())
+        assert solved == [(1, 36), (37, 72)] + [(k, k) for k in range(37, 51)]
+
+    def test_errors_chain_to_their_cause(self, monkeypatch):
+        report_non_finite_as_singular(monkeypatch)
+        records = blown_up_pair()
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_qrm(records, QrmConfig())
+        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+        with pytest.raises(ConvergenceError) as excinfo:
+            estimate_series(records, QrmConfig())
+        cause = excinfo.value.__cause__
+        assert type(cause) is ConvergenceError
+        assert str(excinfo.value) == f"day 1 ({records[1].day.isoformat()}): {cause}"
+        assert cause.residual == excinfo.value.residual == math.inf
+
     def test_a_year_takes_one_stacked_solve_per_step_and_block(self, monkeypatch):
         # A silent fall back to one solve per day, or one unbounded stack,
         # would only show in the benchmark's spread; both show here.
@@ -462,19 +498,6 @@ class TestConfigAndGrid:
             u[1, 1] = bad
             with pytest.raises(DataError, match="non-finite"):
                 QrmGrid(s_values=increasing, tau_values=np.array([0.0, 1.0]), u=u)
-
-    def test_block_check_raises_the_earliest_failing_days_error(self):
-        s_values = np.tile(np.array([1.0, 2.0, 3.0]), (3, 1))
-        tau_values = np.array([0.0, 1.0])
-        u = np.zeros((3, 3, 2))
-        qrm._check_grids(s_values, tau_values, u)
-        u[1, 0, 1] = np.nan
-        s_values[2, 1] = 3.0
-        with pytest.raises(DataError, match="non-finite"):
-            qrm._check_grids(s_values, tau_values, u)
-        s_values[0, 1] = 0.5
-        with pytest.raises(DataError, match="strictly increasing"):
-            qrm._check_grids(s_values, tau_values, u)
 
     def test_grid_covers_at_least_the_quoted_spread(self):
         records = bs_series(n_days=12, spread_bp=500.0)[:2]
