@@ -5,6 +5,13 @@ writes its artifacts plus a ``manifest.json`` recording the command, the
 fully resolved configuration, the seed, and a sha256 per artifact, so any
 run can be replayed byte-for-byte with ``rerun``.
 
+Each ``cmd_*`` only computes: it returns ``(seed, artifacts, message)``, where
+``artifacts`` maps file names, in write order, to a dict (written as JSON), a
+str (written as text) or a writer called with the path.  One runner,
+``_run``, writes them and then the manifest, and prints the message.  It
+writes nothing until the command has returned, so a failed run writes
+nothing.
+
 Option precedence is flags > ``--config`` JSON file > built-in defaults.
 Exit codes: 0 success, 2 usage, 3 data/validation error, 4 numerical
 failure (non-finite solve or diverged training).
@@ -13,6 +20,8 @@ failure (non-finite solve or diverged training).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -162,32 +171,18 @@ def _resolve(command: str, file_cfg, source: str, flags: dict | None = None) -> 
     return resolved
 
 
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _config(cls, cfg: dict, **renamed):
+    """``cls`` built from the options named as its fields, or as ``renamed`` maps them."""
+    return cls(**{f.name: cfg[renamed.get(f.name, f.name)] for f in dataclasses.fields(cls)})
 
 
-def cmd_synth(cfg: dict) -> int:
+def cmd_synth(cfg: dict) -> tuple:
     """generate a synthetic GBM quote series CSV"""
-    spec = market_data.SyntheticSpec(
-        s0=cfg["s0"],
-        sigma=cfg["sigma"],
-        mu=cfg["mu"],
-        rate=cfg["rate"],
-        n_days=cfg["days"],
-        seed=cfg["seed"],
-        spread_bp=cfg["spread_bp"],
-    )
+    spec = _config(market_data.SyntheticSpec, cfg, n_days="days")
     records = market_data.generate_gbm(spec)
     out = Path(cfg["out"])
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    market_data.save_csv(records, out, seed=spec.seed)
-    manifest = out.with_name(out.name + ".manifest.json")
-    _write_manifest(manifest, "synth", cfg, spec.seed, [out])
-    print(f"wrote {len(records)} rows to {out}")
-    return EXIT_OK
+    writer = functools.partial(market_data.save_csv, records, seed=spec.seed)
+    return spec.seed, {out.name: writer}, f"wrote {len(records)} rows to {out}"
 
 
 def _default_estimates(records) -> list[float]:
@@ -196,27 +191,15 @@ def _default_estimates(records) -> list[float]:
     return [records[0].option_mid if m is None else m.est for m in series]
 
 
-def cmd_qrm(cfg: dict) -> int:
+def cmd_qrm(cfg: dict) -> tuple:
     """one-day-ahead price extrapolation over a series"""
     records = market_data.load_csv(cfg["input"])
-    config = qrm.QrmConfig(
-        n_s=cfg["n_s"],
-        n_tau=cfg["n_tau"],
-        beta=cfg["beta"],
-        horizon=cfg["horizon"],
+    series = qrm.estimate_series(records, _config(qrm.QrmConfig, cfg))
+    estimates = "date,est,real0,residual\n" + "".join(
+        f"{rec.day.isoformat()},{m.est!r},{rec.option_ask!r},{m.residual!r}\n"
+        for rec, m in zip(records, series)
+        if m is not None
     )
-    series = qrm.estimate_series(records, config)
-    out = _out_dir(cfg)
-    est_csv = out / "estimates.csv"
-    with open(est_csv, "w") as fh:
-        fh.write("date,est,real0,residual\n")
-        for rec, minimizer in zip(records, series):
-            if minimizer is None:
-                continue
-            fh.write(
-                f"{rec.day.isoformat()},{minimizer.est!r},"
-                f"{rec.option_ask!r},{minimizer.residual!r}\n"
-            )
     rel_errors = [
         abs(m.est - records[k + 1].option_mid) / records[k + 1].option_mid
         for k, m in enumerate(series)
@@ -229,63 +212,45 @@ def cmd_qrm(cfg: dict) -> int:
             sum(rel_errors) / len(rel_errors) if rel_errors else None
         ),
     }
-    summary_path = out / "summary.json"
-    _write_json(summary_path, summary)
-    _write_manifest(out / "manifest.json", "qrm", cfg, None, [est_csv, summary_path])
     mre = summary["mean_rel_error_vs_next_mid"]
-    print(
+    message = (
         f"qrm: {summary['n_estimates']} estimates; "
         f"mean relative error vs next-day mid: "
         + (f"{mre:.4%}" if mre is not None else "n/a")
     )
-    return EXIT_OK
+    return None, {"estimates.csv": estimates, "summary.json": summary}, message
 
 
-def cmd_train(cfg: dict) -> int:
+def cmd_train(cfg: dict) -> tuple:
     """train the direction classifier on a series"""
     records = market_data.load_csv(cfg["input"])
     samples = market_data.build_sequences(records, _default_estimates(records))
-    config = lstm_mod.TrainConfig(
-        hidden=cfg["hidden"],
-        batch=cfg["batch"],
-        epochs=cfg["epochs"],
-        learning_rate=cfg["lr"],
-        seed=cfg["seed"],
-        train_frac=cfg["train_frac"],
-        optimizer=cfg["optimizer"],
-    )
+    config = _config(lstm_mod.TrainConfig, cfg, learning_rate="lr")
     result = lstm_mod.train(samples, config)
-    out = _out_dir(cfg)
-    ckpt = out / "checkpoint.json"
-    lstm_mod.save_checkpoint(ckpt, result, config)
-    history_csv = out / "history.csv"
-    with open(history_csv, "w") as fh:
-        fh.write("epoch,train_loss,val_accuracy,val_precision,val_recall,best_val_accuracy\n")
-        for row in result.history:
-            fh.write(
-                f"{row.epoch},{row.train_loss!r},{row.val.accuracy!r},"
-                f"{row.val.precision!r},{row.val.recall!r},{row.best_val_accuracy!r}\n"
-            )
-    summary_path = out / "summary.json"
-    _write_json(
-        summary_path,
-        {
+    history = "epoch,train_loss,val_accuracy,val_precision,val_recall,best_val_accuracy\n"
+    history += "".join(
+        f"{row.epoch},{row.train_loss!r},{row.val.accuracy!r},"
+        f"{row.val.precision!r},{row.val.recall!r},{row.best_val_accuracy!r}\n"
+        for row in result.history
+    )
+    artifacts = {
+        "checkpoint.json": functools.partial(lstm_mod.save_checkpoint, result=result,
+                                             config=config),
+        "history.csv": history,
+        "summary.json": {
             "n_samples": len(samples),
             "best_epoch": result.best_epoch,
             "best_val_accuracy": result.best_val_accuracy,
         },
-    )
-    _write_manifest(
-        out / "manifest.json", "train", cfg, config.seed, [ckpt, history_csv, summary_path]
-    )
-    print(
+    }
+    message = (
         f"train: {len(samples)} samples, best val accuracy "
         f"{result.best_val_accuracy:.4f} at epoch {result.best_epoch}"
     )
-    return EXIT_OK
+    return config.seed, artifacts, message
 
 
-def cmd_backtest(cfg: dict) -> int:
+def cmd_backtest(cfg: dict) -> tuple:
     """run the threshold strategy over a series"""
     records = market_data.load_csv(cfg["input"])
     mode = cfg["mode"]
@@ -302,64 +267,65 @@ def cmd_backtest(cfg: dict) -> int:
         for sample, prob in zip(samples, lstm_mod.predict(params, stats, samples)):
             signals[sample.end_index] = float(prob)
     result = trading.backtest(records, signals, mode=mode)
-    out = _out_dir(cfg)
-    plot_csv = out / "equity.csv"
-    trading.emit_plot_data(result, plot_csv)
-    summary_path = out / "summary.json"
-    _write_json(summary_path, result.to_json())
-    _write_manifest(out / "manifest.json", "backtest", cfg, None, [plot_csv, summary_path])
-    print(
+    artifacts = {"equity.csv": functools.partial(trading.emit_plot_data, result),
+                 "summary.json": result.to_json()}
+    message = (
         f"backtest[{mode}]: {result.n_trades} trades, hit rate {result.hit_rate:.3f}, "
         f"final pnl {result.final_pnl:.6f}"
     )
-    return EXIT_OK
+    return None, artifacts, message
 
 
-def cmd_fuse(cfg: dict) -> int:
+def cmd_fuse(cfg: dict) -> tuple:
     """joint precision of two independent classifiers"""
     joint = fusion_mod.joint_precision(cfg["p1"], cfg["p2"])
-    out = _out_dir(cfg)
-    report_path = out / "fusion.json"
-    _write_json(report_path, {"p1": cfg["p1"], "p2": cfg["p2"], "joint_precision": joint})
-    _write_manifest(out / "manifest.json", "fuse", cfg, None, [report_path])
-    print(f"joint precision({cfg['p1']}, {cfg['p2']}) = {joint:.6f}")
-    return EXIT_OK
+    report = {"p1": cfg["p1"], "p2": cfg["p2"], "joint_precision": joint}
+    message = f"joint precision({cfg['p1']}, {cfg['p2']}) = {joint:.6f}"
+    return None, {"fusion.json": report}, message
 
 
-def cmd_binomial(cfg: dict) -> int:
+def cmd_binomial(cfg: dict) -> tuple:
     """binomial wealth expectation and distribution"""
-    spec = binomial_mod.BinomialSpec(
-        p=cfg["p"],
-        ror=cfg["ror"],
-        rol=cfg["rol"],
-        initial=cfg["capital"],
-        days=cfg["days"],
-    )
+    spec = _config(binomial_mod.BinomialSpec, cfg, initial="capital")
     expectation = binomial_mod.expected_wealth(spec)
     report = binomial_mod.martingale_check(spec)
-    enumerable = spec.days <= binomial_mod.ENUMERATION_LIMIT
-    dist = binomial_mod.enumerate_tree(spec) if enumerable else None
-    out = _out_dir(cfg)
-    artifacts = []
-    if dist is not None:
-        dist_csv = out / "distribution.csv"
-        dist.write_csv(dist_csv)
-        artifacts.append(dist_csv)
-    summary_path = out / "summary.json"
-    _write_json(
-        summary_path,
-        {
-            "expectation": expectation,
-            "growth": report.per_step_growth,
-            "is_martingale": report.is_martingale,
-        },
-    )
-    artifacts.append(summary_path)
-    _write_manifest(out / "manifest.json", "binomial", cfg, None, artifacts)
+    artifacts = {}
+    if spec.days <= binomial_mod.ENUMERATION_LIMIT:
+        artifacts["distribution.csv"] = binomial_mod.enumerate_tree(spec).write_csv
+    artifacts["summary.json"] = {
+        "expectation": expectation,
+        "growth": report.per_step_growth,
+        "is_martingale": report.is_martingale,
+    }
     note = "" if report.is_martingale else (
         f" (not a martingale: per-step growth {report.per_step_growth:g} != 1)"
     )
-    print(f"expected wealth after {spec.days} day(s): {expectation:.6f}{note}")
+    return None, artifacts, f"expected wealth after {spec.days} day(s): {expectation:.6f}{note}"
+
+
+def _run(command: str, cfg: dict) -> int:
+    """Run ``command`` and publish what it returns, as the module docstring says.
+
+    ``synth`` writes into the directory of ``out`` and names its manifest
+    ``<name>.manifest.json``; every other command writes into ``out_dir``.
+    """
+    seed, artifacts, message = _COMMANDS[command](cfg)
+    if command == "synth":
+        out = Path(cfg["out"])
+        out_dir, manifest = out.parent, out.name + ".manifest.json"
+    else:
+        out_dir, manifest = Path(cfg["out_dir"]), "manifest.json"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / name for name in artifacts]
+    for path, content in zip(paths, artifacts.values()):
+        if isinstance(content, dict):
+            _write_json(path, content)
+        elif isinstance(content, str):
+            path.write_text(content)
+        else:
+            content(path)
+    _write_manifest(out_dir / manifest, command, cfg, seed, paths)
+    print(message)
     return EXIT_OK
 
 
@@ -381,7 +347,7 @@ def cmd_rerun(manifest_path: str, out_dir: str | None) -> int:
             cfg["out"] = str(Path(out_dir) / Path(cfg["out"]).name)
         else:
             cfg["out_dir"] = out_dir
-    return _COMMANDS[command](cfg)
+    return _run(command, cfg)
 
 
 _COMMANDS = {
@@ -431,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
         file_cfg = {} if args.config is None else _load_json(args.config)
         flags = {key: getattr(args, key) for key in _OPTIONS[args.command]}
         cfg = _resolve(args.command, file_cfg, args.config, flags)
-        return _COMMANDS[args.command](cfg)
+        return _run(args.command, cfg)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

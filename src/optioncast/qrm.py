@@ -133,7 +133,7 @@ def _check_grids(s_values: np.ndarray, tau_values: np.ndarray, u: np.ndarray) ->
     ``s_values`` is (days, n_s), ``tau_values`` the shared (n_tau,) axis and
     ``u`` (days, n_s, n_tau); the axes are checked before the surfaces.
     """
-    if np.any(np.diff(s_values, axis=-1) <= 0) or np.any(np.diff(tau_values) <= 0):
+    if not (np.all(np.diff(s_values, axis=-1) > 0) and np.all(np.diff(tau_values) > 0)):
         raise DataError("grid axes must be strictly increasing")
     if not np.all(np.isfinite(u)):
         raise DataError("surface contains non-finite values")
@@ -396,13 +396,14 @@ def _solve_days(records: Sequence[QuoteRecord], config: QrmConfig) -> list[Minim
     Raises ``DataError`` or ``ConvergenceError`` when any day fails, without
     naming the day; :func:`estimate_series` finds it.
     """
-    days = _assemble(records, config)
-    correction = _eliminate(days)
-    surface = days.f_surface.copy()
-    surface[:, 1:-1, 1:] += correction
-    # A finite solve can still overflow J_beta; that day fails as a
-    # non-finite solve does, and numpy's warnings would repeat the error.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Inputs near the float64 limit overflow in the assembly, the solve or
+    # J_beta; the non-finite checks fail that day, and numpy's warnings would
+    # only repeat the error.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        days = _assemble(records, config)
+        correction = _eliminate(days)
+        surface = days.f_surface.copy()
+        surface[:, 1:-1, 1:] += correction
         misfit = days.pde_residual(surface)
         residual = np.sum(misfit * misfit, axis=(1, 2))
         regularization = config.beta * np.sum((surface - days.f_surface) ** 2, axis=(1, 2))

@@ -87,6 +87,21 @@ class TestSynth:
         assert "unknown config keys" in capsys.readouterr().err
 
 
+# Loader-valid inputs near the float64 limit, each of which fails the solve;
+# None stands for the 252-day seed-7 synthetic series.
+NEAR_FLOAT_LIMIT = {
+    "horizon-1e-160": (None, ["--horizon", "1e-160"]),
+    "horizon-1e-300": (None, ["--horizon", "1e-300"]),
+    "option-quote-1e306": ([make_record(offset=k, option_bid=q, option_ask=q)
+                            for k, q in enumerate([5.0, 1e306, 5.0])], []),
+    "stock-1e300-vol-1e10": (make_series([5.0, 5.1, 5.2], stock_mid=1e300, implied_vol=1e10), []),
+    "zero-stock-spread-vol-1e-160": ([make_record(offset=k, stock_bid=100.0, stock_ask=100.0,
+                                                  implied_vol=1e-160) for k in range(3)], []),
+    "stock-1.7e308": ([make_record(offset=k, stock_bid=1.7e308, stock_ask=1.7e308)
+                       for k in range(3)], []),
+}
+
+
 class TestQrmCommand:
     def test_two_day_input_one_row(self, tmp_path):
         data = tmp_path / "two.csv"
@@ -149,6 +164,24 @@ class TestQrmCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert err.count("error:") == 1
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    @pytest.mark.parametrize("records, flags", NEAR_FLOAT_LIMIT.values(), ids=NEAR_FLOAT_LIMIT)
+    def test_input_near_the_float_limit_exits_four_without_warnings(
+        self, tmp_path, capsys, records, flags
+    ):
+        data = tmp_path / "series.csv"
+        if records is None:
+            run(synth_args(data, days=252, seed=7, spread_bp=20.0))
+        else:
+            save_csv(records, data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["qrm", "--input", str(data), "--out-dir", str(tmp_path / "o"), *flags])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "direct solve produced non-finite values" in err
         assert "RuntimeWarning" not in err
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
@@ -453,6 +486,53 @@ class TestRerun:
         manifest.write_text(json.dumps({"schema": 1, "command": "fuse", "config": {"p1": 0.56}}))
         assert run(["rerun", "--manifest", str(manifest)]) == 3
         assert "p2, out_dir" in capsys.readouterr().err
+
+
+# command -> (flags of a run that succeeds, flags of a run that fails inside
+# the command); {series}, {blown_up} and {missing} are filled in by the test.
+RUNNER_CASES = {
+    "synth": (["--s0", "100", "--sigma", "0.2", "--days", "14"],
+              ["--s0", "100", "--sigma", "-0.2", "--days", "14"]),
+    "qrm": (["--input", "{series}"], ["--input", "{blown_up}"]),
+    "train": (["--input", "{series}", "--hidden", "4", "--epochs", "1"],
+              ["--input", "{series}", "--hidden", "4", "--lr", "0"]),
+    "backtest": (["--input", "{series}"],
+                 ["--input", "{series}", "--mode", "classifier", "--checkpoint", "{missing}"]),
+    "fuse": (["--p1", "0.56", "--p2", "0.59"], ["--p1", "1.0", "--p2", "0.59"]),
+    "binomial": (["--p", "0.56", "--ror", "2", "--days", "3"],
+                 ["--p", "0.56", "--ror", "1e300", "--days", "30"]),
+}
+
+
+@pytest.mark.parametrize("command", RUNNER_CASES)
+def test_run_writes_the_manifest_and_its_artifacts_or_nothing(
+    tmp_path, series_csv, capsys, command
+):
+    blown_up = tmp_path / "blown_up.csv"
+    save_csv([make_record(offset=k, implied_vol=1e160) for k in range(3)], blown_up)
+    good, bad = (
+        [flag.format(series=series_csv, blown_up=blown_up, missing=tmp_path / "missing.json")
+         for flag in flags]
+        for flags in RUNNER_CASES[command]
+    )
+
+    def argv(out, flags):
+        if command == "synth":
+            return [command, *flags, "--out", str(out / "series.csv")]
+        return [command, *flags, "--out-dir", str(out)]
+
+    out = tmp_path / "ok"
+    assert run(argv(out, good)) == 0
+    manifest_name = "series.csv.manifest.json" if command == "synth" else "manifest.json"
+    manifest = json.loads((out / manifest_name).read_text())
+    assert manifest["command"] == command
+    assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["artifacts"], manifest_name])
+    assert manifest["artifacts"] == file_hashes(out / name for name in manifest["artifacts"])
+
+    failed = tmp_path / "failed"
+    assert run(argv(failed, bad)) in (3, 4)
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not failed.exists()
 
 
 # (command, config) pairs, each holding one value its option cannot take.

@@ -490,6 +490,7 @@ class TestConfigAndGrid:
         for s_values, tau_values in (
             (np.array([1.0, 0.5, 2.0]), np.array([0.0, 1.0])),
             (increasing, np.array([1.0, 1.0])),
+            (np.array([0.0, np.nan, 1.0]), np.array([0.0, 0.5])),
         ):
             with pytest.raises(DataError, match="strictly increasing"):
                 QrmGrid(s_values=s_values, tau_values=tau_values, u=flat)
