@@ -9,50 +9,42 @@ carried short-term and cell states:
     c' = f * c + i * g             h' = o * tanh(c')
 
 Each layer stores its four gates stacked in the order i, f, o, g: W is
-(4H, in), U is (4H, H) and b is (4H,), so one product gives every gate's
-pre-activation.  Every parameter array is a view into one flat float64
-vector, which the optimizers update in place.
+(4H, in), U is (4H, H) and b is (4H,).  Every parameter array is a view
+into one flat float64 vector, which the optimizers update in place.  A
+dense sigmoid head maps layer 2's final h to P(next-day mid up), and the
+loss is binary cross-entropy with the probability clamped to
+[1e-12, 1 - 1e-12].
 
-The second layer consumes the first layer's h sequence, and a dense head
-maps the final h of layer 2 through a sigmoid to P(next-day mid up).  Loss
-is binary cross-entropy with the probability clamped to [1e-12, 1 - 1e-12].
+Both layers run as one wavefront of T + 1 iterations over the T = 10 steps:
+iteration s runs layer-1 step s in slot 0 and layer-2 step s - 1 in slot 1,
+which needs only h1_s, written by the iteration before.  All storage is
+feature-major with the batch axis B innermost, and the gate activations of
+an iteration are a (4, 2, H, B) block ordered (gate, slot, hidden, batch),
+so each gate of both slots is one contiguous (2, H, B) block.  One product
+of the block matrix
 
-Both layers run as one wavefront of T + 1 iterations over the T = 10 steps.
-Iteration s runs layer-1 step s in slot 0 and layer-2 step s - 1 in slot 1 of
-stacked (B, 2, 4H) gate and (B, 2, H) state buffers; layer-2 step s - 1
-needs only h1_s, which the iteration before wrote.  One product of the input
-row z_s = [x_s | 1 | h1_s | h2_(s-1)] with the block matrix
+    M^T = [[W1, b1, U1,  0],      rows (gate, slot, hidden): 8H
+           [ 0, b2, W2, U2]]      columns [x | 1 | h1 | h2]: in + 1 + 2H
 
-    M = [[W1^T,    0],
-         [  b1,   b2],
-         [U1^T, W2^T],
-         [   0, U2^T]]        (in + 1 + 2H, 8H)
+(each row pair interleaved by gate, so W1's gate-k rows are M^T's rows
+2kH..2kH+H) with the input column z_s = [x_s | 1 | h1_s | h2_(s-1)] gives
+both slots' pre-activations, biases included.  M^T is filled from W, U and
+b without transposes.  The edge iterations are one-sided: s = 0 has no
+layer-2 step and s = T no layer-1 step, so they compute the live slot only,
+and the empty one keeps the zero state layer 2 starts from.
 
-gives both slots' pre-activations, biases included.  Backpropagation runs
-the iterations in reverse, and one product of the gate gradients with the
-transpose of M's last 2H rows returns dh1_s = da1_s U1 + da2_s W2 and
-dh2_(s-1) = da2_s U2 together.  The edge iterations are one-sided: s = 0 has
-no layer-2 step and s = T no layer-1 step.  Their empty slot's gates are set
-to zero after the activations, so that slot writes c = h = 0 (the initial
-state layer 2 starts from) and passes no gradient back.
+Backpropagation runs the iterations in reverse; one product of the
+transpose of M^T's last 2H columns with the gate gradients returns
+dh1_s = U1^T da1_s + W2^T da2_s and dh2_(s-1) = U2^T da2_s together.  Each
+layer's weight gradient is then one product over all steps and windows.
 
 One tanh per iteration gives every gate.  The sigmoid gates use
-sig(x) = 1/2 + tanh(x / 2) / 2: the forward multiplies by M with its i, f
-and o columns halved, which is exact (a power of two), and then scales and
-shifts those columns in place; backpropagation reads the true M.  The
-identity stays within 2^-52 of the two-branch logistic, except that a gate
-is exactly 0 below x ~ -38, where the logistic is still e^x (< 3.2e-17).
-
-The classifier owns its input scaling.  :func:`train` computes a per-feature
-z-score (:class:`FeatureStats`) from its training split alone and returns it
-with the parameters; :func:`predict` applies it to raw windows, so callers
-never standardize anything themselves.  Inference keeps only the current
-state of the wavefront, not the cache that backpropagation reads.
-
-Training is mini-batch gradient descent (plain SGD by default, Adam behind
-``optimizer="adam"``), fully deterministic for a fixed seed: initialization
-and the per-epoch shuffle all come from one seeded PCG64 stream, and the
-returned parameters are the ones with the best validation accuracy seen.
+sig(x) = 1/2 + tanh(x / 2) / 2: the forward multiplies by M^T with its
+first 6H rows (i, f and o) halved, which is exact (a power of two), and
+then scales and shifts those rows, one contiguous block, in place;
+backpropagation reads the true M^T.  The identity stays within 2^-52 of
+the two-branch logistic, except that a gate is exactly 0 below x ~ -38,
+where the logistic is still e^x (< 3.2e-17).
 """
 
 from __future__ import annotations
@@ -201,13 +193,15 @@ def init_params(hidden: int, rng: np.random.Generator, input_size: int = N_FEATU
 class ForwardCache:
     """The wavefront's full storage, everything backpropagation reads.
 
-    Index s of ``z`` (T + 2, B, in + 1 + 2H) holds iteration s's input row
-    [x_s | 1 | h1_s | h2_(s-1)], and index s of ``c`` (T + 2, B, 2, H) the
+    Every array keeps the batch axis B innermost, after the features, and
+    the gate arrays order their features (gate, slot, hidden).  Index s of
+    ``z`` (T + 2, in + 1 + 2H, B) holds iteration s's input row
+    [x_s | 1 | h1_s | h2_(s-1)], and index s of ``c`` (T + 2, 2, H, B) the
     cell states [c1_s | c2_(s-1)] it starts from; index T + 1 is the state
-    after the last iteration.  Index s of ``gates`` (T + 1, B, 2, 4H) and
-    ``tanh_c`` (T + 1, B, 2, H) holds iteration s's activations and the tanh
-    of the cell states it wrote.  ``block`` is the matrix M they came from
-    (the forward multiplied by it with the sigmoid columns halved).
+    after the last iteration.  Index s of ``gates`` (T + 1, 4, 2, H, B) and
+    ``tanh_c`` (T + 1, 2, H, B) holds iteration s's activations and the tanh
+    of the cell states it wrote.  ``block`` is the matrix M^T they came from
+    (the forward multiplied by it with the sigmoid rows halved).
     """
 
     params: LstmParams
@@ -220,121 +214,108 @@ class ForwardCache:
 
 
 def _block(params: LstmParams, out: np.ndarray | None = None) -> np.ndarray:
-    """The wavefront's block matrix M (in + 1 + 2H, 8H) of the module docstring.
+    """The wavefront's block matrix M^T (8H, in + 1 + 2H) of the module docstring.
 
     Written into ``out`` when given; only the nonzero blocks are written, so
     its zero blocks must already be zero.
     """
     hid, n_in = params.hidden, params.input_size
-    four = 4 * hid
-    block = np.zeros((n_in + 1 + 2 * hid, 2 * four)) if out is None else out
-    block[:n_in, :four] = params.layer1.w.T
-    block[n_in, :four] = params.layer1.b
-    block[n_in, four:] = params.layer2.b
-    block[n_in + 1 : n_in + 1 + hid, :four] = params.layer1.u.T
-    block[n_in + 1 : n_in + 1 + hid, four:] = params.layer2.w.T
-    block[n_in + 1 + hid :, four:] = params.layer2.u.T
-    return block
-
-
-def _halve_sigmoid_columns(block: np.ndarray) -> np.ndarray:
-    """Halve M's i, f and o columns in place (exact: a power of two) and return it.
-
-    The forward multiplies by this matrix, so one tanh gives tanh(x / 2) for
-    every sigmoid gate and tanh(x) for g.
-    """
-    hid = block.shape[1] // 8
-    block.reshape(len(block), 2, 4 * hid)[..., : 3 * hid] *= 0.5
+    block = np.zeros((8 * hid, n_in + 1 + 2 * hid)) if out is None else out
+    one, two = (block.reshape(4, 2, hid, -1)[:, slot] for slot in (0, 1))
+    l1, l2 = params.layer1, params.layer2
+    one[..., :n_in] = l1.w.reshape(4, hid, n_in)
+    one[..., n_in] = l1.b.reshape(4, hid)
+    one[..., n_in + 1 : n_in + 1 + hid] = l1.u.reshape(4, hid, hid)
+    two[..., n_in] = l2.b.reshape(4, hid)
+    two[..., n_in + 1 : n_in + 1 + hid] = l2.w.reshape(4, hid, hid)
+    two[..., n_in + 1 + hid :] = l2.u.reshape(4, hid, hid)
     return block
 
 
 def _storage(params: LstmParams, batch: int, n_states: int, n_iters: int):
-    """Zeroed wavefront storage: ``n_states`` rows of z and c (the ones column
+    """Zeroed wavefront storage: ``n_states`` rows of z and c (the ones row
     set), ``n_iters`` rows of gates and tanh(c)."""
     hid, n_in = params.hidden, params.input_size
-    z = np.zeros((n_states, batch, n_in + 1 + 2 * hid))
-    z[..., n_in] = 1.0
-    c = np.zeros((n_states, batch, 2, hid))
-    return z, c, np.empty((n_iters, batch, 2, hid)), np.empty((n_iters, batch, 2, 4 * hid))
+    z = np.zeros((n_states, n_in + 1 + 2 * hid, batch))
+    z[:, n_in] = 1.0
+    return (z, np.zeros((n_states, 2, hid, batch)), np.zeros((n_iters, 2, hid, batch)),
+            np.zeros((n_iters, 4, 2, hid, batch)))
 
 
 class _Workspace:
-    """A minibatch step's storage, for batches of up to ``batch`` windows.
+    """A minibatch step's storage (z, c, tanh_c, gates), for ``batch`` windows.
 
-    :func:`train` makes one per epoch and reuses it for every minibatch; a
-    smaller batch uses leading slices along the batch axis.  Each pass
-    overwrites all it reads except the zero initial state, the ones column
-    and M's zero blocks, which no pass writes.  ``block`` holds M and
-    ``halved`` the matrix the forward multiplies by.
+    :func:`train` makes one per epoch and reuses it for every minibatch.  A
+    pass of another size replaces the storage with one of its own size: the
+    batch axis is innermost, so slices of it would not be contiguous.  Each
+    pass overwrites all it reads except what no pass writes: the zero
+    initial state, the edge iterations' empty slots, the ones row and M^T's
+    zero blocks.  ``block`` holds M^T and ``halved`` the matrix the forward
+    multiplies by.
     """
 
     def __init__(self, params: LstmParams, batch: int):
         self.block = _block(params)
         self.halved = np.empty_like(self.block)
-        self.z, self.c, self.tanh_c, self.gates = _storage(
-            params, batch, WINDOW_LENGTH + 2, WINDOW_LENGTH + 1
-        )
+        self.storage = _storage(params, batch, WINDOW_LENGTH + 2, WINDOW_LENGTH + 1)
 
 
-def _wavefront(
-    params: LstmParams, block: np.ndarray, windows: np.ndarray,
-    z: np.ndarray, c: np.ndarray, tanh_c: np.ndarray, gates: np.ndarray,
-) -> np.ndarray:
-    """Run both layers over (B, T, in) windows; return layer 2's final h (B, H).
+def _wavefront(params: LstmParams, block: np.ndarray, windows: np.ndarray, z: np.ndarray,
+               c: np.ndarray, tanh_c: np.ndarray, gates: np.ndarray) -> np.ndarray:
+    """Run both layers over (B, T, in) windows; return layer 2's final h (H, B).
 
-    ``block`` is M with its sigmoid columns halved (:func:`_halve_sigmoid_columns`).
+    ``block`` is M^T with its first 6H rows, the sigmoid gates', halved.
     The caller chooses the storage (see :func:`_storage`).  Iteration s reads
-    its input row and cell states at index s % len(z) of ``z`` and ``c``,
-    writes the next ones at (s + 1) % len(z), and writes its activations at
-    s % len(gates) of ``gates`` and ``tanh_c``.  T + 2 and T + 1 rows keep
-    every iteration for backpropagation, and all step inputs are copied in
-    at once; two and one keep only the current state, and give the same
-    numbers.
+    its input row and cell states at index s % n of ``z`` and ``c`` (n of
+    them), writes the next ones at (s + 1) % n, and writes its activations
+    at s % len(gates) of ``gates`` and ``tanh_c``.  T + 2 and T + 1 rows
+    keep every iteration for backpropagation, and all step inputs are copied
+    in at once; two and one keep only the current state, and give the same
+    numbers.  The edge iterations compute their live slot only, so the empty
+    one keeps the zeros it was allocated with.
     """
     batch, n_steps, n_in = windows.shape
-    hid = params.hidden
-    keep_all = len(z) == n_steps + 2
+    n_states = len(c)
+    keep_all = n_states == n_steps + 2
     if keep_all:
-        z[:n_steps, :, :n_in] = windows.transpose(1, 0, 2)
+        z[:n_steps, :n_in] = windows.transpose(1, 2, 0)
+    # An edge iteration runs one layer's step: its slot, and the input rows
+    # its weights read (the others meet zero weights or a zero state).
+    edges = {0: (slice(0, 1), slice(0, n_in + 1)), n_steps: (slice(1, 2), slice(n_in, None))}
     for s in range(n_steps + 1):
-        row, c_prev = z[s % len(z)], c[s % len(c)]
+        row, c_prev = z[s % n_states], c[s % n_states]
         if s < n_steps and not keep_all:
-            row[:, :n_in] = windows[:, s]
-        a = gates[s % len(gates)]
-        np.matmul(row, block, out=a.reshape(batch, -1))
+            row[:n_in] = windows[:, s].T
+        a, c_next, t = gates[s % len(gates)], c[(s + 1) % n_states], tanh_c[s % len(tanh_c)]
+        h_next = h_out = z[(s + 1) % n_states, n_in + 1 :].reshape(2, -1, batch)
+        if s in edges:
+            live, cols = edges[s]
+            np.matmul(block.reshape(4, 2, params.hidden, -1)[:, live, :, cols], row[cols],
+                      out=a[:, live])
+            a, h_out = a[:, live], h_next[live]
+            c_prev, c_next, t = c_prev[live], c_next[live], t[live]
+        else:
+            np.matmul(block, row, out=a.reshape(len(block), batch))
         np.tanh(a, out=a)
-        sig = a[..., : 3 * hid]  # sig(x) = 1/2 + tanh(x / 2) / 2
-        sig *= 0.5
-        sig += 0.5
-        if s == 0:
-            a[:, 1] = 0.0  # no layer-2 step yet: its state stays zero
-        if s == n_steps:
-            a[:, 0] = 0.0  # layer 1 has no step left: the last state is [0 | h2_T]
-        i, f, o, g = (a[..., k * hid : (k + 1) * hid] for k in range(4))
-        c_next, t = c[(s + 1) % len(c)], tanh_c[s % len(tanh_c)]
+        a[:3] *= 0.5  # sig(x) = 1/2 + tanh(x / 2) / 2
+        a[:3] += 0.5
+        i, f, o, g = a
         np.multiply(f, c_prev, out=c_next)
         c_next += i * g
         np.tanh(c_next, out=t)
-        h_next = z[(s + 1) % len(z)][:, n_in + 1 :].reshape(batch, 2, hid)
-        np.multiply(o, t, out=h_next)
-    return h_next[:, 1]
+        np.multiply(o, t, out=h_out)
+    return h_next[1]
 
 
 def _head(params: LstmParams, h_last: np.ndarray) -> np.ndarray:
-    return _sigmoid(h_last @ params.dense_w + params.dense_b)
+    return _sigmoid(params.dense_w @ h_last + params.dense_b)
 
 
 def _checked_windows(params: LstmParams, windows: np.ndarray) -> np.ndarray:
     windows = np.asarray(windows, dtype=np.float64)
-    if (
-        windows.ndim != 3
-        or windows.shape[1] != WINDOW_LENGTH
-        or windows.shape[2] != params.input_size
-    ):
-        raise DataError(
-            f"windows must have shape (batch, {WINDOW_LENGTH}, {params.input_size}), "
-            f"got {windows.shape}"
-        )
+    if windows.ndim != 3 or windows.shape[1:] != (WINDOW_LENGTH, params.input_size):
+        raise DataError(f"windows must have shape (batch, {WINDOW_LENGTH}, "
+                        f"{params.input_size}), got {windows.shape}")
     return windows
 
 
@@ -344,12 +325,11 @@ def _forward(
     """Probabilities for (batch, 10, in) windows; the cache holds views into ``work``."""
     block = _block(params, out=work.block)
     np.copyto(work.halved, block)
-    batch = len(windows)
-    z, c, tanh_c, gates = (a[:, :batch] for a in (work.z, work.c, work.tanh_c, work.gates))
-    h_last = _wavefront(
-        params, _halve_sigmoid_columns(work.halved), windows, z, c, tanh_c, gates
-    )
-    probs = _head(params, h_last)
+    work.halved[: 6 * params.hidden] *= 0.5  # the sigmoid gates' rows
+    if len(windows) != work.storage[0].shape[-1]:
+        work.storage = _storage(params, len(windows), WINDOW_LENGTH + 2, WINDOW_LENGTH + 1)
+    z, c, tanh_c, gates = work.storage
+    probs = _head(params, _wavefront(params, work.halved, windows, z, c, tanh_c, gates))
     return probs, ForwardCache(
         params=params, probs=probs, z=z, c=c, tanh_c=tanh_c, gates=gates, block=block
     )
@@ -358,9 +338,9 @@ def _forward(
 def _infer(params: LstmParams, windows: np.ndarray) -> np.ndarray:
     """:func:`_forward`'s probabilities, bit for bit, keeping only the current state."""
     windows = _checked_windows(params, windows)
-    storage = _storage(params, len(windows), 2, 1)
-    block = _halve_sigmoid_columns(_block(params))
-    return _head(params, _wavefront(params, block, windows, *storage))
+    block = _block(params)
+    block[: 6 * params.hidden] *= 0.5
+    return _head(params, _wavefront(params, block, windows, *_storage(params, len(windows), 2, 1)))
 
 
 def forward(params: LstmParams, window: np.ndarray) -> tuple[float, ForwardCache]:
@@ -395,51 +375,63 @@ def _backward(cache: ForwardCache, labels: np.ndarray, grads: LstmParams) -> Lst
     batch = cache.probs.shape[0]
     hid, n_in = params.hidden, params.input_size
     gates, tanh_c, z = cache.gates, cache.tanh_c, cache.z
+    n_iters = len(gates)
 
     dz = cache.probs - labels
-    grads.dense_w[:] = dz @ z[-1, :, n_in + 1 + hid :]
+    grads.dense_w[:] = z[-1, n_in + 1 + hid :] @ dz
     grads.dense_b[0] = dz.sum()
 
     # Every factor of the gate gradients that does not depend on dh or dc,
     # for all iterations at once: sig'(i) g, sig'(f) c_prev and tanh'(g) i,
     # which multiply dc, sig'(o) tanh c, which multiplies dh, and o tanh'(c)
-    # for the cell.  ``da`` holds the first three and turns into the gate
+    # for the cell.  ``da`` holds the first four and turns into the gate
     # gradients iteration by iteration.
-    i, f, o, g = (gates[..., k * hid : (k + 1) * hid] for k in range(4))
+    i, f, o, g = (gates[:, k] for k in range(4))
     da = np.subtract(1.0, gates)
     da *= gates
-    da[..., :hid] *= g
-    da[..., hid : 2 * hid] *= cache.c[:-1]
-    o_coef = da[..., 2 * hid : 3 * hid] * tanh_c
-    np.multiply(1.0 - g * g, i, out=da[..., 3 * hid :])
-    o_dtanh_c = o * (1.0 - tanh_c * tanh_c)
+    da[:, 0] *= g
+    da[:, 1] *= cache.c[:-1]
+    da[:, 2] *= tanh_c
+    np.multiply(1.0 - g * g, i, out=da[:, 3])
+    o_dtanh_c = np.multiply(tanh_c, tanh_c)
+    np.subtract(1.0, o_dtanh_c, out=o_dtanh_c)
+    o_dtanh_c *= o
 
-    n_iters = len(gates)
-    da_gates = da.reshape(n_iters, batch, 2, 4, hid)  # so dc broadcasts over the gates
-    back = cache.block[n_in + 1 :].T
-    dh = np.zeros((batch, 2, hid))
-    dh[:, 1] = dz[:, None] * params.dense_w
-    dc = np.zeros((batch, 2, hid))
+    back = cache.block[:, n_in + 1 :].T
+    dh = np.zeros((2, hid, batch))
+    dh[1] = params.dense_w[:, None] * dz
+    dc = np.zeros((2, hid, batch))
     for s in range(n_iters - 1, -1, -1):
         dc += dh * o_dtanh_c[s]
-        da_gates[s] *= dc[:, :, None]
-        np.multiply(o_coef[s], dh, out=da[s, ..., 2 * hid : 3 * hid])
+        a = da[s]
+        a[:2] *= dc
+        a[2] *= dh
+        a[3] *= dc
         dc *= f[s]
         if s:
-            np.matmul(da[s].reshape(batch, -1), back, out=dh.reshape(batch, -1))
+            np.matmul(back, a.reshape(8 * hid, batch), out=dh.reshape(2 * hid, batch))
+    del o_dtanh_c  # before the buffers below, so the step's peak stays lower
 
-    # Layer 1's steps are iterations 0..T-1 with rows [x | 1 | h1] and layer
-    # 2's are 1..T with rows [1 | h1 | h2], so each layer's w, b and u come
-    # from one product; the ones column gives the bias.
-    four, n_steps, width = 4 * hid, n_iters - 1, n_in + 1 + hid
-    d1 = da[:n_steps, :, 0].reshape(-1, four).T @ z[:n_steps, :, :width].reshape(-1, width)
-    d2 = da[1:, :, 1].reshape(-1, four).T @ z[1:n_iters, :, n_in:].reshape(-1, 1 + 2 * hid)
-    grads.layer1.w[...] = d1[:, :n_in]
-    grads.layer1.b[...] = d1[:, n_in]
-    grads.layer1.u[...] = d1[:, n_in + 1 :]
-    grads.layer2.b[...] = d2[:, 0]
-    grads.layer2.w[...] = d2[:, 1 : 1 + hid]
-    grads.layer2.u[...] = d2[:, 1 + hid :]
+    # Layer 1's steps are iterations 0..T-1 with input rows [x | 1 | h1] and
+    # layer 2's are 1..T with [1 | h1 | h2], so each layer's w, b and u come
+    # from one product over (iteration, batch); the ones row gives the bias.
+    # Its operands are copied into buffers that put the iteration next to the
+    # batch, which the two layers share, as they share its result ``d``.
+    n_steps = n_iters - 1
+    rows = np.empty((4, hid, n_steps, batch))
+    cols = np.empty((1 + hid + max(n_in, hid), n_steps, batch))
+    d = np.empty((4 * hid, len(cols)))
+    for slot, layer, inputs in ((0, grads.layer1, slice(0, n_in + 1 + hid)),
+                                (1, grads.layer2, slice(n_in, None))):
+        steps = slice(slot, slot + n_steps)
+        x = z[steps, inputs]
+        buf, dl = cols[: x.shape[1]], d[:, : x.shape[1]]
+        np.copyto(buf.transpose(1, 0, 2), x)
+        np.copyto(rows.transpose(2, 0, 1, 3), da[steps, :, slot])
+        np.matmul(rows.reshape(4 * hid, -1), buf.reshape(len(buf), -1).T, out=dl)
+        layer.w[...] = dl[:, :n_in] if slot == 0 else dl[:, 1 : 1 + hid]
+        layer.b[...] = dl[:, n_in - inputs.start]  # the ones row
+        layer.u[...] = dl[:, -hid:]
     return grads
 
 

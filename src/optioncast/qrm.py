@@ -260,7 +260,7 @@ def _assemble(records: Sequence[QuoteRecord], config: QrmConfig) -> AssembledSys
     half_width = np.maximum(
         0.5 * (stock_ask - stock_bid), sigma * math.sqrt(2.0 * config.horizon) * s_mid
     )
-    if np.any(half_width <= 0.0):
+    if not np.all(half_width > 0.0):  # NaN too: zero vol times an infinite stock mid
         raise DataError(
             "collapsed stock grid: zero bid/ask spread and zero volatility leave no interval"
         )

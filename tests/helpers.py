@@ -73,26 +73,37 @@ def separable_dataset(n=2000, seed=123, permute=False):
 class LayerViews(NamedTuple):
     """One LSTM layer of a training-pass cache over all steps, time-major.
 
-    ``x`` (T, B, in) holds the step inputs and ``gates`` (T, B, 4H) the gate
-    activations i, f, o, g; ``c`` and ``h`` (T + 1, B, H) hold the zero
-    initial state at index 0.  All four are views into the cache.
+    ``x`` (T, B, in) holds the step inputs and ``gates`` (T, B, 4, H) the
+    activations of the gates i, f, o, g; ``c`` and ``h`` (T + 1, B, H) hold
+    the zero initial state at index 0.  ``c_final`` and ``h_final`` (B, H)
+    are the layer's slot of the state stored after the wavefront's last
+    iteration.  All six are copies.
     """
 
     x: np.ndarray
     gates: np.ndarray
     c: np.ndarray
     h: np.ndarray
+    c_final: np.ndarray
+    h_final: np.ndarray
 
 
 def layer_views(cache, layer):
     """Layer 1 or 2 of an ``lstm.ForwardCache``, read from its wavefront storage.
 
-    Iteration s holds layer-1 step s in slot 0 and layer-2 step s - 1 in
-    slot 1; the h states are the last 2H columns of the input rows ``z``.
+    This is the one reader of the storage layout in the tests.  Iteration s
+    holds layer-1 step s in slot 0 and layer-2 step s - 1 in slot 1; the h
+    states are the last 2H rows of the input rows ``z``.
     """
     hid, n_in = cache.params.hidden, cache.params.input_size
-    h = cache.z[..., -2 * hid :].reshape(*cache.z.shape[:2], 2, hid)
+    z = cache.z.transpose(0, 2, 1)  # (T + 2, B, in + 1 + 2H)
+    steps, batch = z.shape[:2]
+    h = z[..., -2 * hid :].reshape(steps, batch, 2, hid)
+    c = cache.c.transpose(0, 3, 1, 2)  # (T + 2, B, 2, H)
+    gates = cache.gates.transpose(0, 4, 2, 1, 3)  # (T + 1, B, 2, 4, H)
+    slot = layer - 1
     if layer == 1:
-        return LayerViews(cache.z[:-2, :, :n_in], cache.gates[:-1, :, 0], cache.c[:-1, :, 0],
-                          h[:-1, :, 0])
-    return LayerViews(h[1:-1, :, 0], cache.gates[1:, :, 1], cache.c[1:, :, 1], h[1:, :, 1])
+        views = z[:-2, :, :n_in], gates[:-1, :, 0], c[:-1, :, 0], h[:-1, :, 0]
+    else:
+        views = h[1:-1, :, 0], gates[1:, :, 1], c[1:, :, 1], h[1:, :, 1]
+    return LayerViews(*(np.array(v) for v in views), c[-1, :, slot].copy(), h[-1, :, slot].copy())

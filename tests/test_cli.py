@@ -167,6 +167,21 @@ class TestQrmCommand:
         assert "RuntimeWarning" not in err
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    def test_zero_vol_with_an_infinite_stock_mid_exits_three(self, tmp_path, capsys):
+        # 1.7e308 + 1.7e308 overflows, so stock_mid is inf and the half-width
+        # 0 * inf is NaN: a collapsed grid like zero vol at a zero spread.
+        data = tmp_path / "series.csv"
+        save_csv([make_record(offset=k, stock_bid=1.7e308, stock_ask=1.7e308, implied_vol=0.0)
+                  for k in range(3)], data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["qrm", "--input", str(data), "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "collapsed stock grid" in err
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     @pytest.mark.parametrize("records, flags", NEAR_FLOAT_LIMIT.values(), ids=NEAR_FLOAT_LIMIT)
     def test_input_near_the_float_limit_exits_four_without_warnings(
         self, tmp_path, capsys, records, flags
@@ -625,6 +640,19 @@ def test_readme_cli_example_parses(argv):
         cli.build_parser().parse_args(argv)
     except SystemExit:
         pytest.fail(f"README example does not parse: optioncast {' '.join(argv)}")
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch, capsys):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert run(["fuse", "--p1", "0.56", "--p2", "0.59", "--out-dir", str(tmp_path / "f")]) == 0
+        assert run(["fuse", "--p1", "0.5"]) == 2  # missing --p2 and --out-dir
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    capsys.readouterr()
 
 
 def test_cli_import_loads_no_scipy():

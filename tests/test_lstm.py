@@ -166,7 +166,7 @@ class TestForward:
                 w, u, b = blocks[gate]
                 pre = layer.x @ w.T + layer.h[:-1] @ u.T + b
                 lowest = min(lowest, pre.min())
-                got = layer.gates[..., k * params.hidden : (k + 1) * params.hidden]
+                got = layer.gates[..., k, :]
                 np.testing.assert_allclose(
                     got, masked_sigmoid(pre), rtol=0, atol=1e-15, err_msg=gate
                 )
@@ -195,28 +195,27 @@ class TestForward:
             lstm.forward(params, rng.standard_normal(13))
 
     def test_last_iteration_leaves_layer_one_empty(self):
-        # Iteration T has no layer-1 step: its slot writes c = h = 0, so the
-        # final stored state is [0 | h2_T].
+        # Iteration T has no layer-1 step: its slot is never computed and
+        # keeps its zeros, so the final stored state is [0 | h2_T].
         params, rng = random_params(hidden=6, seed=4)
         for layer in (params.layer1, params.layer2):
             layer.b[:] = rng.uniform(-1.0, 1.0, layer.b.shape)
         windows = rng.standard_normal((5, 10, 13))
         _, cache = lstm._forward(params, windows, lstm._Workspace(params, 5))
-        h_last = cache.z[-1][:, params.input_size + 1 :].reshape(5, 2, 6)
-        assert np.all(h_last[:, 0] == 0.0) and np.all(cache.c[-1][:, 0] == 0.0)
-        assert np.array_equal(h_last[:, 1], layer_views(cache, 2).h[-1])
-        assert np.all(h_last[:, 1] != 0.0)
+        one, two = layer_views(cache, 1), layer_views(cache, 2)
+        assert np.all(one.h_final == 0.0) and np.all(one.c_final == 0.0)
+        assert np.array_equal(two.h_final, two.h[-1])
+        assert np.all(two.h_final != 0.0)
 
     def test_activations_bounded_over_many_random_passes(self):
         # One vectorized pass over 10^4 windows doubles as 10^4 forward passes.
         params, rng = random_params(hidden=8, seed=3)
         windows = rng.standard_normal((10_000, 10, 13))
         probs, cache = lstm._forward(params, windows, lstm._Workspace(params, len(windows)))
-        hid = params.hidden
         for layer in (layer_views(cache, 1), layer_views(cache, 2)):
             for t in range(layer.gates.shape[0]):
                 for k in range(3):  # the sigmoid gates i, f, o
-                    gate = layer.gates[t][:, k * hid : (k + 1) * hid]
+                    gate = layer.gates[t][:, k]
                     assert np.all(gate > 0.0) and np.all(gate < 1.0)
                 assert np.all(np.isfinite(layer.c[t + 1]))
                 assert np.all(np.abs(layer.h[t + 1]) < 1.0)
@@ -418,9 +417,10 @@ class TestTrainPath:
             layer.b[:] = rng.uniform(-1.0, 1.0, layer.b.shape)
         work = lstm._Workspace(params, 8)
         grads = lstm.LstmParams.zeros(6)
-        # Full, partial, then full again: each pass starts on storage the
-        # one before left dirty, with weights an update step has moved.
-        for batch in (8, 5, 8, 1):
+        # Full, partial, then full again, with weights an update step has
+        # moved: a pass of the size before starts on the storage that pass
+        # left dirty, and a pass of another size on storage of its own size.
+        for batch in (8, 8, 5, 5, 8, 1):
             windows = rng.standard_normal((batch, 10, 13))
             labels = (rng.random(batch) > 0.5).astype(float)
             probs, cache = lstm._forward(params, windows, work)
@@ -431,6 +431,26 @@ class TestTrainPath:
             assert np.array_equal(probs, fresh_probs)
             assert np.array_equal(grads.vector, fresh.vector)
             params.vector -= 0.5 * grads.vector
+
+    def test_step_peak_allocation_is_bounded_by_the_gate_storage(self):
+        # A training step on a prepared workspace allocates the backward's gate
+        # gradients (as large as the gate storage), the buffers its weight
+        # products read and a few small arrays: 1.77 times the gate storage at
+        # batch 64, hidden 16.  The batch-major layout before it peaked at 1.85
+        # times, and transposed copies of both products' operands at 2.95.
+        params, rng = random_params(hidden=16, seed=63)
+        windows = rng.standard_normal((64, 10, 13))
+        labels = (rng.random(64) > 0.5).astype(float)
+        work, grads = lstm._Workspace(params, 64), lstm.LstmParams.zeros(16)
+        lstm._backward(lstm._forward(params, windows, work)[1], labels, grads)
+        tracemalloc.start()
+        try:
+            _, cache = lstm._forward(params, windows, work)
+            lstm._backward(cache, labels, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.85 * cache.gates.nbytes
 
     @pytest.mark.parametrize("optimizer, learning_rate", [("sgd", 0.2), ("adam", 0.01)])
     def test_train_matches_a_reference_loop_over_public_calls(self, optimizer, learning_rate):
