@@ -29,14 +29,18 @@ of the block matrix
 (each row pair interleaved by gate, so W1's gate-k rows are M^T's rows
 2kH..2kH+H) with the input column z_s = [x_s | 1 | h1_s | h2_(s-1)] gives
 both slots' pre-activations, biases included.  M^T is filled from W, U and
-b without transposes.  The edge iterations are one-sided: s = 0 has no
-layer-2 step and s = T no layer-1 step, so they compute the live slot only,
-and the empty one keeps the zero state layer 2 starts from.
+b without transposes, by six copies between fixed views.  The edge
+iterations are one-sided: s = 0 has no layer-2 step and s = T no layer-1
+step, so they compute the live slot only, and the empty one keeps the zero
+state layer 2 starts from.
 
 Backpropagation runs the iterations in reverse; one product of the
 transpose of M^T's last 2H columns with the gate gradients returns
 dh1_s = U1^T da1_s + W2^T da2_s and dh2_(s-1) = U2^T da2_s together.  Each
 layer's weight gradient is then one product over all steps and windows.
+Training reuses one workspace per epoch, which holds a step's buffers and
+the views of them each iteration reads, made once per storage, so a
+minibatch step only runs numpy kernels.
 
 One tanh per iteration gives every gate.  The sigmoid gates use
 sig(x) = 1/2 + tanh(x / 2) / 2: the forward multiplies by M^T with its
@@ -201,7 +205,8 @@ class ForwardCache:
     after the last iteration.  Index s of ``gates`` (T + 1, 4, 2, H, B) and
     ``tanh_c`` (T + 1, 2, H, B) holds iteration s's activations and the tanh
     of the cell states it wrote.  ``block`` is the matrix M^T they came from
-    (the forward multiplied by it with the sigmoid rows halved).
+    (the forward multiplied by it with the sigmoid rows halved).  All of
+    them belong to ``work``, whose views the backward runs on.
     """
 
     params: LstmParams
@@ -211,100 +216,136 @@ class ForwardCache:
     tanh_c: np.ndarray
     gates: np.ndarray
     block: np.ndarray
+    work: _Workspace
 
 
-def _block(params: LstmParams, out: np.ndarray | None = None) -> np.ndarray:
-    """The wavefront's block matrix M^T (8H, in + 1 + 2H) of the module docstring.
-
-    Written into ``out`` when given; only the nonzero blocks are written, so
-    its zero blocks must already be zero.
-    """
+def _fills(params: LstmParams, block: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(destination in ``block``, parameter) views; their copies write M^T's nonzero blocks."""
     hid, n_in = params.hidden, params.input_size
-    block = np.zeros((8 * hid, n_in + 1 + 2 * hid)) if out is None else out
     one, two = (block.reshape(4, 2, hid, -1)[:, slot] for slot in (0, 1))
+    h1, h2 = slice(n_in + 1, n_in + 1 + hid), slice(n_in + 1 + hid, None)
     l1, l2 = params.layer1, params.layer2
-    one[..., :n_in] = l1.w.reshape(4, hid, n_in)
-    one[..., n_in] = l1.b.reshape(4, hid)
-    one[..., n_in + 1 : n_in + 1 + hid] = l1.u.reshape(4, hid, hid)
-    two[..., n_in] = l2.b.reshape(4, hid)
-    two[..., n_in + 1 : n_in + 1 + hid] = l2.w.reshape(4, hid, hid)
-    two[..., n_in + 1 + hid :] = l2.u.reshape(4, hid, hid)
+    return [(one[..., :n_in], l1.w.reshape(4, hid, n_in)), (one[..., n_in], l1.b.reshape(4, hid)),
+            (one[..., h1], l1.u.reshape(4, hid, hid)), (two[..., n_in], l2.b.reshape(4, hid)),
+            (two[..., h1], l2.w.reshape(4, hid, hid)), (two[..., h2], l2.u.reshape(4, hid, hid))]
+
+
+def _block(params: LstmParams) -> np.ndarray:
+    """The wavefront's block matrix M^T of the module docstring, in a new array."""
+    block = np.zeros((8 * params.hidden, params.input_size + 1 + 2 * params.hidden))
+    for dst, src in _fills(params, block):
+        np.copyto(dst, src)
     return block
 
 
 def _storage(params: LstmParams, batch: int, n_states: int, n_iters: int):
     """Zeroed wavefront storage: ``n_states`` rows of z and c (the ones row
-    set), ``n_iters`` rows of gates and tanh(c)."""
+    set), ``n_iters`` rows of tanh(c) and gates, and a (2, H, B) scratch block."""
     hid, n_in = params.hidden, params.input_size
     z = np.zeros((n_states, n_in + 1 + 2 * hid, batch))
     z[:, n_in] = 1.0
     return (z, np.zeros((n_states, 2, hid, batch)), np.zeros((n_iters, 2, hid, batch)),
-            np.zeros((n_iters, 4, 2, hid, batch)))
+            np.zeros((n_iters, 4, 2, hid, batch)), np.zeros((2, hid, batch)))
+
+
+def _plan(block: np.ndarray, z: np.ndarray, c: np.ndarray, tanh_c: np.ndarray,
+          gates: np.ndarray, scratch: np.ndarray):
+    """(inputs or None, per-iteration views, layer 2's final h) that :func:`_wavefront`
+    runs on, of M^T with its sigmoid rows halved and of :func:`_storage`'s arrays.
+
+    Iteration s reads its input row and cell states at index s % n of ``z``
+    and ``c`` (n of them), writes the next ones at (s + 1) % n, and its
+    activations at s % len(gates) of ``gates`` and ``tanh_c``.  T + 2 and
+    T + 1 rows keep every iteration for backpropagation, and all step inputs
+    are copied in at once, through ``inputs``; two and one keep only the
+    current state, and each iteration copies in its own step's input.
+    """
+    n_states, (_, hid, batch) = len(z), scratch.shape
+    n_in, keep_all = z.shape[1] - 1 - 2 * hid, n_states == WINDOW_LENGTH + 2
+    # An edge iteration runs one layer's step: its slot, and the input rows
+    # its weights read (the others meet zero weights or a zero state).
+    edges = {0: (slice(0, 1), slice(0, n_in + 1)), WINDOW_LENGTH: (slice(1, 2), slice(n_in, None))}
+    iterations = []
+    for s in range(WINDOW_LENGTH + 1):
+        row, c_prev, c_next = z[s % n_states], c[s % n_states], c[(s + 1) % n_states]
+        a, t, ig = gates[s % len(gates)], tanh_c[s % len(tanh_c)], scratch
+        h_next = h_out = z[(s + 1) % n_states, n_in + 1 :].reshape(2, hid, batch)
+        x = row[:n_in] if s < WINDOW_LENGTH and not keep_all else None
+        if s in edges:
+            live, cols = edges[s]
+            product = (block.reshape(4, 2, hid, -1)[:, live, :, cols], row[cols], a[:, live])
+            a, h_out, ig = a[:, live], h_next[live], ig[live]
+            c_prev, c_next, t = c_prev[live], c_next[live], t[live]
+        else:
+            product = (block, row, a.reshape(len(block), batch))
+        iterations.append((x, product, a, a[:3], *a, c_prev, c_next, ig, t, h_out))
+    return (z[:WINDOW_LENGTH, :n_in] if keep_all else None), iterations, h_next[1]
 
 
 class _Workspace:
-    """A minibatch step's storage (z, c, tanh_c, gates), for ``batch`` windows.
+    """A minibatch step's buffers for the model ``params`` and every view of them it reads.
 
-    :func:`train` makes one per epoch and reuses it for every minibatch.  A
-    pass of another size replaces the storage with one of its own size: the
-    batch axis is innermost, so slices of it would not be contiguous.  Each
-    pass overwrites all it reads except what no pass writes: the zero
-    initial state, the edge iterations' empty slots, the ones row and M^T's
-    zero blocks.  ``block`` holds M^T and ``halved`` the matrix the forward
-    multiplies by.
+    :func:`train` makes one per epoch and reuses it for every minibatch.
+    ``block`` holds M^T, written through the (destination, parameter) pairs
+    ``fills``, and ``halved`` the matrix the forward multiplies by.
+    :meth:`resize` makes, for ``batch`` windows, :func:`_storage`'s arrays,
+    the backward's ``da`` (shaped as ``gates``), ``dh`` and ``dc``, and their
+    views: ``plan`` for :func:`_wavefront`, ``steps`` for :func:`_backward`'s
+    reverse loop.  A pass of another size resizes (the batch axis is
+    innermost, so slices of it would not be contiguous).  Each pass
+    overwrites all it reads except what no pass writes: the zero initial
+    state, the edge iterations' empty slots, the ones row and M^T's zeros.
     """
 
     def __init__(self, params: LstmParams, batch: int):
+        self.params = params
         self.block = _block(params)
         self.halved = np.empty_like(self.block)
-        self.storage = _storage(params, batch, WINDOW_LENGTH + 2, WINDOW_LENGTH + 1)
+        self.fills = _fills(params, self.block)
+        six = 6 * params.hidden  # the sigmoid gates' rows
+        self.halving = (self.block[:six], self.halved[:six], self.block[six:], self.halved[six:])
+        self.back = self.block[:, params.input_size + 1 :].T
+        self.resize(batch)
+
+    def resize(self, batch: int) -> None:
+        hid, self.batch = self.params.hidden, batch
+        storage = _storage(self.params, batch, WINDOW_LENGTH + 2, WINDOW_LENGTH + 1)
+        self.z, self.c, self.tanh_c, self.gates, self.scratch = storage
+        self.plan = _plan(self.halved, *storage)
+        self.da = np.empty_like(self.gates)
+        self.dh, self.dc = np.empty((2, hid, batch)), np.empty((2, hid, batch))
+        self.dh_rows = self.dh.reshape(2 * hid, batch)
+        self.factors = ([self.gates[:, k] for k in range(4)], [self.da[:, k] for k in range(4)],
+                        self.c[:-1])
+        # Iterations T..0: da's (i, f), o and g blocks, f, and da's rows (none at 0).
+        self.steps = [(d[:2], d[2], d[3], f, d.reshape(8 * hid, batch) if s else None)
+                      for s, (d, f) in reversed(list(enumerate(zip(self.da, self.gates[:, 1]))))]
 
 
-def _wavefront(params: LstmParams, block: np.ndarray, windows: np.ndarray, z: np.ndarray,
-               c: np.ndarray, tanh_c: np.ndarray, gates: np.ndarray) -> np.ndarray:
+def _wavefront(plan, windows: np.ndarray) -> np.ndarray:
     """Run both layers over (B, T, in) windows; return layer 2's final h (H, B).
 
-    ``block`` is M^T with its first 6H rows, the sigmoid gates', halved.
-    The caller chooses the storage (see :func:`_storage`).  Iteration s reads
-    its input row and cell states at index s % n of ``z`` and ``c`` (n of
-    them), writes the next ones at (s + 1) % n, and writes its activations
-    at s % len(gates) of ``gates`` and ``tanh_c``.  T + 2 and T + 1 rows
-    keep every iteration for backpropagation, and all step inputs are copied
-    in at once; two and one keep only the current state, and give the same
-    numbers.  The edge iterations compute their live slot only, so the empty
-    one keeps the zeros it was allocated with.
+    Loops over ``plan``, :func:`_plan`'s views, so an iteration runs numpy
+    kernels only; every storage gives the same numbers.  The edge iterations
+    compute their live slot only, so the empty one keeps its zeros.
     """
-    batch, n_steps, n_in = windows.shape
-    n_states = len(c)
-    keep_all = n_states == n_steps + 2
-    if keep_all:
-        z[:n_steps, :n_in] = windows.transpose(1, 2, 0)
-    # An edge iteration runs one layer's step: its slot, and the input rows
-    # its weights read (the others meet zero weights or a zero state).
-    edges = {0: (slice(0, 1), slice(0, n_in + 1)), n_steps: (slice(1, 2), slice(n_in, None))}
-    for s in range(n_steps + 1):
-        row, c_prev = z[s % n_states], c[s % n_states]
-        if s < n_steps and not keep_all:
-            row[:n_in] = windows[:, s].T
-        a, c_next, t = gates[s % len(gates)], c[(s + 1) % n_states], tanh_c[s % len(tanh_c)]
-        h_next = h_out = z[(s + 1) % n_states, n_in + 1 :].reshape(2, -1, batch)
-        if s in edges:
-            live, cols = edges[s]
-            np.matmul(block.reshape(4, 2, params.hidden, -1)[:, live, :, cols], row[cols],
-                      out=a[:, live])
-            a, h_out = a[:, live], h_next[live]
-            c_prev, c_next, t = c_prev[live], c_next[live], t[live]
-        else:
-            np.matmul(block, row, out=a.reshape(len(block), batch))
+    inputs, iterations, h_last = plan
+    if inputs is not None:
+        np.copyto(inputs, windows.transpose(1, 2, 0))
+    for s, (x, (lhs, row, out), a, sig, i, f, o, g, c_prev, c_next, ig, t, h) in enumerate(
+            iterations):
+        if x is not None:
+            np.copyto(x, windows[:, s].T)
+        np.matmul(lhs, row, out=out)
         np.tanh(a, out=a)
-        a[:3] *= 0.5  # sig(x) = 1/2 + tanh(x / 2) / 2
-        a[:3] += 0.5
-        i, f, o, g = a
+        sig *= 0.5  # sig(x) = 1/2 + tanh(x / 2) / 2
+        sig += 0.5
         np.multiply(f, c_prev, out=c_next)
-        c_next += i * g
+        np.multiply(i, g, out=ig)
+        c_next += ig
         np.tanh(c_next, out=t)
-        np.multiply(o, t, out=h_out)
-    return h_next[1]
+        np.multiply(o, t, out=h)
+    return h_last
 
 
 def _head(params: LstmParams, h_last: np.ndarray) -> np.ndarray:
@@ -319,20 +360,18 @@ def _checked_windows(params: LstmParams, windows: np.ndarray) -> np.ndarray:
     return windows
 
 
-def _forward(
-    params: LstmParams, windows: np.ndarray, work: _Workspace
-) -> tuple[np.ndarray, ForwardCache]:
+def _forward(work: _Workspace, windows: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Probabilities for (batch, 10, in) windows; the cache holds views into ``work``."""
-    block = _block(params, out=work.block)
-    np.copyto(work.halved, block)
-    work.halved[: 6 * params.hidden] *= 0.5  # the sigmoid gates' rows
-    if len(windows) != work.storage[0].shape[-1]:
-        work.storage = _storage(params, len(windows), WINDOW_LENGTH + 2, WINDOW_LENGTH + 1)
-    z, c, tanh_c, gates = work.storage
-    probs = _head(params, _wavefront(params, work.halved, windows, z, c, tanh_c, gates))
-    return probs, ForwardCache(
-        params=params, probs=probs, z=z, c=c, tanh_c=tanh_c, gates=gates, block=block
-    )
+    for dst, src in work.fills:
+        np.copyto(dst, src)
+    block_sig, halved_sig, block_g, halved_g = work.halving
+    np.multiply(block_sig, 0.5, out=halved_sig)
+    np.copyto(halved_g, block_g)
+    if len(windows) != work.batch:
+        work.resize(len(windows))
+    probs = _head(work.params, _wavefront(work.plan, windows))
+    return probs, ForwardCache(params=work.params, probs=probs, z=work.z, c=work.c,
+                               tanh_c=work.tanh_c, gates=work.gates, block=work.block, work=work)
 
 
 def _infer(params: LstmParams, windows: np.ndarray) -> np.ndarray:
@@ -340,7 +379,7 @@ def _infer(params: LstmParams, windows: np.ndarray) -> np.ndarray:
     windows = _checked_windows(params, windows)
     block = _block(params)
     block[: 6 * params.hidden] *= 0.5
-    return _head(params, _wavefront(params, block, windows, *_storage(params, len(windows), 2, 1)))
+    return _head(params, _wavefront(_plan(block, *_storage(params, len(windows), 2, 1)), windows))
 
 
 def forward(params: LstmParams, window: np.ndarray) -> tuple[float, ForwardCache]:
@@ -348,7 +387,7 @@ def forward(params: LstmParams, window: np.ndarray) -> tuple[float, ForwardCache
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 2:
         raise DataError(f"window must be 2-d (steps, features), got shape {window.shape}")
-    probs, cache = _forward(params, _checked_windows(params, window[None]), _Workspace(params, 1))
+    probs, cache = _forward(_Workspace(params, 1), _checked_windows(params, window[None]))
     return float(probs[0]), cache
 
 
@@ -371,11 +410,10 @@ def _backward(cache: ForwardCache, labels: np.ndarray, grads: LstmParams) -> Lst
     batch size.  The dense pre-activation gradient is probs - labels, exact
     wherever the clamp is inactive.
     """
-    params = cache.params
-    batch = cache.probs.shape[0]
+    params, work = cache.params, cache.work
     hid, n_in = params.hidden, params.input_size
-    gates, tanh_c, z = cache.gates, cache.tanh_c, cache.z
-    n_iters = len(gates)
+    gates, tanh_c, z, da = cache.gates, cache.tanh_c, cache.z, work.da
+    n_steps, batch = len(gates) - 1, work.batch
 
     dz = cache.probs - labels
     grads.dense_w[:] = z[-1, n_in + 1 + hid :] @ dz
@@ -386,38 +424,36 @@ def _backward(cache: ForwardCache, labels: np.ndarray, grads: LstmParams) -> Lst
     # which multiply dc, sig'(o) tanh c, which multiplies dh, and o tanh'(c)
     # for the cell.  ``da`` holds the first four and turns into the gate
     # gradients iteration by iteration.
-    i, f, o, g = (gates[:, k] for k in range(4))
-    da = np.subtract(1.0, gates)
+    (i, _, o, g), (da_i, da_f, da_o, da_g), c_prev = work.factors
+    np.subtract(1.0, gates, out=da)
     da *= gates
-    da[:, 0] *= g
-    da[:, 1] *= cache.c[:-1]
-    da[:, 2] *= tanh_c
-    np.multiply(1.0 - g * g, i, out=da[:, 3])
+    da_i *= g
+    da_f *= c_prev
+    da_o *= tanh_c
+    np.multiply(1.0 - g * g, i, out=da_g)
     o_dtanh_c = np.multiply(tanh_c, tanh_c)
     np.subtract(1.0, o_dtanh_c, out=o_dtanh_c)
     o_dtanh_c *= o
 
-    back = cache.block[:, n_in + 1 :].T
-    dh = np.zeros((2, hid, batch))
-    dh[1] = params.dense_w[:, None] * dz
-    dc = np.zeros((2, hid, batch))
-    for s in range(n_iters - 1, -1, -1):
-        dc += dh * o_dtanh_c[s]
-        a = da[s]
-        a[:2] *= dc
-        a[2] *= dh
-        a[3] *= dc
-        dc *= f[s]
-        if s:
-            np.matmul(back, a.reshape(8 * hid, batch), out=dh.reshape(2 * hid, batch))
-    del o_dtanh_c  # before the buffers below, so the step's peak stays lower
+    dh, dc, scratch = work.dh, work.dc, work.scratch
+    dc[...] = dh[0] = 0.0  # only layer 2's final h feeds the head
+    np.multiply(params.dense_w[:, None], dz, out=dh[1])
+    for (a_if, a_o, a_g, f_s, a), o_dtanh_c_s in zip(work.steps, o_dtanh_c[::-1]):
+        np.multiply(dh, o_dtanh_c_s, out=scratch)
+        dc += scratch
+        a_if *= dc
+        a_o *= dh
+        a_g *= dc
+        dc *= f_s
+        if a is not None:
+            np.matmul(work.back, a, out=work.dh_rows)
+    del o_dtanh_c, o_dtanh_c_s  # before the buffers below, so the step's peak stays lower
 
     # Layer 1's steps are iterations 0..T-1 with input rows [x | 1 | h1] and
     # layer 2's are 1..T with [1 | h1 | h2], so each layer's w, b and u come
     # from one product over (iteration, batch); the ones row gives the bias.
     # Its operands are copied into buffers that put the iteration next to the
     # batch, which the two layers share, as they share its result ``d``.
-    n_steps = n_iters - 1
     rows = np.empty((4, hid, n_steps, batch))
     cols = np.empty((1 + hid + max(n_in, hid), n_steps, batch))
     d = np.empty((4 * hid, len(cols)))
@@ -623,12 +659,12 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
     for epoch in range(1, config.epochs + 1):
         work = _Workspace(params, config.batch)
         order = rng.permutation(n_train)
-        epoch_loss = 0.0
+        probs_seen = np.empty(n_train)
         for start in range(0, n_train, config.batch):
             idx = order[start : start + config.batch]
             labels = y_train[idx]
-            probs, cache = _forward(params, x_train[idx], work)
-            epoch_loss += float(_loss_vector(probs, labels).sum())
+            probs, cache = _forward(work, x_train[idx])
+            probs_seen[start : start + len(idx)] = probs
             _backward(cache, labels, grads)
             gvec /= len(idx)
             if use_adam:
@@ -641,6 +677,11 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
             else:
                 gvec *= config.learning_rate
                 vec -= gvec
+        # One loss pass, summed minibatch by minibatch so it rounds as the steps ran.
+        losses = _loss_vector(probs_seen, y_train[order])
+        epoch_loss = 0.0
+        for start in range(0, n_train, config.batch):
+            epoch_loss += float(losses[start : start + config.batch].sum())
         epoch_loss /= n_train
         if not (math.isfinite(epoch_loss) and np.all(np.isfinite(vec))):
             raise ConvergenceError(f"training diverged at epoch {epoch} (non-finite loss or weights)")

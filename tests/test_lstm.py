@@ -156,7 +156,7 @@ class TestForward:
         for layer in (params.layer1, params.layer2):
             layer.b[:] = rng.uniform(-1.0, 1.0, layer.b.shape)
         windows = rng.standard_normal((32, 10, 13)) * np.geomspace(0.1, 40.0, 32)[:, None, None]
-        _, cache = lstm._forward(params, windows, lstm._Workspace(params, len(windows)))
+        _, cache = lstm._forward(lstm._Workspace(params, len(windows)), windows)
         lowest = np.inf
         for layer_params, layer in (
             (params.layer1, layer_views(cache, 1)), (params.layer2, layer_views(cache, 2))
@@ -201,7 +201,7 @@ class TestForward:
         for layer in (params.layer1, params.layer2):
             layer.b[:] = rng.uniform(-1.0, 1.0, layer.b.shape)
         windows = rng.standard_normal((5, 10, 13))
-        _, cache = lstm._forward(params, windows, lstm._Workspace(params, 5))
+        _, cache = lstm._forward(lstm._Workspace(params, 5), windows)
         one, two = layer_views(cache, 1), layer_views(cache, 2)
         assert np.all(one.h_final == 0.0) and np.all(one.c_final == 0.0)
         assert np.array_equal(two.h_final, two.h[-1])
@@ -211,7 +211,7 @@ class TestForward:
         # One vectorized pass over 10^4 windows doubles as 10^4 forward passes.
         params, rng = random_params(hidden=8, seed=3)
         windows = rng.standard_normal((10_000, 10, 13))
-        probs, cache = lstm._forward(params, windows, lstm._Workspace(params, len(windows)))
+        probs, cache = lstm._forward(lstm._Workspace(params, len(windows)), windows)
         for layer in (layer_views(cache, 1), layer_views(cache, 2)):
             for t in range(layer.gates.shape[0]):
                 for k in range(3):  # the sigmoid gates i, f, o
@@ -324,7 +324,7 @@ class TestBackward:
             layer.b[:] = rng.uniform(-1.0, 1.0, layer.b.shape)
         windows = rng.standard_normal((batch, 10, 13))
         labels = (rng.random(batch) > 0.5).astype(float)
-        probs, cache = lstm._forward(params, windows, lstm._Workspace(params, batch))
+        probs, cache = lstm._forward(lstm._Workspace(params, batch), windows)
         grads = lstm._backward(cache, labels, lstm.LstmParams.zeros(hidden))
         ref_probs, ref_grads = textbook_probs_and_grads(params, windows, labels)
         np.testing.assert_allclose(probs, ref_probs, rtol=1e-12)
@@ -350,7 +350,7 @@ class TestBackward:
         windows = rng.standard_normal((6, 10, 13))
         windows[4] = windows[1]
         labels = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0])
-        _, cache = lstm._forward(params, windows, lstm._Workspace(params, 6))
+        _, cache = lstm._forward(lstm._Workspace(params, 6), windows)
         batch = lstm._backward(cache, labels, lstm.LstmParams.zeros(5))
         singles = [lstm.backward(lstm.forward(params, w)[1], y) for w, y in zip(windows, labels)]
         # The two sides sum in different orders, and entries that cancel keep
@@ -364,7 +364,7 @@ class TestBackward:
         # The single-window backward takes one label, so a batch cache fails.
         params, rng = random_params()
         windows = rng.standard_normal((3, 10, 13))
-        _, cache = lstm._forward(params, windows, lstm._Workspace(params, 3))
+        _, cache = lstm._forward(lstm._Workspace(params, 3), windows)
         with pytest.raises(DataError, match="batch of 3"):
             lstm.backward(cache, 1.0)
 
@@ -408,6 +408,17 @@ def reference_train(samples, config):
     return losses, weights, stats
 
 
+def arrays_in(value):
+    """Every array in ``value``, searching dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [a for item in value for a in arrays_in(item)]
+    return []
+
+
 class TestTrainPath:
     """``train`` runs every minibatch on one reused workspace."""
 
@@ -423,34 +434,106 @@ class TestTrainPath:
         for batch in (8, 8, 5, 5, 8, 1):
             windows = rng.standard_normal((batch, 10, 13))
             labels = (rng.random(batch) > 0.5).astype(float)
-            probs, cache = lstm._forward(params, windows, work)
+            probs, cache = lstm._forward(work, windows)
             lstm._backward(cache, labels, grads)
             fresh_work = lstm._Workspace(params, batch)
-            fresh_probs, fresh_cache = lstm._forward(params, windows, fresh_work)
+            fresh_probs, fresh_cache = lstm._forward(fresh_work, windows)
             fresh = lstm._backward(fresh_cache, labels, lstm.LstmParams.zeros(6))
             assert np.array_equal(probs, fresh_probs)
             assert np.array_equal(grads.vector, fresh.vector)
             params.vector -= 0.5 * grads.vector
 
     def test_step_peak_allocation_is_bounded_by_the_gate_storage(self):
-        # A training step on a prepared workspace allocates the backward's gate
-        # gradients (as large as the gate storage), the buffers its weight
-        # products read and a few small arrays: 1.77 times the gate storage at
-        # batch 64, hidden 16.  The batch-major layout before it peaked at 1.85
-        # times, and transposed copies of both products' operands at 2.95.
+        # A training step on a prepared workspace allocates o tanh'(c), the
+        # buffers its weight products read and a few small arrays: 0.72 times
+        # the gate storage at batch 64, hidden 16, and 1.77 while the gate
+        # gradients (as large as the gate storage) were allocated per step.
+        # The batch-major layout before peaked at 1.85 times, and transposed
+        # copies of both products' operands at 2.95.
         params, rng = random_params(hidden=16, seed=63)
         windows = rng.standard_normal((64, 10, 13))
         labels = (rng.random(64) > 0.5).astype(float)
         work, grads = lstm._Workspace(params, 64), lstm.LstmParams.zeros(16)
-        lstm._backward(lstm._forward(params, windows, work)[1], labels, grads)
+        lstm._backward(lstm._forward(work, windows)[1], labels, grads)
         tracemalloc.start()
         try:
-            _, cache = lstm._forward(params, windows, work)
+            _, cache = lstm._forward(work, windows)
             lstm._backward(cache, labels, grads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.85 * cache.gates.nbytes
+
+    def test_workspace_and_two_steps_peak_is_bounded_by_the_gate_storage(self):
+        # The workspace holds the wavefront storage and the gate gradients,
+        # each step adds o tanh'(c) and the weight-gradient buffers: 3.88
+        # times the gate storage at batch 64, hidden 16.  With the gate
+        # gradients allocated per step it was 3.81; keeping o tanh'(c) in the
+        # workspace too would read 4.13.
+        params, rng = random_params(hidden=16, seed=63)
+        windows = rng.standard_normal((64, 10, 13))
+        labels = (rng.random(64) > 0.5).astype(float)
+        grads = lstm.LstmParams.zeros(16)
+        tracemalloc.start()
+        try:
+            work = lstm._Workspace(params, 64)
+            for _ in range(2):
+                _, cache = lstm._forward(work, windows)
+                lstm._backward(cache, labels, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.9 * cache.gates.nbytes
+
+    def test_views_never_outlive_their_storage(self):
+        params, rng = random_params(hidden=6, seed=64)
+        work = lstm._Workspace(params, 8)
+        storages = []
+        for batch in (8, 5, 8):
+            windows = rng.standard_normal((batch, 10, 13))
+            labels = (rng.random(batch) > 0.5).astype(float)
+            probs, cache = lstm._forward(work, windows)
+            grads = lstm._backward(cache, labels, lstm.LstmParams.zeros(6))
+            current = [work.z, work.c, work.tanh_c, work.gates, work.scratch, work.da, work.dh,
+                       work.dc]
+            replaced = [a for storage in storages for a in storage
+                        if not any(a is b for b in current)]
+            storages.append(current)
+            owners = current + [work.block, work.halved, params.vector]
+            for view in arrays_in(vars(work)):
+                assert any(np.shares_memory(view, owner) for owner in owners)
+                assert not any(np.shares_memory(view, old) for old in replaced)
+            fresh_probs, fresh_cache = lstm._forward(lstm._Workspace(params, batch), windows)
+            fresh = lstm._backward(fresh_cache, labels, lstm.LstmParams.zeros(6))
+            assert np.array_equal(probs, fresh_probs)
+            assert np.array_equal(grads.vector, fresh.vector)
+            params.vector -= 0.5 * grads.vector
+        assert len(replaced) == 16  # the storages made for the first two passes
+
+    def test_train_loss_is_the_in_order_sum_of_minibatch_losses(self, monkeypatch):
+        samples = separable_dataset(n=70, seed=62)
+        config = lstm.TrainConfig(hidden=5, batch=12, epochs=3, learning_rate=0.2, seed=12)
+        n_train = round(config.train_frac * len(samples))
+        assert n_train % config.batch != 0
+        seen, backward = [], lstm._backward
+
+        def recording(cache, labels, grads):
+            seen.append((cache.probs.copy(), labels.copy()))
+            return backward(cache, labels, grads)
+
+        monkeypatch.setattr(lstm, "_backward", recording)
+        history = lstm.train(samples, config).history
+        per_epoch = math.ceil(n_train / config.batch)
+        assert len(seen) == config.epochs * per_epoch
+        rounds_otherwise = 0
+        for k, epoch in enumerate(history):
+            minibatches, total = seen[k * per_epoch : (k + 1) * per_epoch], 0.0
+            for probs, labels in minibatches:
+                total += float(lstm._loss_vector(probs, labels).sum())
+            assert epoch.train_loss == total / n_train
+            probs, labels = (np.concatenate(arrays) for arrays in zip(*minibatches))
+            rounds_otherwise += float(lstm._loss_vector(probs, labels).sum()) != total
+        assert rounds_otherwise  # so one sum over the whole epoch would fail this test
 
     @pytest.mark.parametrize("optimizer, learning_rate", [("sgd", 0.2), ("adam", 0.01)])
     def test_train_matches_a_reference_loop_over_public_calls(self, optimizer, learning_rate):
@@ -512,7 +595,7 @@ class TestPredict:
         params, rng = random_params(hidden=4, seed=6)
         stats = random_stats(rng)
         windows = np.stack([(s.window - stats.mean) / stats.std for s in samples])
-        expected, _ = lstm._forward(params, windows, lstm._Workspace(params, len(windows)))
+        expected, _ = lstm._forward(lstm._Workspace(params, len(windows)), windows)
         assert np.array_equal(lstm.predict(params, stats, samples), expected)
 
     def test_window_width_other_than_input_size_rejected(self):
