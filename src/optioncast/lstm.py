@@ -38,9 +38,9 @@ Backpropagation runs the iterations in reverse; one product of the
 transpose of M^T's last 2H columns with the gate gradients returns
 dh1_s = U1^T da1_s + W2^T da2_s and dh2_(s-1) = U2^T da2_s together.  Each
 layer's weight gradient is then one product over all steps and windows.
-Training reuses one workspace per epoch, which holds a step's buffers and
-the views of them each iteration reads, made once per storage, so a
-minibatch step only runs numpy kernels.
+Training reuses one :class:`ForwardCache` per epoch, which holds a step's
+buffers and the views of them each iteration reads, made once per storage,
+so a minibatch step only runs numpy kernels.
 
 One tanh per iteration gives every gate.  The sigmoid gates use
 sig(x) = 1/2 + tanh(x / 2) / 2: the forward multiplies by M^T with its
@@ -100,11 +100,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return numerator / e
 
 
-def _layout(hidden: int, input_size: int) -> list[tuple[str, tuple[int, ...]]]:
+def _layout(hidden: int) -> list[tuple[str, tuple[int, ...]]]:
     """Name and shape of every parameter array, in flat-vector order."""
     four = 4 * hidden
     return [
-        ("layer1.w", (four, input_size)),
+        ("layer1.w", (four, N_FEATURES)),
         ("layer1.u", (four, hidden)),
         ("layer1.b", (four,)),
         ("layer2.w", (four, hidden)),
@@ -115,8 +115,8 @@ def _layout(hidden: int, input_size: int) -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
-def _n_params(hidden: int, input_size: int) -> int:
-    return sum(math.prod(shape) for _, shape in _layout(hidden, input_size))
+def _n_params(hidden: int) -> int:
+    return sum(math.prod(shape) for _, shape in _layout(hidden))
 
 
 @dataclass(frozen=True)
@@ -136,17 +136,15 @@ class LstmParams:
     are views into ``vector``, so writing to one writes to the other.
     """
 
-    def __init__(self, vector: np.ndarray, hidden: int, input_size: int = N_FEATURES):
-        layout = _layout(hidden, input_size)
-        expected = _n_params(hidden, input_size)
+    def __init__(self, vector: np.ndarray, hidden: int):
+        expected = _n_params(hidden)
         if vector.shape != (expected,):
             raise DataError(f"parameter vector has {vector.size} entries, expected {expected}")
         self.vector = vector
         self.hidden = hidden
-        self.input_size = input_size
         self.arrays: dict[str, np.ndarray] = {}
         offset = 0
-        for name, shape in layout:
+        for name, shape in _layout(hidden):
             size = math.prod(shape)
             self.arrays[name] = vector[offset : offset + size].reshape(shape)
             offset += size
@@ -157,8 +155,8 @@ class LstmParams:
         self.dense_b = a["dense_b"]
 
     @classmethod
-    def zeros(cls, hidden: int, input_size: int = N_FEATURES) -> "LstmParams":
-        return cls(np.zeros(_n_params(hidden, input_size)), hidden, input_size)
+    def zeros(cls, hidden: int) -> "LstmParams":
+        return cls(np.zeros(_n_params(hidden)), hidden)
 
 
 def params_to_vector(params: LstmParams) -> np.ndarray:
@@ -166,12 +164,12 @@ def params_to_vector(params: LstmParams) -> np.ndarray:
     return params.vector.copy()
 
 
-def vector_to_params(vec: np.ndarray, hidden: int, input_size: int = N_FEATURES) -> LstmParams:
+def vector_to_params(vec: np.ndarray, hidden: int) -> LstmParams:
     """Parameters over a float64 copy of ``vec``."""
-    return LstmParams(np.array(vec, dtype=np.float64), hidden, input_size)
+    return LstmParams(np.array(vec, dtype=np.float64), hidden)
 
 
-def init_params(hidden: int, rng: np.random.Generator, input_size: int = N_FEATURES) -> LstmParams:
+def init_params(hidden: int, rng: np.random.Generator) -> LstmParams:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, forget bias +1.
 
     Draw order is fixed (layer1 then layer2, gates i,f,o,g, w before u, then
@@ -181,8 +179,8 @@ def init_params(hidden: int, rng: np.random.Generator, input_size: int = N_FEATU
         bound = 1.0 / math.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
-    params = LstmParams.zeros(hidden, input_size)
-    for layer, in_dim in ((params.layer1, input_size), (params.layer2, hidden)):
+    params = LstmParams.zeros(hidden)
+    for layer, in_dim in ((params.layer1, N_FEATURES), (params.layer2, hidden)):
         for k, gate in enumerate(_GATES):
             rows = slice(k * hidden, (k + 1) * hidden)
             layer.w[rows] = draw((hidden, in_dim), in_dim)
@@ -193,35 +191,9 @@ def init_params(hidden: int, rng: np.random.Generator, input_size: int = N_FEATU
     return params
 
 
-@dataclass
-class ForwardCache:
-    """The wavefront's full storage, everything backpropagation reads.
-
-    Every array keeps the batch axis B innermost, after the features, and
-    the gate arrays order their features (gate, slot, hidden).  Index s of
-    ``z`` (T + 2, in + 1 + 2H, B) holds iteration s's input row
-    [x_s | 1 | h1_s | h2_(s-1)], and index s of ``c`` (T + 2, 2, H, B) the
-    cell states [c1_s | c2_(s-1)] it starts from; index T + 1 is the state
-    after the last iteration.  Index s of ``gates`` (T + 1, 4, 2, H, B) and
-    ``tanh_c`` (T + 1, 2, H, B) holds iteration s's activations and the tanh
-    of the cell states it wrote.  ``block`` is the matrix M^T they came from
-    (the forward multiplied by it with the sigmoid rows halved).  All of
-    them belong to ``work``, whose views the backward runs on.
-    """
-
-    params: LstmParams
-    probs: np.ndarray
-    z: np.ndarray
-    c: np.ndarray
-    tanh_c: np.ndarray
-    gates: np.ndarray
-    block: np.ndarray
-    work: _Workspace
-
-
 def _fills(params: LstmParams, block: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(destination in ``block``, parameter) views; their copies write M^T's nonzero blocks."""
-    hid, n_in = params.hidden, params.input_size
+    hid, n_in = params.hidden, N_FEATURES
     one, two = (block.reshape(4, 2, hid, -1)[:, slot] for slot in (0, 1))
     h1, h2 = slice(n_in + 1, n_in + 1 + hid), slice(n_in + 1 + hid, None)
     l1, l2 = params.layer1, params.layer2
@@ -232,16 +204,24 @@ def _fills(params: LstmParams, block: np.ndarray) -> list[tuple[np.ndarray, np.n
 
 def _block(params: LstmParams) -> np.ndarray:
     """The wavefront's block matrix M^T of the module docstring, in a new array."""
-    block = np.zeros((8 * params.hidden, params.input_size + 1 + 2 * params.hidden))
+    block = np.zeros((8 * params.hidden, N_FEATURES + 1 + 2 * params.hidden))
     for dst, src in _fills(params, block):
         np.copyto(dst, src)
     return block
 
 
+def _halve(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """M^T ``block`` with its first 6H rows (the sigmoid gates') halved, into ``out``."""
+    six = 6 * len(block) // 8
+    np.multiply(block[:six], 0.5, out=out[:six])
+    np.copyto(out[six:], block[six:])
+    return out
+
+
 def _storage(params: LstmParams, batch: int, n_states: int, n_iters: int):
     """Zeroed wavefront storage: ``n_states`` rows of z and c (the ones row
     set), ``n_iters`` rows of tanh(c) and gates, and a (2, H, B) scratch block."""
-    hid, n_in = params.hidden, params.input_size
+    hid, n_in = params.hidden, N_FEATURES
     z = np.zeros((n_states, n_in + 1 + 2 * hid, batch))
     z[:, n_in] = 1.0
     return (z, np.zeros((n_states, 2, hid, batch)), np.zeros((n_iters, 2, hid, batch)),
@@ -250,18 +230,16 @@ def _storage(params: LstmParams, batch: int, n_states: int, n_iters: int):
 
 def _plan(block: np.ndarray, z: np.ndarray, c: np.ndarray, tanh_c: np.ndarray,
           gates: np.ndarray, scratch: np.ndarray):
-    """(inputs or None, per-iteration views, layer 2's final h) that :func:`_wavefront`
-    runs on, of M^T with its sigmoid rows halved and of :func:`_storage`'s arrays.
+    """(per-iteration views, layer 2's final h) that :func:`_wavefront` runs on,
+    of M^T with its sigmoid rows halved and of :func:`_storage`'s arrays.
 
-    Iteration s reads its input row and cell states at index s % n of ``z``
-    and ``c`` (n of them), writes the next ones at (s + 1) % n, and its
-    activations at s % len(gates) of ``gates`` and ``tanh_c``.  T + 2 and
-    T + 1 rows keep every iteration for backpropagation, and all step inputs
-    are copied in at once, through ``inputs``; two and one keep only the
-    current state, and each iteration copies in its own step's input.
+    Iteration s copies step s's input into its row of ``z`` and reads it and
+    its cell states at index s % n of ``z`` and ``c`` (n of them), writes the
+    next ones at (s + 1) % n, and its activations at s % len(gates) of
+    ``gates`` and ``tanh_c``.  T + 2 and T + 1 rows keep every iteration for
+    backpropagation; two and one keep only the current state.
     """
-    n_states, (_, hid, batch) = len(z), scratch.shape
-    n_in, keep_all = z.shape[1] - 1 - 2 * hid, n_states == WINDOW_LENGTH + 2
+    n_states, (_, hid, batch), n_in = len(z), scratch.shape, N_FEATURES
     # An edge iteration runs one layer's step: its slot, and the input rows
     # its weights read (the others meet zero weights or a zero state).
     edges = {0: (slice(0, 1), slice(0, n_in + 1)), WINDOW_LENGTH: (slice(1, 2), slice(n_in, None))}
@@ -270,7 +248,7 @@ def _plan(block: np.ndarray, z: np.ndarray, c: np.ndarray, tanh_c: np.ndarray,
         row, c_prev, c_next = z[s % n_states], c[s % n_states], c[(s + 1) % n_states]
         a, t, ig = gates[s % len(gates)], tanh_c[s % len(tanh_c)], scratch
         h_next = h_out = z[(s + 1) % n_states, n_in + 1 :].reshape(2, hid, batch)
-        x = row[:n_in] if s < WINDOW_LENGTH and not keep_all else None
+        x = row[:n_in] if s < WINDOW_LENGTH else None
         if s in edges:
             live, cols = edges[s]
             product = (block.reshape(4, 2, hid, -1)[:, live, :, cols], row[cols], a[:, live])
@@ -279,15 +257,24 @@ def _plan(block: np.ndarray, z: np.ndarray, c: np.ndarray, tanh_c: np.ndarray,
         else:
             product = (block, row, a.reshape(len(block), batch))
         iterations.append((x, product, a, a[:3], *a, c_prev, c_next, ig, t, h_out))
-    return (z[:WINDOW_LENGTH, :n_in] if keep_all else None), iterations, h_next[1]
+    return iterations, h_next[1]
 
 
-class _Workspace:
-    """A minibatch step's buffers for the model ``params`` and every view of them it reads.
+class ForwardCache:
+    """A forward pass's storage for the model ``params``: everything backpropagation reads.
+
+    Every array keeps the batch axis B innermost, after the features, and
+    the gate arrays order their features (gate, slot, hidden).  Index s of
+    ``z`` (T + 2, in + 1 + 2H, B) holds iteration s's input row
+    [x_s | 1 | h1_s | h2_(s-1)], and index s of ``c`` (T + 2, 2, H, B) the
+    cell states [c1_s | c2_(s-1)] it starts from; index T + 1 is the state
+    after the last iteration.  Index s of ``gates`` (T + 1, 4, 2, H, B) and
+    ``tanh_c`` (T + 1, 2, H, B) holds iteration s's activations and the tanh
+    of the cell states it wrote, and ``probs`` (B,) is the pass's output.
+    ``block`` holds M^T, written through the (destination, parameter) pairs
+    ``fills``; the forward multiplies by its :func:`_halve` copy ``halved``.
 
     :func:`train` makes one per epoch and reuses it for every minibatch.
-    ``block`` holds M^T, written through the (destination, parameter) pairs
-    ``fills``, and ``halved`` the matrix the forward multiplies by.
     :meth:`resize` makes, for ``batch`` windows, :func:`_storage`'s arrays,
     the backward's ``da`` (shaped as ``gates``), ``dh`` and ``dc``, and their
     views: ``plan`` for :func:`_wavefront`, ``steps`` for :func:`_backward`'s
@@ -302,9 +289,7 @@ class _Workspace:
         self.block = _block(params)
         self.halved = np.empty_like(self.block)
         self.fills = _fills(params, self.block)
-        six = 6 * params.hidden  # the sigmoid gates' rows
-        self.halving = (self.block[:six], self.halved[:six], self.block[six:], self.halved[six:])
-        self.back = self.block[:, params.input_size + 1 :].T
+        self.back = self.block[:, N_FEATURES + 1 :].T
         self.resize(batch)
 
     def resize(self, batch: int) -> None:
@@ -329,9 +314,7 @@ def _wavefront(plan, windows: np.ndarray) -> np.ndarray:
     kernels only; every storage gives the same numbers.  The edge iterations
     compute their live slot only, so the empty one keeps its zeros.
     """
-    inputs, iterations, h_last = plan
-    if inputs is not None:
-        np.copyto(inputs, windows.transpose(1, 2, 0))
+    iterations, h_last = plan
     for s, (x, (lhs, row, out), a, sig, i, f, o, g, c_prev, c_next, ig, t, h) in enumerate(
             iterations):
         if x is not None:
@@ -352,34 +335,31 @@ def _head(params: LstmParams, h_last: np.ndarray) -> np.ndarray:
     return _sigmoid(params.dense_w @ h_last + params.dense_b)
 
 
-def _checked_windows(params: LstmParams, windows: np.ndarray) -> np.ndarray:
+def _checked_windows(windows: np.ndarray) -> np.ndarray:
     windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 3 or windows.shape[1:] != (WINDOW_LENGTH, params.input_size):
+    if windows.ndim != 3 or windows.shape[1:] != (WINDOW_LENGTH, N_FEATURES):
         raise DataError(f"windows must have shape (batch, {WINDOW_LENGTH}, "
-                        f"{params.input_size}), got {windows.shape}")
+                        f"{N_FEATURES}), got {windows.shape}")
     return windows
 
 
-def _forward(work: _Workspace, windows: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Probabilities for (batch, 10, in) windows; the cache holds views into ``work``."""
-    for dst, src in work.fills:
+def _forward(cache: ForwardCache, windows: np.ndarray) -> np.ndarray:
+    """Probabilities for (batch, T, in) windows, run on ``cache`` and kept as ``cache.probs``."""
+    for dst, src in cache.fills:
         np.copyto(dst, src)
-    block_sig, halved_sig, block_g, halved_g = work.halving
-    np.multiply(block_sig, 0.5, out=halved_sig)
-    np.copyto(halved_g, block_g)
-    if len(windows) != work.batch:
-        work.resize(len(windows))
-    probs = _head(work.params, _wavefront(work.plan, windows))
-    return probs, ForwardCache(params=work.params, probs=probs, z=work.z, c=work.c,
-                               tanh_c=work.tanh_c, gates=work.gates, block=work.block, work=work)
+    _halve(cache.block, cache.halved)
+    if len(windows) != cache.batch:
+        cache.resize(len(windows))
+    cache.probs = _head(cache.params, _wavefront(cache.plan, windows))
+    return cache.probs
 
 
 def _infer(params: LstmParams, windows: np.ndarray) -> np.ndarray:
     """:func:`_forward`'s probabilities, bit for bit, keeping only the current state."""
-    windows = _checked_windows(params, windows)
+    windows = _checked_windows(windows)
     block = _block(params)
-    block[: 6 * params.hidden] *= 0.5
-    return _head(params, _wavefront(_plan(block, *_storage(params, len(windows), 2, 1)), windows))
+    plan = _plan(_halve(block, block), *_storage(params, len(windows), 2, 1))
+    return _head(params, _wavefront(plan, windows))
 
 
 def forward(params: LstmParams, window: np.ndarray) -> tuple[float, ForwardCache]:
@@ -387,19 +367,18 @@ def forward(params: LstmParams, window: np.ndarray) -> tuple[float, ForwardCache
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 2:
         raise DataError(f"window must be 2-d (steps, features), got shape {window.shape}")
-    probs, cache = _forward(_Workspace(params, 1), _checked_windows(params, window[None]))
-    return float(probs[0]), cache
-
-
-def loss(prob: float, label: float) -> float:
-    """Binary cross-entropy with the probability clamped away from 0 and 1."""
-    p = min(max(prob, PROB_CLAMP), 1.0 - PROB_CLAMP)
-    return -(label * math.log(p) + (1.0 - label) * math.log(1.0 - p))
+    cache = ForwardCache(params, 1)
+    return float(_forward(cache, _checked_windows(window[None]))[0]), cache
 
 
 def _loss_vector(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     return -(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))
+
+
+def loss(prob: float, label: float) -> float:
+    """Binary cross-entropy with the probability clamped away from 0 and 1."""
+    return float(_loss_vector(np.float64(prob), label))
 
 
 def _backward(cache: ForwardCache, labels: np.ndarray, grads: LstmParams) -> LstmParams:
@@ -410,10 +389,10 @@ def _backward(cache: ForwardCache, labels: np.ndarray, grads: LstmParams) -> Lst
     batch size.  The dense pre-activation gradient is probs - labels, exact
     wherever the clamp is inactive.
     """
-    params, work = cache.params, cache.work
-    hid, n_in = params.hidden, params.input_size
-    gates, tanh_c, z, da = cache.gates, cache.tanh_c, cache.z, work.da
-    n_steps, batch = len(gates) - 1, work.batch
+    params = cache.params
+    hid, n_in = params.hidden, N_FEATURES
+    gates, tanh_c, z, da = cache.gates, cache.tanh_c, cache.z, cache.da
+    n_steps, batch = len(gates) - 1, cache.batch
 
     dz = cache.probs - labels
     grads.dense_w[:] = z[-1, n_in + 1 + hid :] @ dz
@@ -424,7 +403,7 @@ def _backward(cache: ForwardCache, labels: np.ndarray, grads: LstmParams) -> Lst
     # which multiply dc, sig'(o) tanh c, which multiplies dh, and o tanh'(c)
     # for the cell.  ``da`` holds the first four and turns into the gate
     # gradients iteration by iteration.
-    (i, _, o, g), (da_i, da_f, da_o, da_g), c_prev = work.factors
+    (i, _, o, g), (da_i, da_f, da_o, da_g), c_prev = cache.factors
     np.subtract(1.0, gates, out=da)
     da *= gates
     da_i *= g
@@ -435,10 +414,10 @@ def _backward(cache: ForwardCache, labels: np.ndarray, grads: LstmParams) -> Lst
     np.subtract(1.0, o_dtanh_c, out=o_dtanh_c)
     o_dtanh_c *= o
 
-    dh, dc, scratch = work.dh, work.dc, work.scratch
+    dh, dc, scratch = cache.dh, cache.dc, cache.scratch
     dc[...] = dh[0] = 0.0  # only layer 2's final h feeds the head
     np.multiply(params.dense_w[:, None], dz, out=dh[1])
-    for (a_if, a_o, a_g, f_s, a), o_dtanh_c_s in zip(work.steps, o_dtanh_c[::-1]):
+    for (a_if, a_o, a_g, f_s, a), o_dtanh_c_s in zip(cache.steps, o_dtanh_c[::-1]):
         np.multiply(dh, o_dtanh_c_s, out=scratch)
         dc += scratch
         a_if *= dc
@@ -446,7 +425,7 @@ def _backward(cache: ForwardCache, labels: np.ndarray, grads: LstmParams) -> Lst
         a_g *= dc
         dc *= f_s
         if a is not None:
-            np.matmul(work.back, a, out=work.dh_rows)
+            np.matmul(cache.back, a, out=cache.dh_rows)
     del o_dtanh_c, o_dtanh_c_s  # before the buffers below, so the step's peak stays lower
 
     # Layer 1's steps are iterations 0..T-1 with input rows [x | 1 | h1] and
@@ -475,7 +454,7 @@ def backward(cache: ForwardCache, label: float) -> LstmParams:
     """Gradient of the loss for a single-window cache."""
     if cache.probs.shape[0] != 1:
         raise DataError(f"single-sample backward got a batch of {cache.probs.shape[0]}")
-    grads = LstmParams.zeros(cache.params.hidden, cache.params.input_size)
+    grads = LstmParams.zeros(cache.params.hidden)
     return _backward(cache, np.array([label], dtype=np.float64), grads)
 
 
@@ -524,7 +503,7 @@ class FeatureStats:
 
     def __post_init__(self) -> None:
         if self.mean.shape != (N_FEATURES,) or self.std.shape != (N_FEATURES,):
-            raise DataError("feature stats must be 13-wide vectors")
+            raise DataError(f"feature stats must be {N_FEATURES}-wide vectors")
         if not np.all(np.isfinite(self.mean)):
             raise DataError("feature stats mean must be finite")
         if not np.all(np.isfinite(self.std) & (self.std > 0)):
@@ -654,17 +633,16 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
     best_epoch = 0
     history: list[EpochStats] = []
 
-    grads = LstmParams.zeros(config.hidden, params.input_size)
+    grads = LstmParams.zeros(config.hidden)
     gvec = grads.vector
     for epoch in range(1, config.epochs + 1):
-        work = _Workspace(params, config.batch)
+        cache = ForwardCache(params, config.batch)
         order = rng.permutation(n_train)
         probs_seen = np.empty(n_train)
         for start in range(0, n_train, config.batch):
             idx = order[start : start + config.batch]
             labels = y_train[idx]
-            probs, cache = _forward(work, x_train[idx])
-            probs_seen[start : start + len(idx)] = probs
+            probs_seen[start : start + len(idx)] = _forward(cache, x_train[idx])
             _backward(cache, labels, grads)
             gvec /= len(idx)
             if use_adam:
@@ -685,9 +663,9 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
         epoch_loss /= n_train
         if not (math.isfinite(epoch_loss) and np.all(np.isfinite(vec))):
             raise ConvergenceError(f"training diverged at epoch {epoch} (non-finite loss or weights)")
-        # Validation allocates its own storage: with the workspace still held,
-        # the heap grows instead of reusing it.
-        del work, cache
+        # Validation allocates its own storage: with the cache still held, the
+        # heap grows instead of reusing it.
+        del cache
         val_metrics = _confusion(_infer(params, x_val), y_val)
         if val_metrics.accuracy > best_acc:
             best_acc = val_metrics.accuracy
@@ -699,7 +677,7 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
         )
 
     return TrainResult(
-        params=LstmParams(best_vec, config.hidden, params.input_size),
+        params=LstmParams(best_vec, config.hidden),
         stats=stats,
         history=history,
         best_epoch=best_epoch,
@@ -728,7 +706,7 @@ def save_checkpoint(path, result: TrainResult, config: TrainConfig) -> None:
         },
         "seed": config.seed,
         "epoch": result.best_epoch,
-        "input_size": params.input_size,
+        "input_size": N_FEATURES,
         "shapes": shapes,
         "weights": weights,
         "feature_stats": {
@@ -774,11 +752,13 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
         # is_integer() is False for inf and nan; an int, however large, skips it.
         if not (size > 0 and (type(size) is int or size.is_integer())):
             raise DataError(f"checkpoint {name} must be a positive integer, got {size!r}")
-    hidden, input_size = int(hidden), int(input_size)
+    if input_size != N_FEATURES:
+        raise DataError(f"checkpoint input_size must be {N_FEATURES}, got {input_size!r}")
+    hidden = int(hidden)
     # Every declared shape and weight length is checked before anything is
     # allocated, so a forged size cannot ask for more memory than the weights hold.
     flats = []
-    for name, shape in _layout(hidden, input_size):
+    for name, shape in _layout(hidden):
         if name not in weights:
             raise DataError(f"checkpoint is missing weights for {name}")
         try:
@@ -795,6 +775,6 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
                 f"checkpoint weights for {name} have size {flat.size}, expected {math.prod(shape)}"
             )
         flats.append(flat.reshape(-1))
-    params = LstmParams(np.concatenate(flats), hidden, input_size)
+    params = LstmParams(np.concatenate(flats), hidden)
     meta = {"seed": doc.get("seed"), "epoch": doc.get("epoch"), "config": doc.get("config", {})}
     return params, stats, meta

@@ -107,28 +107,18 @@ class QrmConfig:
 
 @dataclass(frozen=True)
 class QrmGrid:
-    """Solution rectangle: stock nodes (currency), tau nodes (years), surface u."""
+    """Solution rectangle: stock nodes (currency), tau nodes (years), surface u.
+
+    The solver makes them, each block of days after one :func:`_check_grids`.
+    """
 
     s_values: np.ndarray
     tau_values: np.ndarray
     u: np.ndarray
 
-    def __post_init__(self) -> None:
-        n_s, n_tau = len(self.s_values), len(self.tau_values)
-        if self.u.shape != (n_s, n_tau):
-            raise DataError(f"surface shape {self.u.shape} does not match grid {(n_s, n_tau)}")
-        _check_grids(np.atleast_2d(self.s_values), self.tau_values, self.u[None])
-
-    @classmethod
-    def _checked(cls, s_values: np.ndarray, tau_values: np.ndarray, u: np.ndarray) -> "QrmGrid":
-        """A grid whose axes and surface have passed :func:`_check_grids` already."""
-        grid = object.__new__(cls)
-        grid.__dict__.update(s_values=s_values, tau_values=tau_values, u=u)
-        return grid
-
 
 def _check_grids(s_values: np.ndarray, tau_values: np.ndarray, u: np.ndarray) -> None:
-    """:class:`QrmGrid`'s checks for a stack of days at once.
+    """The checks every solved :class:`QrmGrid` has passed, for a stack of days at once.
 
     ``s_values`` is (days, n_s), ``tau_values`` the shared (n_tau,) axis and
     ``u`` (days, n_s, n_tau); the axes are checked before the surfaces.
@@ -413,7 +403,7 @@ def _solve_days(records: Sequence[QuoteRecord], config: QrmConfig) -> list[Minim
     _check_grids(days.s_values, days.tau_values, surface)
     return [
         Minimizer(
-            grid=QrmGrid._checked(days.s_values[i], days.tau_values, surface[i]),
+            grid=QrmGrid(days.s_values[i], days.tau_values, surface[i]),
             est=float(est[i]),
             residual=float(residual[i]),
             regularization=float(regularization[i]),

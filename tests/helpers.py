@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from optioncast.market_data import QuoteRecord, SequenceSample
+from optioncast.market_data import N_FEATURES, WINDOW_LENGTH, QuoteRecord, SequenceSample
 
 START = date(2021, 1, 4)
 
@@ -52,10 +52,10 @@ def separable_dataset(n=2000, seed=123, permute=False):
 
     Feature index 9 gets a +/-1 per-window shift, so thresholding that
     feature's mean at zero classifies every sample correctly by
-    construction; the other 12 features are pure noise.
+    construction; the other features are pure noise.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    windows = rng.standard_normal((n, 10, 13))
+    windows = rng.standard_normal((n, WINDOW_LENGTH, N_FEATURES))
     shift = rng.choice([-1.0, 1.0], size=n)
     windows[:, :, 9] += shift[:, None]
     means = windows[:, :, 9].mean(axis=1)
@@ -95,7 +95,7 @@ def layer_views(cache, layer):
     holds layer-1 step s in slot 0 and layer-2 step s - 1 in slot 1; the h
     states are the last 2H rows of the input rows ``z``.
     """
-    hid, n_in = cache.params.hidden, cache.params.input_size
+    hid, n_in = cache.params.hidden, N_FEATURES
     z = cache.z.transpose(0, 2, 1)  # (T + 2, B, in + 1 + 2H)
     steps, batch = z.shape[:2]
     h = z[..., -2 * hid :].reshape(steps, batch, 2, hid)

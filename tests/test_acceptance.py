@@ -21,7 +21,7 @@ from optioncast.binomial import (
 )
 from optioncast.bs_core import call_price
 from optioncast.fusion import joint_precision
-from optioncast.market_data import SyntheticSpec, generate_gbm
+from optioncast.market_data import N_FEATURES, WINDOW_LENGTH, SyntheticSpec, generate_gbm
 from optioncast.qrm import QrmConfig, assemble_system, estimate_series
 from optioncast.trading import backtest
 
@@ -89,7 +89,7 @@ def test_05_lstm_gradient_audit():
     for seed in range(5):
         rng = np.random.Generator(np.random.PCG64(seed))
         params = lstm.init_params(4, rng)
-        window = rng.standard_normal((10, 13))
+        window = rng.standard_normal((WINDOW_LENGTH, N_FEATURES))
         label = float(seed % 2)
         _, cache = lstm.forward(params, window)
         analytic = lstm.params_to_vector(lstm.backward(cache, label))
@@ -104,7 +104,7 @@ def test_05_lstm_gradient_audit():
             rel = abs(analytic[i] - fd) / max(1e-8, abs(analytic[i]) + abs(fd))
             worst = max(worst, rel)
             assert rel <= 1e-4, f"seed {seed}, parameter {i}"
-    _report("lstm gradients", f"5 seeds x 437 parameters, worst relative error {worst:.2e}")
+    _report("lstm gradients", f"5 seeds x {len(vec)} parameters, worst relative error {worst:.2e}")
 
 
 def test_06_lstm_learning_sanity():

@@ -160,7 +160,8 @@ class TestEnumerateTree:
         dist = enumerate_tree(spec)
         path = tmp_path / "distribution.csv"
         dist.write_csv(path)
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["wealth", "probability"]
         parsed = [(float(w), float(p)) for w, p in rows[1:]]
         assert parsed == dist.outcomes

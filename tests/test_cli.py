@@ -111,7 +111,8 @@ class TestQrmCommand:
         trimmed.write_text("\n".join(lines[:4]) + "\n")  # comment, header, 2 rows
         out = tmp_path / "qrm_out"
         assert run(["qrm", "--input", str(trimmed), "--out-dir", str(out)]) == 0
-        rows = list(csv.reader((out / "estimates.csv").open()))
+        with (out / "estimates.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["date", "est", "real0", "residual"]
         assert len(rows) == 2
 
@@ -120,7 +121,8 @@ class TestQrmCommand:
         run(synth_args(data, sigma=0.0, mu=0.0, spread_bp=10.0))
         out = tmp_path / "qrm_out"
         assert run(["qrm", "--input", str(data), "--out-dir", str(out)]) == 0
-        rows = list(csv.reader((out / "estimates.csv").open()))[1:]
+        with (out / "estimates.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
         ests = {row[1] for row in rows}
         assert len(ests) == 1
 
@@ -244,7 +246,8 @@ class TestTrainAndBacktest:
         )
         assert code == 0
         assert (out / "checkpoint.json").exists()
-        history = list(csv.reader((out / "history.csv").open()))
+        with (out / "history.csv").open(newline="") as fh:
+            history = list(csv.reader(fh))
         assert history[0][0] == "epoch"
         assert len(history) == 3
         manifest = json.loads((out / "manifest.json").read_text())
@@ -255,7 +258,8 @@ class TestTrainAndBacktest:
         assert run(["backtest", "--input", str(series_csv), "--out-dir", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary) == {"final_pnl", "n_trades", "hit_rate"}
-        rows = list(csv.reader((out / "equity.csv").open()))
+        with (out / "equity.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 40  # header + n-1 tradable days
 
     def test_backtest_classifier_mode_requires_checkpoint(self, tmp_path, series_csv, capsys):
@@ -279,7 +283,8 @@ class TestTrainAndBacktest:
              "--mode", "classifier", "--checkpoint", str(train_out / "checkpoint.json")]
         )
         assert code == 0
-        rows = list(csv.reader((bt_out / "equity.csv").open()))[1:]
+        with (bt_out / "equity.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
         # the first full window ends on day 9; earlier days have no signal
         assert all(row[3] == "abstain" for row in rows[:9])
 
@@ -408,7 +413,8 @@ class TestFuseAndBinomial:
         summary = json.loads((out / "summary.json").read_text())
         assert abs(summary["expectation"] - 1.34) <= 1e-12
         assert summary["is_martingale"] is False
-        rows = list(csv.reader((out / "distribution.csv").open()))
+        with (out / "distribution.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 3
 
     def test_binomial_long_horizon_skips_distribution(self, tmp_path):

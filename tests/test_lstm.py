@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import layer_views, make_series, separable_dataset
 from optioncast import lstm
 from optioncast.errors import ConvergenceError, DataError
-from optioncast.market_data import SequenceSample, build_sequences
+from optioncast.market_data import N_FEATURES, WINDOW_LENGTH, SequenceSample, build_sequences
 
 
 def random_params(hidden=4, seed=0):
@@ -20,11 +20,12 @@ def random_params(hidden=4, seed=0):
 
 
 def random_stats(rng):
-    return lstm.FeatureStats(mean=rng.standard_normal(13), std=rng.uniform(0.5, 2.0, 13))
+    return lstm.FeatureStats(mean=rng.standard_normal(N_FEATURES),
+                             std=rng.uniform(0.5, 2.0, N_FEATURES))
 
 
 # Mean 0 and std 1 z-score exactly, so predict sees the windows as given.
-IDENTITY = lstm.FeatureStats(mean=np.zeros(13), std=np.ones(13))
+IDENTITY = lstm.FeatureStats(mean=np.zeros(N_FEATURES), std=np.ones(N_FEATURES))
 
 
 def as_samples(windows):
@@ -127,7 +128,7 @@ class TestForward:
         zeros = lstm.vector_to_params(
             np.zeros_like(lstm.params_to_vector(params)), params.hidden
         )
-        prob, _ = lstm.forward(zeros, rng.standard_normal((10, 13)))
+        prob, _ = lstm.forward(zeros, rng.standard_normal((WINDOW_LENGTH, N_FEATURES)))
         assert prob == 0.5
 
     def test_sigmoid_is_the_masked_form_bit_for_bit(self):
@@ -155,8 +156,10 @@ class TestForward:
         params, rng = random_params(hidden=8, seed=14)
         for layer in (params.layer1, params.layer2):
             layer.b[:] = rng.uniform(-1.0, 1.0, layer.b.shape)
-        windows = rng.standard_normal((32, 10, 13)) * np.geomspace(0.1, 40.0, 32)[:, None, None]
-        _, cache = lstm._forward(lstm._Workspace(params, len(windows)), windows)
+        windows = rng.standard_normal((32, WINDOW_LENGTH, N_FEATURES))
+        windows *= np.geomspace(0.1, 40.0, 32)[:, None, None]
+        cache = lstm.ForwardCache(params, len(windows))
+        lstm._forward(cache, windows)
         lowest = np.inf
         for layer_params, layer in (
             (params.layer1, layer_views(cache, 1)), (params.layer2, layer_views(cache, 2))
@@ -174,12 +177,13 @@ class TestForward:
 
     def test_output_strictly_inside_unit_interval(self):
         params, rng = random_params(hidden=8, seed=1)
-        probs = lstm.predict(params, IDENTITY, as_samples(rng.standard_normal((64, 10, 13))))
+        windows = rng.standard_normal((64, WINDOW_LENGTH, N_FEATURES))
+        probs = lstm.predict(params, IDENTITY, as_samples(windows))
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
     def test_batch_permutation_permutes_outputs_identically(self):
         params, rng = random_params(hidden=8, seed=2)
-        windows = rng.standard_normal((6, 10, 13))
+        windows = rng.standard_normal((6, WINDOW_LENGTH, N_FEATURES))
         perm = np.array([3, 1, 4, 0, 5, 2])
         base = lstm.predict(params, IDENTITY, as_samples(windows))
         permuted = lstm.predict(params, IDENTITY, as_samples(windows[perm]))
@@ -188,11 +192,11 @@ class TestForward:
     def test_shape_mismatch_rejected(self):
         params, rng = random_params()
         with pytest.raises(DataError):
-            lstm.forward(params, rng.standard_normal((10, 12)))
+            lstm.forward(params, rng.standard_normal((WINDOW_LENGTH, N_FEATURES - 1)))
         with pytest.raises(DataError):
-            lstm.forward(params, rng.standard_normal((9, 13)))
+            lstm.forward(params, rng.standard_normal((WINDOW_LENGTH - 1, N_FEATURES)))
         with pytest.raises(DataError):
-            lstm.forward(params, rng.standard_normal(13))
+            lstm.forward(params, rng.standard_normal(N_FEATURES))
 
     def test_last_iteration_leaves_layer_one_empty(self):
         # Iteration T has no layer-1 step: its slot is never computed and
@@ -200,8 +204,9 @@ class TestForward:
         params, rng = random_params(hidden=6, seed=4)
         for layer in (params.layer1, params.layer2):
             layer.b[:] = rng.uniform(-1.0, 1.0, layer.b.shape)
-        windows = rng.standard_normal((5, 10, 13))
-        _, cache = lstm._forward(lstm._Workspace(params, 5), windows)
+        windows = rng.standard_normal((5, WINDOW_LENGTH, N_FEATURES))
+        cache = lstm.ForwardCache(params, 5)
+        lstm._forward(cache, windows)
         one, two = layer_views(cache, 1), layer_views(cache, 2)
         assert np.all(one.h_final == 0.0) and np.all(one.c_final == 0.0)
         assert np.array_equal(two.h_final, two.h[-1])
@@ -210,8 +215,9 @@ class TestForward:
     def test_activations_bounded_over_many_random_passes(self):
         # One vectorized pass over 10^4 windows doubles as 10^4 forward passes.
         params, rng = random_params(hidden=8, seed=3)
-        windows = rng.standard_normal((10_000, 10, 13))
-        probs, cache = lstm._forward(lstm._Workspace(params, len(windows)), windows)
+        windows = rng.standard_normal((10_000, WINDOW_LENGTH, N_FEATURES))
+        cache = lstm.ForwardCache(params, len(windows))
+        probs = lstm._forward(cache, windows)
         for layer in (layer_views(cache, 1), layer_views(cache, 2)):
             for t in range(layer.gates.shape[0]):
                 for k in range(3):  # the sigmoid gates i, f, o
@@ -243,12 +249,12 @@ class TestLayout:
         params, _ = random_params(hidden=4, seed=53)
         params.vector[:] = np.arange(params.vector.size)
         assert params.layer1.w[0, 0] == 0.0
-        assert params.layer1.w[1, 0] == 13.0
+        assert params.layer1.w[1, 0] == N_FEATURES
         assert params.dense_b[0] == params.vector.size - 1
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 4242])
     def test_init_equals_per_gate_draws_stacked(self, seed):
-        hidden, n_in = 5, 13
+        hidden, n_in = 5, N_FEATURES
         params = lstm.init_params(hidden, np.random.Generator(np.random.PCG64(seed)))
         rng = np.random.Generator(np.random.PCG64(seed))
         for layer, in_dim in ((params.layer1, n_in), (params.layer2, hidden)):
@@ -266,7 +272,8 @@ class TestLayout:
 
     def test_wrong_vector_length_rejected(self):
         params, _ = random_params(hidden=4)
-        with pytest.raises(DataError, match="437"):
+        size = 16 * (N_FEATURES + 4 + 1) + 16 * (4 + 4 + 1) + 4 + 1
+        with pytest.raises(DataError, match=f"has {size - 1} entries, expected {size}"):
             lstm.vector_to_params(lstm.params_to_vector(params)[:-1], 4)
 
 
@@ -285,7 +292,7 @@ class TestLoss:
 class TestBackward:
     def test_gradients_match_finite_differences(self):
         params, rng = random_params(hidden=4, seed=11)
-        window = rng.standard_normal((10, 13))
+        window = rng.standard_normal((WINDOW_LENGTH, N_FEATURES))
         label = 1.0
         _, cache = lstm.forward(params, window)
         analytic = lstm.params_to_vector(lstm.backward(cache, label))
@@ -322,9 +329,10 @@ class TestBackward:
         # before layer 2 starts would still leave a zero state.
         for layer in (params.layer1, params.layer2):
             layer.b[:] = rng.uniform(-1.0, 1.0, layer.b.shape)
-        windows = rng.standard_normal((batch, 10, 13))
+        windows = rng.standard_normal((batch, WINDOW_LENGTH, N_FEATURES))
         labels = (rng.random(batch) > 0.5).astype(float)
-        probs, cache = lstm._forward(lstm._Workspace(params, batch), windows)
+        cache = lstm.ForwardCache(params, batch)
+        probs = lstm._forward(cache, windows)
         grads = lstm._backward(cache, labels, lstm.LstmParams.zeros(hidden))
         ref_probs, ref_grads = textbook_probs_and_grads(params, windows, labels)
         np.testing.assert_allclose(probs, ref_probs, rtol=1e-12)
@@ -336,7 +344,7 @@ class TestBackward:
 
     def test_stationary_point_has_zero_gradient(self):
         params, rng = random_params(hidden=4, seed=12)
-        prob, cache = lstm.forward(params, rng.standard_normal((10, 13)))
+        prob, cache = lstm.forward(params, rng.standard_normal((WINDOW_LENGTH, N_FEATURES)))
         grads = lstm.params_to_vector(lstm.backward(cache, prob))
         assert np.all(grads == 0.0)
 
@@ -347,10 +355,11 @@ class TestBackward:
         params, rng = random_params(hidden=5, seed=13)
         for layer in (params.layer1, params.layer2):
             layer.b[:] = rng.uniform(-1.0, 1.0, layer.b.shape)
-        windows = rng.standard_normal((6, 10, 13))
+        windows = rng.standard_normal((6, WINDOW_LENGTH, N_FEATURES))
         windows[4] = windows[1]
         labels = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0])
-        _, cache = lstm._forward(lstm._Workspace(params, 6), windows)
+        cache = lstm.ForwardCache(params, 6)
+        lstm._forward(cache, windows)
         batch = lstm._backward(cache, labels, lstm.LstmParams.zeros(5))
         singles = [lstm.backward(lstm.forward(params, w)[1], y) for w, y in zip(windows, labels)]
         # The two sides sum in different orders, and entries that cancel keep
@@ -363,8 +372,9 @@ class TestBackward:
     def test_label_batch_mismatch_rejected(self):
         # The single-window backward takes one label, so a batch cache fails.
         params, rng = random_params()
-        windows = rng.standard_normal((3, 10, 13))
-        _, cache = lstm._forward(lstm._Workspace(params, 3), windows)
+        windows = rng.standard_normal((3, WINDOW_LENGTH, N_FEATURES))
+        cache = lstm.ForwardCache(params, 3)
+        lstm._forward(cache, windows)
         with pytest.raises(DataError, match="batch of 3"):
             lstm.backward(cache, 1.0)
 
@@ -375,7 +385,7 @@ def reference_train(samples, config):
     n_train = round(config.train_frac * len(samples))
     x = np.stack([s.window for s in samples[:n_train]])
     y = np.array([s.label for s in samples[:n_train]], dtype=float)
-    days = x.reshape(-1, 13)
+    days = x.reshape(-1, N_FEATURES)
     std = days.std(axis=0)
     stats = lstm.FeatureStats(mean=days.mean(axis=0), std=np.where(std < 1e-12, 1.0, std))
     x = (x - stats.mean) / stats.std
@@ -420,44 +430,45 @@ def arrays_in(value):
 
 
 class TestTrainPath:
-    """``train`` runs every minibatch on one reused workspace."""
+    """``train`` runs every minibatch on one reused ``ForwardCache``."""
 
     def test_reused_workspace_matches_fresh_calls(self):
         params, rng = random_params(hidden=6, seed=61)
         for layer in (params.layer1, params.layer2):
             layer.b[:] = rng.uniform(-1.0, 1.0, layer.b.shape)
-        work = lstm._Workspace(params, 8)
+        cache = lstm.ForwardCache(params, 8)
         grads = lstm.LstmParams.zeros(6)
         # Full, partial, then full again, with weights an update step has
         # moved: a pass of the size before starts on the storage that pass
         # left dirty, and a pass of another size on storage of its own size.
         for batch in (8, 8, 5, 5, 8, 1):
-            windows = rng.standard_normal((batch, 10, 13))
+            windows = rng.standard_normal((batch, WINDOW_LENGTH, N_FEATURES))
             labels = (rng.random(batch) > 0.5).astype(float)
-            probs, cache = lstm._forward(work, windows)
+            probs = lstm._forward(cache, windows)
             lstm._backward(cache, labels, grads)
-            fresh_work = lstm._Workspace(params, batch)
-            fresh_probs, fresh_cache = lstm._forward(fresh_work, windows)
+            fresh_cache = lstm.ForwardCache(params, batch)
+            fresh_probs = lstm._forward(fresh_cache, windows)
             fresh = lstm._backward(fresh_cache, labels, lstm.LstmParams.zeros(6))
             assert np.array_equal(probs, fresh_probs)
             assert np.array_equal(grads.vector, fresh.vector)
             params.vector -= 0.5 * grads.vector
 
     def test_step_peak_allocation_is_bounded_by_the_gate_storage(self):
-        # A training step on a prepared workspace allocates o tanh'(c), the
+        # A training step on a prepared cache allocates o tanh'(c), the
         # buffers its weight products read and a few small arrays: 0.72 times
         # the gate storage at batch 64, hidden 16, and 1.77 while the gate
         # gradients (as large as the gate storage) were allocated per step.
         # The batch-major layout before peaked at 1.85 times, and transposed
         # copies of both products' operands at 2.95.
         params, rng = random_params(hidden=16, seed=63)
-        windows = rng.standard_normal((64, 10, 13))
+        windows = rng.standard_normal((64, WINDOW_LENGTH, N_FEATURES))
         labels = (rng.random(64) > 0.5).astype(float)
-        work, grads = lstm._Workspace(params, 64), lstm.LstmParams.zeros(16)
-        lstm._backward(lstm._forward(work, windows)[1], labels, grads)
+        cache, grads = lstm.ForwardCache(params, 64), lstm.LstmParams.zeros(16)
+        lstm._forward(cache, windows)
+        lstm._backward(cache, labels, grads)
         tracemalloc.start()
         try:
-            _, cache = lstm._forward(work, windows)
+            lstm._forward(cache, windows)
             lstm._backward(cache, labels, grads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -465,20 +476,20 @@ class TestTrainPath:
         assert peak <= 1.85 * cache.gates.nbytes
 
     def test_workspace_and_two_steps_peak_is_bounded_by_the_gate_storage(self):
-        # The workspace holds the wavefront storage and the gate gradients,
-        # each step adds o tanh'(c) and the weight-gradient buffers: 3.88
-        # times the gate storage at batch 64, hidden 16.  With the gate
-        # gradients allocated per step it was 3.81; keeping o tanh'(c) in the
-        # workspace too would read 4.13.
+        # The cache holds the wavefront storage and the gate gradients, each
+        # step adds o tanh'(c) and the weight-gradient buffers: 3.88 times the
+        # gate storage at batch 64, hidden 16.  With the gate gradients
+        # allocated per step it was 3.81; keeping o tanh'(c) in the cache too
+        # would read 4.13.
         params, rng = random_params(hidden=16, seed=63)
-        windows = rng.standard_normal((64, 10, 13))
+        windows = rng.standard_normal((64, WINDOW_LENGTH, N_FEATURES))
         labels = (rng.random(64) > 0.5).astype(float)
         grads = lstm.LstmParams.zeros(16)
         tracemalloc.start()
         try:
-            work = lstm._Workspace(params, 64)
+            cache = lstm.ForwardCache(params, 64)
             for _ in range(2):
-                _, cache = lstm._forward(work, windows)
+                lstm._forward(cache, windows)
                 lstm._backward(cache, labels, grads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -487,23 +498,24 @@ class TestTrainPath:
 
     def test_views_never_outlive_their_storage(self):
         params, rng = random_params(hidden=6, seed=64)
-        work = lstm._Workspace(params, 8)
+        cache = lstm.ForwardCache(params, 8)
         storages = []
         for batch in (8, 5, 8):
-            windows = rng.standard_normal((batch, 10, 13))
+            windows = rng.standard_normal((batch, WINDOW_LENGTH, N_FEATURES))
             labels = (rng.random(batch) > 0.5).astype(float)
-            probs, cache = lstm._forward(work, windows)
+            probs = lstm._forward(cache, windows)
             grads = lstm._backward(cache, labels, lstm.LstmParams.zeros(6))
-            current = [work.z, work.c, work.tanh_c, work.gates, work.scratch, work.da, work.dh,
-                       work.dc]
+            current = [cache.z, cache.c, cache.tanh_c, cache.gates, cache.scratch, cache.da,
+                       cache.dh, cache.dc]
             replaced = [a for storage in storages for a in storage
                         if not any(a is b for b in current)]
             storages.append(current)
-            owners = current + [work.block, work.halved, params.vector]
-            for view in arrays_in(vars(work)):
+            owners = current + [cache.probs, cache.block, cache.halved, params.vector]
+            for view in arrays_in(vars(cache)):
                 assert any(np.shares_memory(view, owner) for owner in owners)
                 assert not any(np.shares_memory(view, old) for old in replaced)
-            fresh_probs, fresh_cache = lstm._forward(lstm._Workspace(params, batch), windows)
+            fresh_cache = lstm.ForwardCache(params, batch)
+            fresh_probs = lstm._forward(fresh_cache, windows)
             fresh = lstm._backward(fresh_cache, labels, lstm.LstmParams.zeros(6))
             assert np.array_equal(probs, fresh_probs)
             assert np.array_equal(grads.vector, fresh.vector)
@@ -595,14 +607,8 @@ class TestPredict:
         params, rng = random_params(hidden=4, seed=6)
         stats = random_stats(rng)
         windows = np.stack([(s.window - stats.mean) / stats.std for s in samples])
-        expected, _ = lstm._forward(lstm._Workspace(params, len(windows)), windows)
+        expected = lstm._forward(lstm.ForwardCache(params, len(windows)), windows)
         assert np.array_equal(lstm.predict(params, stats, samples), expected)
-
-    def test_window_width_other_than_input_size_rejected(self):
-        samples = separable_dataset(n=8, seed=5)
-        params = lstm.LstmParams.zeros(hidden=4, input_size=12)
-        with pytest.raises(DataError, match=r"\(batch, 10, 12\)"):
-            lstm.predict(params, random_stats(np.random.default_rng(0)), samples)
 
     def test_no_samples_give_an_empty_array(self):
         params, rng = random_params()
@@ -674,8 +680,9 @@ class TestTrain:
         config = lstm.TrainConfig(hidden=4, batch=16, epochs=1, learning_rate=0.1, seed=4)
         n_train = round(config.train_frac * len(samples))
         rng = np.random.Generator(np.random.PCG64(27))
+        shape = (WINDOW_LENGTH, N_FEATURES)
         altered = samples[:n_train] + [
-            SequenceSample(window=100.0 + 10.0 * rng.standard_normal((10, 13)),
+            SequenceSample(window=100.0 + 10.0 * rng.standard_normal(shape),
                            label=1 - s.label, end_index=s.end_index)
             for s in samples[n_train:]
         ]
@@ -699,7 +706,7 @@ class TestTrain:
         # The saturating gates make true NaN divergence hard to reach; this
         # learning rate walks the dense weights past the float64 range.
         rng = np.random.Generator(np.random.PCG64(5))
-        windows = rng.standard_normal((40, 10, 13))
+        windows = rng.standard_normal((40, WINDOW_LENGTH, N_FEATURES))
         labels = (rng.standard_normal(40) > 0).astype(int)
         samples = [
             SequenceSample(window=windows[k], label=int(labels[k]), end_index=k)
@@ -753,7 +760,7 @@ class TestCheckpoint:
         assert doc["schema"] == 2
         assert doc["config"]["split"] == [0.8, 1.0 - 0.8]
         assert doc["shapes"] == {
-            "layer1.w": [24, 13], "layer1.u": [24, 6], "layer1.b": [24],
+            "layer1.w": [24, N_FEATURES], "layer1.u": [24, 6], "layer1.b": [24],
             "layer2.w": [24, 6], "layer2.u": [24, 6], "layer2.b": [24],
             "dense_w": [6], "dense_b": [1],
         }
@@ -783,7 +790,7 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=f"feature stats {field}"):
             lstm.load_checkpoint(path)
-        good = {"mean": np.zeros(13), "std": np.ones(13)}
+        good = {"mean": np.zeros(N_FEATURES), "std": np.ones(N_FEATURES)}
         good[field][3] = value
         with pytest.raises(DataError, match=f"feature stats {field}"):
             lstm.FeatureStats(**good)
@@ -795,9 +802,14 @@ class TestCheckpoint:
         pytest.param("input_size", float("nan"), "input_size must be a positive integer",
                      id="input_size-nan"),
         pytest.param("input_size", 0, "input_size must be a positive integer", id="input_size-0"),
+        pytest.param("input_size", N_FEATURES - 1, f"input_size must be {N_FEATURES}",
+                     id="input_size-narrower"),
+        pytest.param("input_size", N_FEATURES + 1, f"input_size must be {N_FEATURES}",
+                     id="input_size-wider"),
         # Whole and positive, so only the declared shapes can refuse it; the
         # parameters it names would take 8.5 PiB.
-        pytest.param("hidden", 10**7, r"shape for layer1\.w is \(24, 13\)", id="hidden-1e7"),
+        pytest.param("hidden", 10**7, rf"shape for layer1\.w is \(24, {N_FEATURES}\)",
+                     id="hidden-1e7"),
     ])
     def test_forged_sizes_are_rejected_before_allocating(self, tmp_path, key, value, message):
         params, rng = random_params(hidden=6, seed=37)
@@ -822,10 +834,10 @@ class TestCheckpoint:
         result = lstm.TrainResult(params=params, stats=random_stats(rng))
         lstm.save_checkpoint(path, result, lstm.TrainConfig(hidden=6))
         doc = json.loads(path.read_text())
-        doc["config"]["hidden"], doc["input_size"] = 6.0, 13.0
+        doc["config"]["hidden"], doc["input_size"] = 6.0, float(N_FEATURES)
         path.write_text(json.dumps(doc))
         loaded, _, _ = lstm.load_checkpoint(path)
-        assert (loaded.hidden, loaded.input_size) == (6, 13)
+        assert loaded.hidden == 6 and type(loaded.hidden) is int
         assert np.array_equal(loaded.vector, params.vector)
 
     def test_shape_tampering_is_rejected(self, tmp_path):

@@ -13,11 +13,13 @@ from optioncast.market_data import (
     CSV_COLUMNS,
     FEATURE_NAMES,
     GENERATOR_ID,
+    N_FEATURES,
     QuoteRecord,
     SequenceSample,
     SYNTHETIC_MATURITY_YEARS,
     SyntheticSpec,
     TRADING_DAY_YEARS,
+    WINDOW_LENGTH,
     _gbm_stock_path,
     build_sequences,
     feature_matrix,
@@ -284,8 +286,8 @@ class TestSequences:
 
 def test_sequence_sample_validation():
     with pytest.raises(DataError):
-        SequenceSample(window=np.zeros((9, 13)), label=1, end_index=0)
+        SequenceSample(window=np.zeros((WINDOW_LENGTH - 1, N_FEATURES)), label=1, end_index=0)
     with pytest.raises(DataError):
-        SequenceSample(window=np.full((10, 13), np.nan), label=1, end_index=0)
+        SequenceSample(window=np.full((WINDOW_LENGTH, N_FEATURES), np.nan), label=1, end_index=0)
     with pytest.raises(DataError):
-        SequenceSample(window=np.zeros((10, 13)), label=2, end_index=0)
+        SequenceSample(window=np.zeros((WINDOW_LENGTH, N_FEATURES)), label=2, end_index=0)

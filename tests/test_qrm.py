@@ -12,7 +12,6 @@ from optioncast.market_data import TRADING_DAY_YEARS, SyntheticSpec, generate_gb
 from optioncast.qrm import (
     Minimizer,
     QrmConfig,
-    QrmGrid,
     assemble_system,
     estimate_series,
     solve_qrm,
@@ -484,21 +483,21 @@ class TestConfigAndGrid:
             QrmConfig(horizon=0.0)
 
     def test_grid_validation(self):
-        # A grid built directly runs its own checks; only the solver builds
-        # grids that a per-block check has already covered.
-        increasing, flat = np.array([1.0, 2.0, 3.0]), np.zeros((3, 2))
+        # The solver runs these checks once per block of days, on the stack,
+        # before it builds the block's grids; here the second day is bad.
+        increasing, flat = np.array([1.0, 2.0, 3.0]), np.zeros((2, 3, 2))
         for s_values, tau_values in (
             (np.array([1.0, 0.5, 2.0]), np.array([0.0, 1.0])),
             (increasing, np.array([1.0, 1.0])),
             (np.array([0.0, np.nan, 1.0]), np.array([0.0, 0.5])),
         ):
             with pytest.raises(DataError, match="strictly increasing"):
-                QrmGrid(s_values=s_values, tau_values=tau_values, u=flat)
+                qrm._check_grids(np.stack([increasing, s_values]), tau_values, flat)
         for bad in (np.nan, np.inf):
             u = flat.copy()
-            u[1, 1] = bad
+            u[1, 1, 1] = bad
             with pytest.raises(DataError, match="non-finite"):
-                QrmGrid(s_values=increasing, tau_values=np.array([0.0, 1.0]), u=u)
+                qrm._check_grids(np.stack([increasing, increasing]), np.array([0.0, 1.0]), u)
 
     def test_grid_covers_at_least_the_quoted_spread(self):
         records = bs_series(n_days=12, spread_bp=500.0)[:2]

@@ -186,7 +186,8 @@ class TestEmitPlotData:
         result = backtest(records, [r.option_ask for r in records], mode="qrm")
         path = tmp_path / "equity.csv"
         emit_plot_data(result, path)
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["date", "cumulative_pnl", "trade_pnl", "action"]
         assert len(rows) == 1 + 3
 
@@ -198,7 +199,8 @@ class TestEmitPlotData:
         result = backtest(records, signals, mode="qrm")
         path = tmp_path / "equity.csv"
         emit_plot_data(result, path)
-        rows = list(csv.reader(path.open()))[1:]
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
         assert len(rows) == len(result.decisions)
         for row, decision, equity in zip(rows, result.decisions, result.equity_curve):
             assert row[0] == decision.day.isoformat()
@@ -211,7 +213,8 @@ class TestEmitPlotData:
         result = backtest(records, [0.0] * 5, mode="qrm")
         path = tmp_path / "equity.csv"
         emit_plot_data(result, path)
-        rows = list(csv.reader(path.open()))[1:]
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
         assert len(rows) == 4
         assert all(float(r[1]) == 0.0 and float(r[2]) == 0.0 for r in rows)
 
