@@ -5,12 +5,13 @@ writes its artifacts plus a ``manifest.json`` recording the command, the
 fully resolved configuration, the seed, and a sha256 per artifact, so any
 run can be replayed byte-for-byte with ``rerun``.
 
-Each ``cmd_*`` only computes: it returns ``(seed, artifacts, message)``, where
+Each ``cmd_*`` only computes: it returns ``(artifacts, message)``, where
 ``artifacts`` maps file names, in write order, to a dict (written as JSON), a
 str (written as text) or a writer called with the path.  One runner,
 ``_run``, writes them and then the manifest, and prints the message.  It
 writes nothing until the command has returned, so a failed run writes
-nothing.
+nothing.  The manifest's seed is the command's ``seed`` option, null for a
+command without one.
 
 Option precedence is flags > ``--config`` JSON file > built-in defaults.
 Exit codes: 0 success, 2 usage, 3 data/validation error, 4 numerical
@@ -69,7 +70,6 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
         "n_s": (int, qrm.QrmConfig.n_s),
         "n_tau": (int, qrm.QrmConfig.n_tau),
         "beta": (float, qrm.QrmConfig.beta),
-        "horizon": (float, qrm.QrmConfig.horizon),
     },
     "train": {
         "input": (str, _NO_DEFAULT),
@@ -116,14 +116,14 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(path: Path, command: str, config: dict, seed, artifacts: list[Path]) -> None:
+def _write_manifest(path: Path, command: str, config: dict, artifacts: list[Path]) -> None:
     _write_json(
         path,
         {
             "schema": MANIFEST_SCHEMA,
             "command": command,
             "config": config,
-            "seed": seed,
+            "seed": config.get("seed"),
             "artifacts": {p.name: _sha256(p) for p in artifacts},
         },
     )
@@ -182,7 +182,7 @@ def cmd_synth(cfg: dict) -> tuple:
     records = market_data.generate_gbm(spec)
     out = Path(cfg["out"])
     writer = functools.partial(market_data.save_csv, records, seed=spec.seed)
-    return spec.seed, {out.name: writer}, f"wrote {len(records)} rows to {out}"
+    return {out.name: writer}, f"wrote {len(records)} rows to {out}"
 
 
 def _default_estimates(records) -> list[float]:
@@ -218,7 +218,7 @@ def cmd_qrm(cfg: dict) -> tuple:
         f"mean relative error vs next-day mid: "
         + (f"{mre:.4%}" if mre is not None else "n/a")
     )
-    return None, {"estimates.csv": estimates, "summary.json": summary}, message
+    return {"estimates.csv": estimates, "summary.json": summary}, message
 
 
 def cmd_train(cfg: dict) -> tuple:
@@ -247,7 +247,7 @@ def cmd_train(cfg: dict) -> tuple:
         f"train: {len(samples)} samples, best val accuracy "
         f"{result.best_val_accuracy:.4f} at epoch {result.best_epoch}"
     )
-    return config.seed, artifacts, message
+    return artifacts, message
 
 
 def cmd_backtest(cfg: dict) -> tuple:
@@ -273,7 +273,7 @@ def cmd_backtest(cfg: dict) -> tuple:
         f"backtest[{mode}]: {result.n_trades} trades, hit rate {result.hit_rate:.3f}, "
         f"final pnl {result.final_pnl:.6f}"
     )
-    return None, artifacts, message
+    return artifacts, message
 
 
 def cmd_fuse(cfg: dict) -> tuple:
@@ -281,7 +281,7 @@ def cmd_fuse(cfg: dict) -> tuple:
     joint = fusion_mod.joint_precision(cfg["p1"], cfg["p2"])
     report = {"p1": cfg["p1"], "p2": cfg["p2"], "joint_precision": joint}
     message = f"joint precision({cfg['p1']}, {cfg['p2']}) = {joint:.6f}"
-    return None, {"fusion.json": report}, message
+    return {"fusion.json": report}, message
 
 
 def cmd_binomial(cfg: dict) -> tuple:
@@ -300,7 +300,7 @@ def cmd_binomial(cfg: dict) -> tuple:
     note = "" if report.is_martingale else (
         f" (not a martingale: per-step growth {report.per_step_growth:g} != 1)"
     )
-    return None, artifacts, f"expected wealth after {spec.days} day(s): {expectation:.6f}{note}"
+    return artifacts, f"expected wealth after {spec.days} day(s): {expectation:.6f}{note}"
 
 
 def _run(command: str, cfg: dict) -> int:
@@ -309,7 +309,7 @@ def _run(command: str, cfg: dict) -> int:
     ``synth`` writes into the directory of ``out`` and names its manifest
     ``<name>.manifest.json``; every other command writes into ``out_dir``.
     """
-    seed, artifacts, message = _COMMANDS[command](cfg)
+    artifacts, message = _COMMANDS[command](cfg)
     if command == "synth":
         out = Path(cfg["out"])
         out_dir, manifest = out.parent, out.name + ".manifest.json"
@@ -324,7 +324,7 @@ def _run(command: str, cfg: dict) -> int:
             path.write_text(content)
         else:
             content(path)
-    _write_manifest(out_dir / manifest, command, cfg, seed, paths)
+    _write_manifest(out_dir / manifest, command, cfg, paths)
     print(message)
     return EXIT_OK
 

@@ -568,6 +568,9 @@ class TrainConfig:
             raise DataError(f"train_frac must be in (0, 1), got {self.train_frac}")
         if self.optimizer not in ("sgd", "adam"):
             raise DataError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
+        # Whole-valued floats such as 21.0 pass; training needs ints.
+        for name in ("hidden", "batch", "epochs", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,9 @@ class SyntheticSpec:
             raise DataError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not (math.isfinite(self.spread_bp) and self.spread_bp >= 0):
             raise DataError(f"spread_bp must be >= 0, got {self.spread_bp}")
+        # Whole-valued floats such as 21.0 pass; the generator needs ints.
+        for name in ("n_days", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ exactly; only interior nodes are unknowns, so the normal-equation matrix
 A^T A + beta I is symmetric positive definite and the minimizer is unique.
 
 Discretization: first-order forward differences in tau, second-order central
-differences in s, on an n_s x n_tau grid covering two forecast days.  The
-stock axis is centered on today's stock mid with half-width
-max(half bid/ask spread, sigma * sqrt(2 * horizon) * stock mid), i.e. at
+differences in s, on an n_s x n_tau grid covering two trading days, each
+h = 1/252 years.  The stock axis is centered on today's stock mid with
+half-width max(half bid/ask spread, sigma * sqrt(2h) * stock mid), i.e. at
 least the two-day diffusion scale, and is assembled in stock-mid units (the
 s^2 d2/ds2 operator is invariant under that scaling).
 
@@ -89,44 +89,25 @@ class QrmConfig:
     n_s: int = 21
     n_tau: int = 11
     beta: float = 0.01
-    horizon: float = TRADING_DAY_YEARS
 
     def __post_init__(self) -> None:
         for name in ("n_s", "n_tau"):
             v = getattr(self, name)
             if int(v) != v or v < 3 or v % 2 == 0:
                 raise DataError(f"{name} must be an odd integer >= 3, got {v}")
+            # A whole-valued float such as 21.0 passes; the grid needs an int.
+            object.__setattr__(self, name, int(v))
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise DataError(f"beta must be > 0, got {self.beta}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise DataError(f"horizon must be > 0, got {self.horizon}")
-        span = 2.0 * self.horizon
-        if not (math.isfinite(span) and math.isfinite((self.n_tau - 1) / span)):
-            raise DataError(f"horizon {self.horizon} leaves the tau grid or 1/dtau non-finite")
 
 
 @dataclass(frozen=True)
 class QrmGrid:
-    """Solution rectangle: stock nodes (currency), tau nodes (years), surface u.
-
-    The solver makes them, each block of days after one :func:`_check_grids`.
-    """
+    """Solution rectangle: stock nodes (currency), tau nodes (years), surface u."""
 
     s_values: np.ndarray
     tau_values: np.ndarray
     u: np.ndarray
-
-
-def _check_grids(s_values: np.ndarray, tau_values: np.ndarray, u: np.ndarray) -> None:
-    """The checks every solved :class:`QrmGrid` has passed, for a stack of days at once.
-
-    ``s_values`` is (days, n_s), ``tau_values`` the shared (n_tau,) axis and
-    ``u`` (days, n_s, n_tau); the axes are checked before the surfaces.
-    """
-    if not (np.all(np.diff(s_values, axis=-1) > 0) and np.all(np.diff(tau_values) > 0)):
-        raise DataError("grid axes must be strictly increasing")
-    if not np.all(np.isfinite(u)):
-        raise DataError("surface contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -248,7 +229,7 @@ def _assemble(records: Sequence[QuoteRecord], config: QrmConfig) -> AssembledSys
     prev_bid, prev_ask = quotes[:-1, 0], quotes[:-1, 1]
     bid, ask, mid, stock_bid, stock_ask, s_mid, sigma = quotes[1:].T
     half_width = np.maximum(
-        0.5 * (stock_ask - stock_bid), sigma * math.sqrt(2.0 * config.horizon) * s_mid
+        0.5 * (stock_ask - stock_bid), sigma * math.sqrt(2.0 * TRADING_DAY_YEARS) * s_mid
     )
     if not np.all(half_width > 0.0):  # NaN too: zero vol times an infinite stock mid
         raise DataError(
@@ -258,10 +239,10 @@ def _assemble(records: Sequence[QuoteRecord], config: QrmConfig) -> AssembledSys
     # Stock axes in stock-mid units; s^2 d2/ds2 is invariant under the scaling.
     scaled_half = half_width / s_mid
     s_scaled = _linspace(1.0 - scaled_half, 1.0 + scaled_half, config.n_s)
-    tau_values = np.linspace(0.0, 2.0 * config.horizon, config.n_tau)
+    tau_values = np.linspace(0.0, 2.0 * TRADING_DAY_YEARS, config.n_tau)
     tau_values.flags.writeable = False  # shared by every day's grid
     ds = s_scaled[:, 1] - s_scaled[:, 0]
-    days_ahead = tau_values / config.horizon
+    days_ahead = tau_values / TRADING_DAY_YEARS
     f_surface = _linspace(bid[:, None] + days_ahead * (bid - prev_bid)[:, None],
                           ask[:, None] + days_ahead * (ask - prev_ask)[:, None], config.n_s)
     f_surface[:, :, 0] = mid[:, None]
@@ -330,7 +311,7 @@ def _eliminate(days: AssembledSystem) -> np.ndarray:
         y[members.T] = _eliminate_systems(days.kappa[members[:, 0]], r[members.T],
                                           days.inv_dtau, days.beta)
     if not np.all(np.isfinite(y)):
-        raise ConvergenceError("direct solve produced non-finite values", residual=math.inf)
+        raise ConvergenceError("direct solve produced non-finite values")
     return y
 
 
@@ -372,7 +353,7 @@ def _eliminate_systems(kappa: np.ndarray, r: np.ndarray, d: float, beta: float) 
         try:
             sol = np.linalg.solve(s, np.concatenate([upper, columns], axis=-1))
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"direct solve failed: {exc}", residual=math.inf) from exc
+            raise ConvergenceError(f"direct solve failed: {exc}") from exc
         coupling[k] = sol[..., :n]
         y[..., k] = sol[..., n:].transpose(2, 0, 1)
     for k in range(m - 2, -1, -1):
@@ -398,9 +379,10 @@ def _solve_days(records: Sequence[QuoteRecord], config: QrmConfig) -> list[Minim
         residual = np.sum(misfit * misfit, axis=(1, 2))
         regularization = config.beta * np.sum((surface - days.f_surface) ** 2, axis=(1, 2))
     if not (np.all(np.isfinite(residual)) and np.all(np.isfinite(regularization))):
-        raise ConvergenceError("objective J_beta is not finite", residual=math.inf)
+        raise ConvergenceError("objective J_beta is not finite")
+    if not np.all(np.diff(days.s_values, axis=-1) > 0):
+        raise DataError("grid axes must be strictly increasing")
     est = surface[:, (config.n_s - 1) // 2, (config.n_tau - 1) // 2]
-    _check_grids(days.s_values, days.tau_values, surface)
     return [
         Minimizer(
             grid=QrmGrid(days.s_values[i], days.tau_values, surface[i]),
@@ -445,9 +427,6 @@ def estimate_series(
                 try:
                     _solve_days(records[k - 1 : k + 1], config)
                 except (DataError, ConvergenceError) as exc:
-                    message = f"day {k} ({records[k].day.isoformat()}): {exc}"
-                    if isinstance(exc, ConvergenceError):
-                        raise ConvergenceError(message, residual=exc.residual) from exc
-                    raise DataError(message) from exc
+                    raise type(exc)(f"day {k} ({records[k].day.isoformat()}): {exc}") from exc
             raise
     return out

@@ -87,18 +87,15 @@ class TestSynth:
         assert "unknown config keys" in capsys.readouterr().err
 
 
-# Loader-valid inputs near the float64 limit, each of which fails the solve;
-# None stands for the 252-day seed-7 synthetic series.
+# Loader-valid inputs near the float64 limit, each of which fails the solve.
 NEAR_FLOAT_LIMIT = {
-    "horizon-1e-160": (None, ["--horizon", "1e-160"]),
-    "horizon-1e-300": (None, ["--horizon", "1e-300"]),
-    "option-quote-1e306": ([make_record(offset=k, option_bid=q, option_ask=q)
-                            for k, q in enumerate([5.0, 1e306, 5.0])], []),
-    "stock-1e300-vol-1e10": (make_series([5.0, 5.1, 5.2], stock_mid=1e300, implied_vol=1e10), []),
-    "zero-stock-spread-vol-1e-160": ([make_record(offset=k, stock_bid=100.0, stock_ask=100.0,
-                                                  implied_vol=1e-160) for k in range(3)], []),
-    "stock-1.7e308": ([make_record(offset=k, stock_bid=1.7e308, stock_ask=1.7e308)
-                       for k in range(3)], []),
+    "option-quote-1e306": [make_record(offset=k, option_bid=q, option_ask=q)
+                           for k, q in enumerate([5.0, 1e306, 5.0])],
+    "stock-1e300-vol-1e10": make_series([5.0, 5.1, 5.2], stock_mid=1e300, implied_vol=1e10),
+    "zero-stock-spread-vol-1e-160": [make_record(offset=k, stock_bid=100.0, stock_ask=100.0,
+                                                 implied_vol=1e-160) for k in range(3)],
+    "stock-1.7e308": [make_record(offset=k, stock_bid=1.7e308, stock_ask=1.7e308)
+                      for k in range(3)],
 }
 
 
@@ -154,21 +151,6 @@ class TestQrmCommand:
         assert "RuntimeWarning" not in err
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
-    @pytest.mark.parametrize("horizon", ["1e308", "1e-320"])
-    def test_horizon_overflowing_the_tau_grid_exits_three(self, tmp_path, capsys, horizon):
-        # 2 * 1e308 and 10 / (2 * 1e-320) overflow: bad input, not a failed solve.
-        data = tmp_path / "series.csv"
-        save_csv(make_series([5.0, 5.1, 5.2]), data)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = run(["qrm", "--input", str(data), "--out-dir", str(tmp_path / "o"),
-                        "--horizon", horizon])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.count("error:") == 1
-        assert "RuntimeWarning" not in err
-        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
-
     def test_zero_vol_with_an_infinite_stock_mid_exits_three(self, tmp_path, capsys):
         # 1.7e308 + 1.7e308 overflows, so stock_mid is inf and the half-width
         # 0 * inf is NaN: a collapsed grid like zero vol at a zero spread.
@@ -184,18 +166,29 @@ class TestQrmCommand:
         assert "RuntimeWarning" not in err
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
-    @pytest.mark.parametrize("records, flags", NEAR_FLOAT_LIMIT.values(), ids=NEAR_FLOAT_LIMIT)
-    def test_input_near_the_float_limit_exits_four_without_warnings(
-        self, tmp_path, capsys, records, flags
-    ):
+    def test_subnormal_stock_price_exits_three(self, tmp_path, capsys):
+        # The solve is finite, but in currency the stock axis repeats nodes.
         data = tmp_path / "series.csv"
-        if records is None:
-            run(synth_args(data, days=252, seed=7, spread_bp=20.0))
-        else:
-            save_csv(records, data)
+        save_csv([make_record(offset=k, stock_bid=5e-324, stock_ask=5e-324, implied_vol=100.0)
+                  for k in range(3)], data)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = run(["qrm", "--input", str(data), "--out-dir", str(tmp_path / "o"), *flags])
+            code = run(["qrm", "--input", str(data), "--out-dir", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "day 1" in err and "strictly increasing" in err
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    @pytest.mark.parametrize("records", NEAR_FLOAT_LIMIT.values(), ids=NEAR_FLOAT_LIMIT)
+    def test_input_near_the_float_limit_exits_four_without_warnings(
+        self, tmp_path, capsys, records
+    ):
+        data = tmp_path / "series.csv"
+        save_csv(records, data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["qrm", "--input", str(data), "--out-dir", str(tmp_path / "o")])
         assert code == 4
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "direct solve produced non-finite values" in err
@@ -252,6 +245,16 @@ class TestTrainAndBacktest:
         assert len(history) == 3
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["artifacts"]) == {"checkpoint.json", "history.csv", "summary.json"}
+
+    def test_manifest_seed_is_the_seed_option(self, tmp_path, series_csv):
+        # The seed is train's --seed; qrm has no seed option, so it records null.
+        argv = ["--input", str(series_csv), "--out-dir"]
+        assert run(["train", *argv, str(tmp_path / "train"), "--hidden", "4", "--epochs", "1",
+                    "--seed", "11"]) == 0
+        assert run(["qrm", *argv, str(tmp_path / "qrm")]) == 0
+        seeds = {name: json.loads((tmp_path / name / "manifest.json").read_text())["seed"]
+                 for name in ("train", "qrm")}
+        assert seeds == {"train": 11, "qrm": None}
 
     def test_backtest_qrm_mode(self, tmp_path, series_csv):
         out = tmp_path / "bt_out"
@@ -556,13 +559,17 @@ def test_run_writes_the_manifest_and_its_artifacts_or_nothing(
     assert not failed.exists()
 
 
-# (command, config) pairs, each holding one value its option cannot take.
+# (command, config) pairs, each holding one value its option cannot take, or
+# a key that is no option of the command.
 BAD_VALUES = [
     ("qrm", {"beta": "x"}),
     ("qrm", {"beta": None}),
     ("qrm", {"beta": True}),
     ("qrm", {"n_s": 21.5}),
     ("qrm", {"n_tau": "11.0"}),
+    ("qrm", {"beta": [0.004]}),
+    # QRM's step is the trading day; an older config or manifest that still
+    # sets a horizon is refused as an unknown key, whatever the value.
     ("qrm", {"horizon": [0.004]}),
     ("train", {"optimizer": "rmsprop"}),
     ("train", {"seed": None}),
@@ -598,13 +605,13 @@ class TestConfigValues:
 
     def test_values_are_converted_as_flags_are(self, tmp_path, series_csv):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"beta": "0.01", "n_s": "21", "horizon": 1}))
+        config.write_text(json.dumps({"beta": 1, "n_s": "21"}))
         out = tmp_path / "o"
         assert run(["qrm", "--input", str(series_csv), "--out-dir", str(out),
                     "--config", str(config)]) == 0
         recorded = json.loads((out / "manifest.json").read_text())["config"]
-        assert (recorded["beta"], recorded["n_s"], recorded["horizon"]) == (0.01, 21, 1.0)
-        assert isinstance(recorded["horizon"], float)
+        assert (recorded["beta"], recorded["n_s"]) == (1.0, 21)
+        assert isinstance(recorded["beta"], float) and isinstance(recorded["n_s"], int)
 
     def test_null_is_unset_where_the_default_is_none(self, tmp_path, series_csv):
         config = tmp_path / "config.json"

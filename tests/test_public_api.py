@@ -5,6 +5,9 @@ import pkgutil
 import pytest
 
 import optioncast
+from helpers import separable_dataset
+from optioncast import lstm, market_data, qrm
+from optioncast.errors import DataError
 
 # The command module and the shared exception types export no __all__.
 NOT_LIBRARY = {"cli", "errors"}
@@ -35,3 +38,36 @@ def test_all_lists_exactly_the_public_definitions(name):
     }
     unlisted = sorted(public - set(exported))
     assert not unlisted, f"{name} defines public {unlisted} outside __all__"
+
+
+SERIES = {"s0": 100.0, "sigma": 0.2, "spread_bp": 20.0, "n_days": 14, "seed": 3}
+
+
+def _ests(config):
+    records = market_data.generate_gbm(market_data.SyntheticSpec(**SERIES))[:4]
+    return [m.est for m in qrm.estimate_series(records, config)[1:]]
+
+
+def _history(config):
+    return lstm.train(separable_dataset(n=40), config).history
+
+
+# (config class, its other fields, integer field, a valid value, what the config yields)
+INT_FIELDS = [
+    (market_data.SyntheticSpec, SERIES, "n_days", 21, market_data.generate_gbm),
+    (market_data.SyntheticSpec, SERIES, "seed", 21, market_data.generate_gbm),
+    (qrm.QrmConfig, {}, "n_s", 21, _ests),
+    (qrm.QrmConfig, {}, "n_tau", 11, _ests),
+    *((lstm.TrainConfig, {"hidden": 4, "epochs": 1}, name, value, _history)
+      for name, value in (("hidden", 4), ("batch", 8), ("epochs", 1), ("seed", 21))),
+]
+
+
+@pytest.mark.parametrize("cls, fields, name, value, run", INT_FIELDS,
+                         ids=[f"{case[0].__name__}.{case[2]}" for case in INT_FIELDS])
+def test_whole_valued_float_is_stored_as_int(cls, fields, name, value, run):
+    as_float = cls(**{**fields, name: float(value)})
+    assert type(getattr(as_float, name)) is int
+    assert run(as_float) == run(cls(**{**fields, name: value}))
+    with pytest.raises(DataError):
+        cls(**{**fields, name: 21.5})

@@ -257,11 +257,9 @@ class TestSolve:
         assert a.regularization == b.regularization
         assert np.array_equal(a.grid.u, b.grid.u)
 
-    def test_nonconvergence_error_carries_residual(self):
-        with pytest.raises(ConvergenceError) as excinfo:
+    def test_nonconvergence_raises_convergence_error(self):
+        with pytest.raises(ConvergenceError, match="non-finite"):
             solve_qrm(blown_up_pair(), QrmConfig())
-        assert excinfo.value.residual is not None
-        assert excinfo.value.residual > 0
 
     @pytest.mark.parametrize("k", [1, 5, 11])
     def test_block_solve_matches_dense_oracle(self, k):
@@ -374,9 +372,8 @@ class TestEstimateSeries:
     def test_error_names_a_day_beyond_the_first_block(self):
         records = drifting_series(n_days=80)
         day_50 = r"^day 50 \(2021-02-23\): "
-        with pytest.raises(ConvergenceError, match=day_50 + "direct solve") as excinfo:
+        with pytest.raises(ConvergenceError, match=day_50 + "direct solve"):
             estimate_series(with_days(records, {50: blown_up}), QrmConfig())
-        assert excinfo.value.residual == math.inf
         with pytest.raises(DataError, match=day_50 + "collapsed"):
             estimate_series(with_days(records, {50: collapsed}), QrmConfig())
 
@@ -433,7 +430,6 @@ class TestEstimateSeries:
         cause = excinfo.value.__cause__
         assert type(cause) is ConvergenceError
         assert str(excinfo.value) == f"day 1 ({records[1].day.isoformat()}): {cause}"
-        assert cause.residual == excinfo.value.residual == math.inf
 
     def test_a_year_takes_one_stacked_solve_per_step_and_block(self, monkeypatch):
         # A silent fall back to one solve per day, or one unbounded stack,
@@ -479,25 +475,15 @@ class TestConfigAndGrid:
             QrmConfig(n_tau=2)
         with pytest.raises(DataError):
             QrmConfig(beta=0.0)
-        with pytest.raises(DataError):
-            QrmConfig(horizon=0.0)
 
     def test_grid_validation(self):
-        # The solver runs these checks once per block of days, on the stack,
-        # before it builds the block's grids; here the second day is bad.
-        increasing, flat = np.array([1.0, 2.0, 3.0]), np.zeros((2, 3, 2))
-        for s_values, tau_values in (
-            (np.array([1.0, 0.5, 2.0]), np.array([0.0, 1.0])),
-            (increasing, np.array([1.0, 1.0])),
-            (np.array([0.0, np.nan, 1.0]), np.array([0.0, 0.5])),
-        ):
-            with pytest.raises(DataError, match="strictly increasing"):
-                qrm._check_grids(np.stack([increasing, s_values]), tau_values, flat)
-        for bad in (np.nan, np.inf):
-            u = flat.copy()
-            u[1, 1, 1] = bad
-            with pytest.raises(DataError, match="non-finite"):
-                qrm._check_grids(np.stack([increasing, increasing]), np.array([0.0, 1.0]), u)
+        # At a subnormal stock price the stock axis collapses to repeated
+        # nodes only after scaling back from stock-mid units; the solve
+        # itself stays finite, so the axis check is what fails the day.
+        records = [make_record(offset=k, stock_bid=5e-324, stock_ask=5e-324, implied_vol=100.0)
+                   for k in range(3)]
+        with pytest.raises(DataError, match=r"^day 1 \(2021-01-05\): .*strictly increasing"):
+            estimate_series(records, QrmConfig())
 
     def test_grid_covers_at_least_the_quoted_spread(self):
         records = bs_series(n_days=12, spread_bp=500.0)[:2]
