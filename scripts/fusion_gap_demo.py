@@ -11,12 +11,7 @@ import argparse
 
 import numpy as np
 
-from optioncast.fusion import (
-    ModelReport,
-    REFERENCE_PRECISIONS,
-    joint_precision,
-    unanimous_combine,
-)
+from optioncast.fusion import REFERENCE_PRECISIONS, joint_precision, unanimous_combine
 
 
 def channel(rng, truth, precision):
@@ -37,22 +32,19 @@ def main() -> None:
     rng = np.random.Generator(np.random.PCG64(args.seed))
     truth = (rng.random(args.samples) < 0.5).astype(int)
 
-    independent = [
-        ModelReport(name="independent_1", predictions=channel(rng, truth, args.p1)),
-        ModelReport(name="independent_2", predictions=channel(rng, truth, args.p2)),
-    ]
+    independent = {
+        "independent_1": channel(rng, truth, args.p1),
+        "independent_2": channel(rng, truth, args.p2),
+    }
     base = channel(rng, truth, args.p1)
     shared = np.where(rng.random(args.samples) < args.overlap,
                       base, channel(rng, truth, args.p2))
-    correlated = [
-        ModelReport(name="correlated_1", predictions=base),
-        ModelReport(name="correlated_2", predictions=shared),
-    ]
+    correlated = {"correlated_1": base, "correlated_2": shared}
 
     print(f"closed form joint_precision({args.p1}, {args.p2}) = "
           f"{joint_precision(args.p1, args.p2):.4f}")
-    for label, reports in (("independent", independent), ("correlated", correlated)):
-        result = unanimous_combine(reports, truth)
+    for label, votes in (("independent", independent), ("correlated", correlated)):
+        result = unanimous_combine(votes, truth)
         print(
             f"{label:>12}: empirical {result.empirical_joint:.4f} "
             f"theoretical {result.theoretical_joint:.4f} "

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DataError
+from .errors import DataError, whole
 
 __all__ = [
     "BinomialSpec",
@@ -59,10 +59,8 @@ class BinomialSpec:
             raise DataError(f"rol must lie in (0, 1], got {self.rol}")
         if not (math.isfinite(self.initial) and self.initial > 0):
             raise DataError(f"initial capital must be > 0, got {self.initial}")
-        if int(self.days) != self.days or self.days < 0:
-            raise DataError(f"days must be an integer >= 0, got {self.days}")
-        # A whole-valued float such as 3.0 passes; the tree needs an int.
-        object.__setattr__(self, "days", int(self.days))
+        object.__setattr__(
+            self, "days", whole(self.days, f"days must be an integer >= 0, got {self.days}"))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .errors import DataError
 
 __all__ = [
     "FusionReport",
-    "ModelReport",
     "REFERENCE_PRECISIONS",
     "joint_precision",
     "unanimous_combine",
@@ -54,23 +53,6 @@ def joint_precision(p1: float, p2: float) -> float:
 
 
 @dataclass(frozen=True)
-class ModelReport:
-    """A named per-sample 0/1 prediction vector.
-
-    :func:`unanimous_combine` computes each model's precision against the
-    supplied ground truth.
-    """
-
-    name: str
-    predictions: np.ndarray
-
-    def __post_init__(self) -> None:
-        preds = np.asarray(self.predictions)
-        if preds.ndim != 1 or not np.all((preds == 0) | (preds == 1)):
-            raise DataError(f"predictions for {self.name!r} must be a 1-d 0/1 vector")
-
-
-@dataclass(frozen=True)
 class FusionReport:
     """Unanimous-vote combination outcome.
 
@@ -85,27 +67,19 @@ class FusionReport:
     empirical_defined: bool
     model_precisions: dict[str, float]
 
-    def to_json(self) -> dict:
-        return {
-            "theoretical_joint": self.theoretical_joint,
-            "empirical_joint": self.empirical_joint,
-            "coverage": self.coverage,
-            "independence_gap": self.independence_gap,
-            "empirical_defined": self.empirical_defined,
-            "model_precisions": dict(self.model_precisions),
-        }
 
-
-def unanimous_combine(reports: Sequence[ModelReport], truth: np.ndarray) -> FusionReport:
+def unanimous_combine(votes: Mapping[str, np.ndarray], truth: np.ndarray) -> FusionReport:
     """Combine models that only vote positive when every model does.
 
-    ``empirical_joint`` is the precision of the unanimous predictor,
-    ``theoretical_joint`` the independence formula folded over the recomputed
-    per-model precisions, and ``coverage`` the fraction of samples with a
-    unanimous positive vote.
+    ``votes`` maps each model's name to its 1-d 0/1 vote vector, aligned with
+    ``truth``; a mapping holds each name once, so the fold covers every model
+    passed.  ``empirical_joint`` is the precision of the unanimous predictor,
+    ``theoretical_joint`` the independence formula folded over the per-model
+    precisions, and ``coverage`` the fraction of samples with a unanimous
+    positive vote.
     """
-    if len(reports) < 2:
-        raise DataError(f"need at least 2 model reports, got {len(reports)}")
+    if len(votes) < 2:
+        raise DataError(f"need at least 2 models, got {len(votes)}")
     truth = np.asarray(truth)
     if truth.ndim != 1 or not np.all((truth == 0) | (truth == 1)):
         raise DataError("truth must be a 1-d 0/1 vector")
@@ -114,40 +88,34 @@ def unanimous_combine(reports: Sequence[ModelReport], truth: np.ndarray) -> Fusi
         raise DataError("truth must be nonempty")
 
     precisions: dict[str, float] = {}
-    for report in reports:
-        preds = np.asarray(report.predictions)
+    combined = np.ones(n, dtype=bool)
+    for name, preds in votes.items():
+        preds = np.asarray(preds)
+        if preds.ndim != 1 or not np.all((preds == 0) | (preds == 1)):
+            raise DataError(f"predictions for {name!r} must be a 1-d 0/1 vector")
         if len(preds) != n:
             raise DataError(
-                f"predictions for {report.name!r} have length {len(preds)}, "
+                f"predictions for {name!r} have length {len(preds)}, "
                 f"but truth has length {n}"
             )
-        positives = int(preds.sum())
+        voted = preds == 1
+        positives = int(voted.sum())
         if positives == 0:
             raise ValueError(
-                f"model {report.name!r} makes no positive predictions; "
-                "its precision is undefined"
+                f"model {name!r} makes no positive predictions; its precision is undefined"
             )
-        precisions[report.name] = float(np.sum((preds == 1) & (truth == 1)) / positives)
+        precisions[name] = float(np.sum(voted & (truth == 1)) / positives)
+        combined &= voted
 
     # The odds-product form makes the pairwise fold order-independent.
     theoretical = reduce(joint_precision, precisions.values())
-
-    combined = np.ones(n, dtype=bool)
-    for report in reports:
-        combined &= np.asarray(report.predictions) == 1
     unanimous = int(combined.sum())
-    coverage = unanimous / n
-    if unanimous > 0:
-        empirical = float(np.sum(combined & (truth == 1)) / unanimous)
-        defined = True
-    else:
-        empirical = 0.0
-        defined = False
+    empirical = float(np.sum(combined & (truth == 1)) / unanimous) if unanimous else 0.0
     return FusionReport(
         theoretical_joint=theoretical,
         empirical_joint=empirical,
-        coverage=coverage,
+        coverage=unanimous / n,
         independence_gap=empirical - theoretical,
-        empirical_defined=defined,
+        empirical_defined=unanimous > 0,
         model_precisions=precisions,
     )

@@ -60,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError
+from .errors import ConvergenceError, DataError, whole
 from .market_data import N_FEATURES, SequenceSample, WINDOW_LENGTH
 
 __all__ = [
@@ -478,9 +478,8 @@ class Metrics:
 
     @classmethod
     def from_counts(cls, tp: int, fp: int, tn: int, fn: int) -> "Metrics":
-        for name, v in (("tp", tp), ("fp", fp), ("tn", tn), ("fn", fn)):
-            if v < 0 or int(v) != v:
-                raise DataError(f"{name} must be a nonnegative integer, got {v}")
+        tp, fp, tn, fn = (whole(v, f"{name} must be a nonnegative integer, got {v}")
+                          for name, v in (("tp", tp), ("fp", fp), ("tn", tn), ("fn", fn)))
         total = tp + fp + tn + fn
         if total == 0:
             raise DataError("cannot compute metrics from an empty confusion matrix")
@@ -554,23 +553,17 @@ class TrainConfig:
     optimizer: str = "sgd"
 
     def __post_init__(self) -> None:
-        if int(self.hidden) != self.hidden or self.hidden <= 0:
-            raise DataError(f"hidden must be a positive integer, got {self.hidden}")
-        if int(self.batch) != self.batch or self.batch <= 0:
-            raise DataError(f"batch must be a positive integer, got {self.batch}")
-        if int(self.epochs) != self.epochs or self.epochs <= 0:
-            raise DataError(f"epochs must be a positive integer, got {self.epochs}")
+        for name in ("hidden", "batch", "epochs"):
+            message = f"{name} must be a positive integer, got {getattr(self, name)}"
+            object.__setattr__(self, name, whole(getattr(self, name), message, 1))
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise DataError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
-            raise DataError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        object.__setattr__(self, "seed", whole(
+            self.seed, f"seed must be an unsigned 64-bit integer, got {self.seed}", 0, 2**64 - 1))
         if not 0.0 < self.train_frac < 1.0:
             raise DataError(f"train_frac must be in (0, 1), got {self.train_frac}")
         if self.optimizer not in ("sgd", "adam"):
             raise DataError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
-        # Whole-valued floats such as 21.0 pass; training needs ints.
-        for name in ("hidden", "batch", "epochs", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)

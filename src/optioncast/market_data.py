@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .bs_core import call_price
-from .errors import DataError
+from .errors import DataError, whole
 
 __all__ = [
     "CSV_COLUMNS",
@@ -170,15 +170,12 @@ class SyntheticSpec:
             raise DataError(f"mu must be finite, got {self.mu}")
         if not math.isfinite(self.rate):
             raise DataError(f"rate must be finite, got {self.rate}")
-        if int(self.n_days) != self.n_days or self.n_days < 12:
-            raise DataError(f"n_days must be an integer >= 12, got {self.n_days}")
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
-            raise DataError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        object.__setattr__(self, "n_days", whole(
+            self.n_days, f"n_days must be an integer >= 12, got {self.n_days}", 12))
+        object.__setattr__(self, "seed", whole(
+            self.seed, f"seed must be an unsigned 64-bit integer, got {self.seed}", 0, 2**64 - 1))
         if not (math.isfinite(self.spread_bp) and self.spread_bp >= 0):
             raise DataError(f"spread_bp must be >= 0, got {self.spread_bp}")
-        # Whole-valued floats such as 21.0 pass; the generator needs ints.
-        for name in ("n_days", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError
+from .errors import ConvergenceError, DataError, whole
 from .market_data import TRADING_DAY_YEARS, QuoteRecord
 
 __all__ = [
@@ -92,11 +92,11 @@ class QrmConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_s", "n_tau"):
-            v = getattr(self, name)
-            if int(v) != v or v < 3 or v % 2 == 0:
-                raise DataError(f"{name} must be an odd integer >= 3, got {v}")
-            # A whole-valued float such as 21.0 passes; the grid needs an int.
-            object.__setattr__(self, name, int(v))
+            message = f"{name} must be an odd integer >= 3, got {getattr(self, name)}"
+            n = whole(getattr(self, name), message, 3)
+            if n % 2 == 0:
+                raise DataError(message)
+            object.__setattr__(self, name, n)
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise DataError(f"beta must be > 0, got {self.beta}")
 

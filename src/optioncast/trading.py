@@ -33,18 +33,11 @@ CLASSIFIER_THRESHOLD = 0.5
 
 @dataclass(frozen=True)
 class TradeDecision:
-    """One tradable day: the signal pair, the action, and realized P&L.
-
-    ``pnl`` is None on abstain days.  In classifier mode ``est`` holds the
-    probability and ``real0`` the 0.5 threshold.  A missing signal is stored
-    as est = nan, which always abstains.
-    """
+    """One tradable day: the action and its realized P&L, None on abstain days."""
 
     day: date
     action: str
-    est: float
-    real0: float
-    pnl: float | None = None
+    pnl: float | None
 
 
 def est_covers(est: float, real0: float) -> bool:
@@ -115,7 +108,7 @@ def backtest(
             n_trades += 1
             if pnl > 0:
                 wins += 1
-        decisions.append(TradeDecision(day=rec.day, action=action, est=est, real0=real0, pnl=pnl))
+        decisions.append(TradeDecision(day=rec.day, action=action, pnl=pnl))
         equity_curve.append(cumulative)
     return BacktestResult(
         decisions=decisions,

@@ -80,6 +80,24 @@ class TestSynth:
         assert run(["synth", "--config", str(config), "--days", "20", "--out", str(out)]) == 0
         assert len(load_csv(out)) == 20
 
+    @pytest.mark.parametrize("flags", [["--mu", "nan"], ["--rate", "inf"], ["--spread-bp", "-1"]],
+                             ids=["mu-nan", "rate-inf", "spread-bp-negative"])
+    def test_bad_spec_value_exits_three(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        argv = ["synth", "--s0", "100", "--sigma", "0.2", "--days", "14", *flags,
+                "--out", str(out / "series.csv")]
+        assert run(argv) == 3
+        assert f"{flags[0][2:].replace('-', '_')} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_holding_an_array_exits_three(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps([{"s0": 100.0, "sigma": 0.2, "days": 14}]))
+        out = tmp_path / "out"
+        assert run(["synth", "--config", str(config), "--out", str(out / "x.csv")]) == 3
+        assert "config must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"s0": 100.0, "sigma": 0.2, "days": 14, "bogus": 1}))
@@ -230,6 +248,30 @@ def series_csv(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def checkpoint_doc(tmp_path_factory, series_csv):
+    out = tmp_path_factory.mktemp("train") / "train_out"
+    run(["train", "--input", str(series_csv), "--out-dir", str(out),
+         "--hidden", "6", "--epochs", "1", "--batch", "8", "--seed", "3"])
+    return json.loads((out / "checkpoint.json").read_text())
+
+
+def forge(doc, edit):
+    """A deep copy of the checkpoint ``doc`` with ``edit`` applied to it."""
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return doc
+
+
+# A checkpoint with one part removed or resized, and what the error names.
+FORGED_CHECKPOINTS = {
+    "no-input-size": (lambda d: d.pop("input_size"), "missing field 'input_size'"),
+    "no-dense-b": (lambda d: d["weights"].pop("dense_b"), "missing weights for dense_b"),
+    "short-dense-w": (lambda d: d["weights"]["dense_w"].pop(), "dense_w have size"),
+    "mean-12-wide": (lambda d: d["feature_stats"]["mean"].pop(), "13-wide"),
+}
+
+
 class TestTrainAndBacktest:
     def test_train_writes_checkpoint_history_summary(self, tmp_path, series_csv):
         out = tmp_path / "train_out"
@@ -374,6 +416,21 @@ class TestTrainAndBacktest:
         assert "hidden must be a positive integer" in capsys.readouterr().err
         assert not (bt_out / "equity.csv").exists()
 
+    @pytest.mark.parametrize("edit, match", FORGED_CHECKPOINTS.values(), ids=FORGED_CHECKPOINTS)
+    def test_backtest_classifier_rejects_forged_checkpoint(
+        self, tmp_path, series_csv, checkpoint_doc, capsys, edit, match
+    ):
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(forge(checkpoint_doc, edit)))
+        bt_out = tmp_path / "bt_out"
+        code = run(
+            ["backtest", "--input", str(series_csv), "--out-dir", str(bt_out),
+             "--mode", "classifier", "--checkpoint", str(ckpt)]
+        )
+        assert code == 3
+        assert match in capsys.readouterr().err
+        assert not bt_out.exists()
+
     @pytest.mark.parametrize("doc", [[], {"schema": 2, "config": []}])
     def test_backtest_classifier_rejects_malformed_checkpoint(
         self, tmp_path, series_csv, capsys, doc
@@ -464,6 +521,18 @@ class TestRerun:
         assert code == 0
         rerun_manifest = json.loads((rerun_dir / "manifest.json").read_text())
         assert rerun_manifest["artifacts"] == manifest["artifacts"]
+
+    def test_rerun_unsupported_schema_exits_three(self, tmp_path, capsys):
+        data = tmp_path / "series.csv"
+        run(synth_args(data))
+        manifest = json.loads((tmp_path / "series.csv.manifest.json").read_text())
+        manifest["schema"] = 2
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        replay = tmp_path / "replay"
+        assert run(["rerun", "--manifest", str(edited), "--out-dir", str(replay)]) == 3
+        assert "unsupported manifest schema 2" in capsys.readouterr().err
+        assert not replay.exists()
 
     def test_rerun_unknown_command_rejected(self, tmp_path, capsys):
         bad = tmp_path / "manifest.json"
@@ -612,6 +681,20 @@ class TestConfigValues:
         recorded = json.loads((out / "manifest.json").read_text())["config"]
         assert (recorded["beta"], recorded["n_s"]) == (1.0, 21)
         assert isinstance(recorded["beta"], float) and isinstance(recorded["n_s"], int)
+
+    def test_choice_values_select_the_mode(self, tmp_path, series_csv, checkpoint_doc):
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(checkpoint_doc))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mode": "classifier", "checkpoint": str(ckpt)}))
+        argv = ["backtest", "--input", str(series_csv), "--out-dir"]
+        assert run([*argv, str(tmp_path / "file"), "--config", str(config)]) == 0
+        assert run([*argv, str(tmp_path / "flags"), "--mode", "classifier",
+                    "--checkpoint", str(ckpt)]) == 0
+        recorded = json.loads((tmp_path / "file" / "manifest.json").read_text())["config"]
+        assert recorded["mode"] == "classifier"
+        assert ((tmp_path / "file" / "equity.csv").read_bytes()
+                == (tmp_path / "flags" / "equity.csv").read_bytes())
 
     def test_null_is_unset_where_the_default_is_none(self, tmp_path, series_csv):
         config = tmp_path / "config.json"

@@ -1,4 +1,7 @@
+import dataclasses
 import itertools
+import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -7,7 +10,6 @@ from hypothesis import strategies as st
 
 from optioncast.errors import DataError
 from optioncast.fusion import (
-    ModelReport,
     REFERENCE_PRECISIONS,
     joint_precision,
     unanimous_combine,
@@ -130,11 +132,7 @@ class TestUnanimousCombine:
     def test_identical_correlated_models_fall_short_of_the_formula(self):
         rng = np.random.Generator(np.random.PCG64(8))
         preds, truth = exact_precision_vector(rng)
-        reports = [
-            ModelReport(name="a", predictions=preds),
-            ModelReport(name="b", predictions=preds.copy()),
-        ]
-        report = unanimous_combine(reports, truth)
+        report = unanimous_combine({"a": preds, "b": preds.copy()}, truth)
         assert report.empirical_joint == 0.539
         assert report.model_precisions == {"a": 0.539, "b": 0.539}
         assert report.theoretical_joint == pytest.approx(0.578, abs=5e-4)
@@ -145,11 +143,11 @@ class TestUnanimousCombine:
         rng = np.random.Generator(np.random.PCG64(99))
         n = 100_000
         truth = (rng.random(n) < 0.5).astype(int)
-        reports = [
-            ModelReport(name="m56", predictions=channel_predictions(rng, truth, 0.56)),
-            ModelReport(name="m59", predictions=channel_predictions(rng, truth, 0.59)),
-        ]
-        report = unanimous_combine(reports, truth)
+        votes = {
+            "m56": channel_predictions(rng, truth, 0.56),
+            "m59": channel_predictions(rng, truth, 0.59),
+        }
+        report = unanimous_combine(votes, truth)
         assert abs(report.empirical_joint - 0.647) <= 0.02
         assert abs(report.independence_gap) <= 0.03
 
@@ -161,11 +159,7 @@ class TestUnanimousCombine:
         votes_a[: n // 2] = 1
         votes_b = 1 - votes_a
         # keep both precisions interior by flipping some truths
-        reports = [
-            ModelReport(name="a", predictions=votes_a),
-            ModelReport(name="b", predictions=votes_b),
-        ]
-        report = unanimous_combine(reports, truth)
+        report = unanimous_combine({"a": votes_a, "b": votes_b}, truth)
         assert report.coverage == 0.0
         assert report.empirical_joint == 0.0
         assert not report.empirical_defined
@@ -173,47 +167,74 @@ class TestUnanimousCombine:
     def test_self_combination_is_idempotent(self):
         rng = np.random.Generator(np.random.PCG64(21))
         preds, truth = exact_precision_vector(rng, n_votes=400, n_correct=300)
-        single = ModelReport(name="solo", predictions=preds)
-        report = unanimous_combine([single, single], truth)
+        report = unanimous_combine({"solo": preds, "again": preds}, truth)
         assert report.empirical_joint == report.model_precisions["solo"] == 0.75
+        assert report.model_precisions["again"] == 0.75
 
     def test_three_models_fold(self):
         rng = np.random.Generator(np.random.PCG64(31))
         n = 50_000
         truth = (rng.random(n) < 0.5).astype(int)
-        reports = [
-            ModelReport(name=f"m{k}", predictions=channel_predictions(rng, truth, p))
+        votes = {
+            f"m{k}": channel_predictions(rng, truth, p)
             for k, p in enumerate((0.56, 0.59, 0.6))
-        ]
-        report = unanimous_combine(reports, truth)
+        }
+        report = unanimous_combine(votes, truth)
         expected = joint_precision(joint_precision(0.56, 0.59), 0.6)
         assert abs(report.empirical_joint - expected) <= 0.03
 
+    def test_theoretical_joint_folds_every_model_passed(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        truth = (rng.random(20_000) < 0.5).astype(int)
+        votes = {
+            name: channel_predictions(rng, truth, p)
+            for name, p in (("lstm", 0.56), ("qrm", 0.59), ("cnn", 0.6))
+        }
+        report = unanimous_combine(votes, truth)
+        assert list(report.model_precisions) == ["lstm", "qrm", "cnn"]
+        assert report.theoretical_joint == reduce(
+            joint_precision, report.model_precisions.values()
+        )
+
     def test_alignment_and_count_errors(self):
         truth = np.array([1, 0, 1])
-        good = ModelReport(name="a", predictions=np.array([1, 0, 1]))
-        short = ModelReport(name="b", predictions=np.array([1, 0]))
-        with pytest.raises(DataError, match="length"):
-            unanimous_combine([good, short], truth)
+        good = np.array([1, 0, 1])
+        with pytest.raises(DataError, match="'b' have length"):
+            unanimous_combine({"a": good, "b": np.array([1, 0])}, truth)
         with pytest.raises(DataError, match="at least 2"):
-            unanimous_combine([good], truth)
+            unanimous_combine({"a": good}, truth)
+
+    @pytest.mark.parametrize(
+        "truth, match",
+        [
+            (np.array([1, 2, 0]), "truth must be a 1-d 0/1 vector"),
+            (np.array([[1, 0, 1]]), "truth must be a 1-d 0/1 vector"),
+            (np.array([], dtype=int), "truth must be nonempty"),
+        ],
+        ids=["not-0-1", "2-d", "empty"],
+    )
+    def test_truth_is_checked(self, truth, match):
+        votes = {"a": np.ones(len(truth), dtype=int), "b": np.ones(len(truth), dtype=int)}
+        with pytest.raises(DataError, match=match):
+            unanimous_combine(votes, truth)
+
+    def test_model_that_never_votes_positive_is_named(self):
+        truth = np.array([1, 0, 1, 0])
+        votes = {"active": np.array([1, 0, 1, 1]), "silent": np.zeros(4, dtype=int)}
+        with pytest.raises(ValueError, match="'silent' makes no positive predictions"):
+            unanimous_combine(votes, truth)
 
     def test_degenerate_recomputed_precision_propagates(self):
         truth = np.array([1, 1, 1, 0])
-        perfect = ModelReport(name="perfect", predictions=np.array([1, 1, 1, 0]))
-        other = ModelReport(name="other", predictions=np.array([1, 0, 1, 1]))
+        votes = {"perfect": np.array([1, 1, 1, 0]), "other": np.array([1, 0, 1, 1])}
         with pytest.raises(ValueError):
-            unanimous_combine([perfect, other], truth)
+            unanimous_combine(votes, truth)
 
     def test_json_payload(self):
         rng = np.random.Generator(np.random.PCG64(41))
         preds, truth = exact_precision_vector(rng, n_votes=100, n_correct=60)
-        report = unanimous_combine(
-            [ModelReport(name="a", predictions=preds),
-             ModelReport(name="b", predictions=preds.copy())],
-            truth,
-        )
-        payload = report.to_json()
+        report = unanimous_combine({"a": preds, "b": preds.copy()}, truth)
+        payload = dataclasses.asdict(report)
         assert set(payload) == {
             "theoretical_joint",
             "empirical_joint",
@@ -223,6 +244,14 @@ class TestUnanimousCombine:
             "model_precisions",
         }
         assert payload["model_precisions"]["a"] == 0.6
+        assert json.loads(json.dumps(payload)) == payload
+
+    @pytest.mark.parametrize("bad", [np.array([0, 2, 1]), np.array([[1, 0, 1]])],
+                             ids=["not-0-1", "2-d"])
+    def test_vote_validation_names_the_model(self, bad):
+        votes = {"good": np.array([1, 0, 1]), "bad": bad}
+        with pytest.raises(DataError, match="predictions for 'bad' must be a 1-d 0/1 vector"):
+            unanimous_combine(votes, np.array([1, 0, 1]))
 
 
 def test_reference_precisions_fixture():
@@ -236,8 +265,3 @@ def test_reference_precisions_fixture():
         REFERENCE_PRECISIONS["binary_classification"], REFERENCE_PRECISIONS["cnn"]
     )
     assert 0.5 < folded < 1.0
-
-
-def test_model_report_validation():
-    with pytest.raises(DataError):
-        ModelReport(name="bad", predictions=np.array([0, 2, 1]))

@@ -584,6 +584,20 @@ class TestMetrics:
         assert m.precision == 0.0 and not m.precision_defined
         assert m.recall == 0.0 and m.recall_defined
 
+    @pytest.mark.parametrize("bad", [-1, 2.5, float("inf"), float("nan"), None, True],
+                             ids=["negative", "fraction", "inf", "nan", "None", "bool"])
+    def test_a_count_that_is_no_nonnegative_integer_is_rejected(self, bad):
+        with pytest.raises(DataError, match="fn must be a nonnegative integer"):
+            lstm.Metrics.from_counts(tp=1, fp=1, tn=1, fn=bad)
+
+    def test_whole_valued_float_counts_are_stored_as_ints(self):
+        m = lstm.Metrics.from_counts(tp=3.0, fp=1, tn=1, fn=1)
+        assert type(m.tp) is int and m.precision == 0.75
+
+    def test_all_zero_counts_are_rejected(self):
+        with pytest.raises(DataError, match="empty confusion matrix"):
+            lstm.Metrics.from_counts(tp=0, fp=0, tn=0, fn=0)
+
     @given(
         st.integers(min_value=0, max_value=10_000),
         st.integers(min_value=0, max_value=10_000),

@@ -168,6 +168,12 @@ class TestRoundTrip:
         assert reloaded == records
         assert path.read_text().startswith(f"# seed=11 generator={GENERATOR_ID}\n")
 
+    def test_empty_record_list_is_not_written(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        with pytest.raises(DataError, match="empty record list"):
+            save_csv([], path)
+        assert not path.exists()
+
 
 class TestGenerateGbm:
     def test_zero_vol_zero_drift_is_constant(self):
@@ -282,6 +288,12 @@ class TestSequences:
         assert features[0, 9] == 0.0
         assert features[2, 11] == pytest.approx(100.0 / 80.0)
         assert features[0, 12] == 1.0 and features[2, 12] == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_estimate_names_its_day(self, bad):
+        records = make_series([5.0, 5.2, 5.4])
+        with pytest.raises(DataError, match="estimate for day 1 is not finite"):
+            feature_matrix(records, [4.5, bad, 4.7])
 
 
 def test_sequence_sample_validation():

@@ -6,7 +6,7 @@ import pytest
 
 import optioncast
 from helpers import separable_dataset
-from optioncast import lstm, market_data, qrm
+from optioncast import binomial, lstm, market_data, qrm
 from optioncast.errors import DataError
 
 # The command module and the shared exception types export no __all__.
@@ -60,6 +60,7 @@ INT_FIELDS = [
     (qrm.QrmConfig, {}, "n_tau", 11, _ests),
     *((lstm.TrainConfig, {"hidden": 4, "epochs": 1}, name, value, _history)
       for name, value in (("hidden", 4), ("batch", 8), ("epochs", 1), ("seed", 21))),
+    (binomial.BinomialSpec, {"p": 0.6, "ror": 1.1}, "days", 3, binomial.enumerate_tree),
 ]
 
 
@@ -71,3 +72,12 @@ def test_whole_valued_float_is_stored_as_int(cls, fields, name, value, run):
     assert run(as_float) == run(cls(**{**fields, name: value}))
     with pytest.raises(DataError):
         cls(**{**fields, name: 21.5})
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), None, "21", True],
+                         ids=["inf", "nan", "None", "str", "bool"])
+@pytest.mark.parametrize("cls, fields, name, value, run", INT_FIELDS,
+                         ids=[f"{case[0].__name__}.{case[2]}" for case in INT_FIELDS])
+def test_a_value_that_is_no_whole_number_is_a_data_error(cls, fields, name, value, run, bad):
+    with pytest.raises(DataError, match=f"{name} must be"):
+        cls(**{**fields, name: bad})

@@ -91,7 +91,6 @@ class TestBacktest:
         records[1] = dataclasses.replace(records[1], option_bid=0.0, option_ask=0.0)
         result = backtest(records, [0.9, 0.9, 0.9, None], mode="classifier")
         assert [d.action for d in result.decisions] == ["buy", "abstain", "buy"]
-        assert math.isnan(result.decisions[1].est)
         expected = (
             (records[1].option_bid - records[0].option_ask)
             + (records[3].option_bid - records[2].option_ask)
