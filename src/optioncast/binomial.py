@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DataError, whole
+from .errors import DataError, real, whole
 
 __all__ = [
     "BinomialSpec",
@@ -49,18 +49,14 @@ class BinomialSpec:
     days: int = 1
 
     def __post_init__(self) -> None:
-        if self.rol is None:
-            object.__setattr__(self, "rol", 1.0 / self.ror)
-        if not (math.isfinite(self.p) and 0.0 < self.p < 1.0):
-            raise DataError(f"p must lie strictly in (0, 1), got {self.p}")
-        if not (math.isfinite(self.ror) and self.ror >= 1.0):
-            raise DataError(f"ror must be >= 1, got {self.ror}")
-        if not (math.isfinite(self.rol) and 0.0 < self.rol <= 1.0):
-            raise DataError(f"rol must lie in (0, 1], got {self.rol}")
-        if not (math.isfinite(self.initial) and self.initial > 0):
-            raise DataError(f"initial capital must be > 0, got {self.initial}")
         object.__setattr__(
-            self, "days", whole(self.days, f"days must be an integer >= 0, got {self.days}"))
+            self, "p", real(self.p, "p must lie strictly in (0, 1)", lambda x: 0 < x < 1))
+        object.__setattr__(self, "ror", real(self.ror, "ror must be >= 1", lambda x: x >= 1))
+        rol = 1.0 / self.ror if self.rol is None else self.rol
+        object.__setattr__(self, "rol", real(rol, "rol must lie in (0, 1]", lambda x: 0 < x <= 1))
+        object.__setattr__(self, "initial", real(
+            self.initial, "initial capital must be > 0", lambda x: x > 0))
+        object.__setattr__(self, "days", whole(self.days, "days must be an integer >= 0"))
 
 
 @dataclass(frozen=True)

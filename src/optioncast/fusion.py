@@ -9,7 +9,8 @@ prior:
 That value is never applied as a corrected estimate here; it only serves as
 the independence benchmark inside :func:`unanimous_combine`, whose
 ``independence_gap`` (empirical minus theoretical) quantifies how far a set
-of correlated models falls short of the idealized formula.
+of correlated models falls short of the idealized formula.  :class:`Metrics`
+holds the confusion counts that every precision here is read from.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, whole
 
 __all__ = [
     "FusionReport",
+    "Metrics",
     "REFERENCE_PRECISIONS",
     "joint_precision",
     "unanimous_combine",
@@ -50,6 +52,48 @@ def joint_precision(p1: float, p2: float) -> float:
             raise ValueError(f"{name} must lie strictly in (0, 1), got {p}")
     agree = p1 * p2
     return agree / (agree + (1.0 - p1) * (1.0 - p2))
+
+
+@dataclass(frozen=True)
+class Metrics:
+    """Confusion counts and the derived rates.
+
+    ``precision``/``recall`` are reported as 0.0 with the matching
+    ``*_defined`` flag cleared when their denominator is empty.
+    """
+
+    tp: int
+    fp: int
+    tn: int
+    fn: int
+    accuracy: float
+    precision: float
+    recall: float
+    precision_defined: bool
+    recall_defined: bool
+
+    @classmethod
+    def from_counts(cls, tp: int, fp: int, tn: int, fn: int) -> "Metrics":
+        tp, fp, tn, fn = (whole(v, f"{name} must be a nonnegative integer")
+                          for name, v in (("tp", tp), ("fp", fp), ("tn", tn), ("fn", fn)))
+        total = tp + fp + tn + fn
+        if total == 0:
+            raise DataError("cannot compute metrics from an empty confusion matrix")
+        return cls(
+            tp=tp, fp=fp, tn=tn, fn=fn,
+            accuracy=(tp + tn) / total,
+            precision=tp / (tp + fp) if tp + fp > 0 else 0.0,
+            recall=tp / (tp + fn) if tp + fn > 0 else 0.0,
+            precision_defined=tp + fp > 0,
+            recall_defined=tp + fn > 0,
+        )
+
+    @classmethod
+    def from_probs(cls, probs: np.ndarray, labels: np.ndarray) -> "Metrics":
+        """Threshold ``probs`` (or 0/1 votes) at 0.5 and count them against 0/1 ``labels``."""
+        preds, actual = np.asarray(probs) >= 0.5, np.asarray(labels) == 1
+        return cls.from_counts(tp=int(np.sum(preds & actual)), fp=int(np.sum(preds & ~actual)),
+                               tn=int(np.sum(~preds & ~actual)), fn=int(np.sum(~preds & actual)))
 
 
 @dataclass(frozen=True)
@@ -98,24 +142,22 @@ def unanimous_combine(votes: Mapping[str, np.ndarray], truth: np.ndarray) -> Fus
                 f"predictions for {name!r} have length {len(preds)}, "
                 f"but truth has length {n}"
             )
-        voted = preds == 1
-        positives = int(voted.sum())
-        if positives == 0:
+        model = Metrics.from_probs(preds, truth)
+        if not model.precision_defined:
             raise ValueError(
                 f"model {name!r} makes no positive predictions; its precision is undefined"
             )
-        precisions[name] = float(np.sum(voted & (truth == 1)) / positives)
-        combined &= voted
+        precisions[name] = model.precision
+        combined &= preds == 1
 
     # The odds-product form makes the pairwise fold order-independent.
     theoretical = reduce(joint_precision, precisions.values())
-    unanimous = int(combined.sum())
-    empirical = float(np.sum(combined & (truth == 1)) / unanimous) if unanimous else 0.0
+    unanimous = Metrics.from_probs(combined, truth)
     return FusionReport(
         theoretical_joint=theoretical,
-        empirical_joint=empirical,
-        coverage=unanimous / n,
-        independence_gap=empirical - theoretical,
-        empirical_defined=unanimous > 0,
+        empirical_joint=unanimous.precision,
+        coverage=(unanimous.tp + unanimous.fp) / n,
+        independence_gap=unanimous.precision - theoretical,
+        empirical_defined=unanimous.precision_defined,
         model_precisions=precisions,
     )

@@ -60,16 +60,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError, whole
-from .market_data import N_FEATURES, SequenceSample, WINDOW_LENGTH
+from .errors import ConvergenceError, DataError, real, whole
+from .fusion import Metrics
+from .market_data import N_FEATURES, FeatureStats, SequenceSample, WINDOW_LENGTH, split, stack
 
 __all__ = [
     "EpochStats",
-    "FeatureStats",
     "ForwardCache",
     "Layer",
     "LstmParams",
-    "Metrics",
     "TrainConfig",
     "TrainResult",
     "backward",
@@ -458,88 +457,13 @@ def backward(cache: ForwardCache, label: float) -> LstmParams:
     return _backward(cache, np.array([label], dtype=np.float64), grads)
 
 
-@dataclass(frozen=True)
-class Metrics:
-    """Confusion counts and the derived rates.
-
-    ``precision``/``recall`` are reported as 0.0 with the matching
-    ``*_defined`` flag cleared when their denominator is empty.
-    """
-
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    accuracy: float
-    precision: float
-    recall: float
-    precision_defined: bool
-    recall_defined: bool
-
-    @classmethod
-    def from_counts(cls, tp: int, fp: int, tn: int, fn: int) -> "Metrics":
-        tp, fp, tn, fn = (whole(v, f"{name} must be a nonnegative integer, got {v}")
-                          for name, v in (("tp", tp), ("fp", fp), ("tn", tn), ("fn", fn)))
-        total = tp + fp + tn + fn
-        if total == 0:
-            raise DataError("cannot compute metrics from an empty confusion matrix")
-        return cls(
-            tp=tp, fp=fp, tn=tn, fn=fn,
-            accuracy=(tp + tn) / total,
-            precision=tp / (tp + fp) if tp + fp > 0 else 0.0,
-            recall=tp / (tp + fn) if tp + fn > 0 else 0.0,
-            precision_defined=tp + fp > 0,
-            recall_defined=tp + fn > 0,
-        )
-
-
-@dataclass(frozen=True)
-class FeatureStats:
-    """Per-feature mean and standard deviation used for z-scoring."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.mean.shape != (N_FEATURES,) or self.std.shape != (N_FEATURES,):
-            raise DataError(f"feature stats must be {N_FEATURES}-wide vectors")
-        if not np.all(np.isfinite(self.mean)):
-            raise DataError("feature stats mean must be finite")
-        if not np.all(np.isfinite(self.std) & (self.std > 0)):
-            raise DataError("feature stats std must be finite and > 0")
-
-
-def _stack(samples: Sequence[SequenceSample]) -> np.ndarray:
-    """The samples' windows as a new float64 (B, T, features) array."""
-    return np.stack([s.window for s in samples]).astype(np.float64, copy=False)
-
-
-def _zscore(windows: np.ndarray, stats: FeatureStats) -> np.ndarray:
-    """Z-score a freshly stacked (B, T, features) array in place and return it."""
-    windows -= stats.mean
-    windows /= stats.std
-    return windows
-
-
-def _confusion(probs: np.ndarray, labels: np.ndarray) -> Metrics:
-    """Threshold ``probs`` at 0.5 and count the confusion against 0/1 ``labels``."""
-    preds = probs >= 0.5
-    actual = labels == 1
-    return Metrics.from_counts(
-        tp=int(np.sum(preds & actual)),
-        fp=int(np.sum(preds & ~actual)),
-        tn=int(np.sum(~preds & ~actual)),
-        fn=int(np.sum(~preds & actual)),
-    )
-
-
 def predict(
     params: LstmParams, stats: FeatureStats, samples: Sequence[SequenceSample]
 ) -> np.ndarray:
     """P(up) for each raw sample, z-scored with ``stats``; no samples give an empty array."""
     if not samples:
         return np.empty(0)
-    return _infer(params, _zscore(_stack(samples), stats))
+    return _infer(params, stats.zscore(stack(samples)))
 
 
 @dataclass(frozen=True)
@@ -554,14 +478,14 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name in ("hidden", "batch", "epochs"):
-            message = f"{name} must be a positive integer, got {getattr(self, name)}"
-            object.__setattr__(self, name, whole(getattr(self, name), message, 1))
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise DataError(f"learning_rate must be > 0, got {self.learning_rate}")
+            rule = f"{name} must be a positive integer"
+            object.__setattr__(self, name, whole(getattr(self, name), rule, 1))
+        object.__setattr__(self, "learning_rate", real(
+            self.learning_rate, "learning_rate must be > 0", lambda x: x > 0))
         object.__setattr__(self, "seed", whole(
-            self.seed, f"seed must be an unsigned 64-bit integer, got {self.seed}", 0, 2**64 - 1))
-        if not 0.0 < self.train_frac < 1.0:
-            raise DataError(f"train_frac must be in (0, 1), got {self.train_frac}")
+            self.seed, "seed must be an unsigned 64-bit integer", 0, 2**64 - 1))
+        object.__setattr__(self, "train_frac", real(
+            self.train_frac, "train_frac must be in (0, 1)", lambda x: 0 < x < 1))
         if self.optimizer not in ("sgd", "adam"):
             raise DataError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
 
@@ -584,35 +508,20 @@ class TrainResult:
 
 
 def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult:
-    """Mini-batch gradient descent over a chronological train/validation split.
-
-    The first ``train_frac`` of the samples (in the given order) is the
-    training set.  The feature statistics are the mean and std over every day
-    of its windows alone (std < 1e-12 becomes 1), and both splits are
-    z-scored with them.  Returns the parameters with the best validation
-    accuracy (earliest epoch wins ties).
+    """Mini-batch gradient descent on ``split(samples, config.train_frac)``, both sets
+    z-scored with the training windows' :class:`FeatureStats`.  Returns the parameters
+    with the best validation accuracy (earliest epoch wins ties).
     """
-    if not samples:
-        raise DataError("cannot train on zero samples")
-    n = len(samples)
-    n_train = int(round(config.train_frac * n))
-    n_train = min(max(n_train, 1), n - 1)
-    if n < 2:
-        raise DataError("need at least 2 samples to split into train and validation")
+    train_set, val_set = split(samples, config.train_frac)
+    n_train = len(train_set)
     if config.batch > n_train:
         raise DataError(f"batch size {config.batch} exceeds training-set size {n_train}")
 
-    x_train = _stack(samples[:n_train])
-    y_train = np.array([s.label for s in samples[:n_train]], dtype=np.float64)
-    days = x_train.reshape(-1, N_FEATURES)
-    # A feature near the float64 limit overflows its std, which FeatureStats
-    # then rejects; numpy's warnings would repeat that error.
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, std = days.mean(axis=0), days.std(axis=0)
-    stats = FeatureStats(mean=mean, std=np.where(std < 1e-12, 1.0, std))
-    x_train = _zscore(x_train, stats)
-    x_val = _zscore(_stack(samples[n_train:]), stats)
-    y_val = np.array([s.label for s in samples[n_train:]])
+    x_train = stack(train_set)
+    stats = FeatureStats.from_windows(x_train)
+    x_train, x_val = stats.zscore(x_train), stats.zscore(stack(val_set))
+    y_train = np.array([s.label for s in train_set], dtype=np.float64)
+    y_val = np.array([s.label for s in val_set])
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = init_params(config.hidden, rng)
@@ -662,7 +571,7 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
         # Validation allocates its own storage: with the cache still held, the
         # heap grows instead of reusing it.
         del cache
-        val_metrics = _confusion(_infer(params, x_val), y_val)
+        val_metrics = Metrics.from_probs(_infer(params, x_val), y_val)
         if val_metrics.accuracy > best_acc:
             best_acc = val_metrics.accuracy
             best_vec = vec.copy()

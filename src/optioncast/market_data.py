@@ -20,9 +20,9 @@ Feature layout (one 13-wide vector per trading day, see ``FEATURE_NAMES``):
     11  moneyness, stock mid / strike
     12  fraction of the series remaining, (n-1-k)/(n-1)
 
-:func:`build_sequences` emits raw windows.  The classifier owns their scaling:
-:mod:`optioncast.lstm` computes per-feature z-score statistics from its
-training split alone and applies them to every window it reads.
+:func:`build_sequences` emits raw windows.  Every classifier splits them with
+:func:`split` and z-scores both sets with the :class:`FeatureStats` of its
+training windows alone.
 """
 
 from __future__ import annotations
@@ -36,11 +36,12 @@ from typing import Sequence
 import numpy as np
 
 from .bs_core import call_price
-from .errors import DataError, whole
+from .errors import DataError, real, whole
 
 __all__ = [
     "CSV_COLUMNS",
     "FEATURE_NAMES",
+    "FeatureStats",
     "GENERATOR_ID",
     "QuoteRecord",
     "SequenceSample",
@@ -54,6 +55,8 @@ __all__ = [
     "generate_gbm",
     "load_csv",
     "save_csv",
+    "split",
+    "stack",
 ]
 
 TRADING_DAY_YEARS = 1.0 / 252.0
@@ -112,9 +115,7 @@ class QuoteRecord:
     def __post_init__(self) -> None:
         for name in CSV_COLUMNS[1:]:
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DataError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, real(value, f"{name} must be finite"))
         if self.option_bid < 0:
             raise DataError(f"option_bid must be >= 0, got {self.option_bid}")
         if self.option_ask < self.option_bid:
@@ -162,20 +163,16 @@ class SyntheticSpec:
     spread_bp: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.s0) and self.s0 > 0):
-            raise DataError(f"s0 must be > 0, got {self.s0}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise DataError(f"sigma must be >= 0, got {self.sigma}")
-        if not math.isfinite(self.mu):
-            raise DataError(f"mu must be finite, got {self.mu}")
-        if not math.isfinite(self.rate):
-            raise DataError(f"rate must be finite, got {self.rate}")
-        object.__setattr__(self, "n_days", whole(
-            self.n_days, f"n_days must be an integer >= 12, got {self.n_days}", 12))
+        object.__setattr__(self, "s0", real(self.s0, "s0 must be > 0", lambda x: x > 0))
+        object.__setattr__(self, "sigma", real(self.sigma, "sigma must be >= 0", lambda x: x >= 0))
+        object.__setattr__(self, "mu", real(self.mu, "mu must be finite"))
+        object.__setattr__(self, "rate", real(self.rate, "rate must be finite"))
+        object.__setattr__(
+            self, "n_days", whole(self.n_days, "n_days must be an integer >= 12", 12))
         object.__setattr__(self, "seed", whole(
-            self.seed, f"seed must be an unsigned 64-bit integer, got {self.seed}", 0, 2**64 - 1))
-        if not (math.isfinite(self.spread_bp) and self.spread_bp >= 0):
-            raise DataError(f"spread_bp must be >= 0, got {self.spread_bp}")
+            self.seed, "seed must be an unsigned 64-bit integer", 0, 2**64 - 1))
+        object.__setattr__(self, "spread_bp", real(
+            self.spread_bp, "spread_bp must be >= 0", lambda x: x >= 0))
 
 
 @dataclass(frozen=True)
@@ -200,6 +197,52 @@ class SequenceSample:
             raise DataError("window entries must all be finite")
         if self.label not in (0, 1):
             raise DataError(f"label must be 0 or 1, got {self.label}")
+
+
+def split(samples: Sequence[SequenceSample], train_frac: float):
+    """The first round(train_frac * n) samples, at least 1 and at most n - 1, and the rest."""
+    if len(samples) < 2:
+        raise DataError("need at least 2 samples to split into train and validation"
+                        if samples else "cannot train on zero samples")
+    n_train = min(max(int(round(train_frac * len(samples))), 1), len(samples) - 1)
+    return samples[:n_train], samples[n_train:]
+
+
+def stack(samples: Sequence[SequenceSample]) -> np.ndarray:
+    """The samples' windows as a new float64 (B, T, features) array."""
+    return np.stack([s.window for s in samples]).astype(np.float64, copy=False)
+
+
+@dataclass(frozen=True)
+class FeatureStats:
+    """Per-feature mean and standard deviation used for z-scoring."""
+
+    mean: np.ndarray
+    std: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.mean.shape != (N_FEATURES,) or self.std.shape != (N_FEATURES,):
+            raise DataError(f"feature stats must be {N_FEATURES}-wide vectors")
+        if not np.all(np.isfinite(self.mean)):
+            raise DataError("feature stats mean must be finite")
+        if not np.all(np.isfinite(self.std) & (self.std > 0)):
+            raise DataError("feature stats std must be finite and > 0")
+
+    @classmethod
+    def from_windows(cls, windows: np.ndarray) -> "FeatureStats":
+        """Mean and std over every day of (B, T, features) windows; a std below 1e-12 is 1."""
+        days = windows.reshape(-1, N_FEATURES)
+        # A feature near the float64 limit overflows its std, which __post_init__
+        # then rejects; numpy's warnings would repeat that error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = days.mean(axis=0), days.std(axis=0)
+        return cls(mean=mean, std=np.where(std < 1e-12, 1.0, std))
+
+    def zscore(self, windows: np.ndarray) -> np.ndarray:
+        """Z-score a freshly stacked (B, T, features) array in place and return it."""
+        windows -= self.mean
+        windows /= self.std
+        return windows
 
 
 def _parse_row(row: Sequence[str], line_no: int) -> QuoteRecord:

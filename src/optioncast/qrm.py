@@ -1,8 +1,7 @@
 """Quasi-reversibility extrapolation of option prices.
 
-Running the pricing PDE du/dtau = (sigma^2/2) s^2 d2u/ds2 in the forecast
-direction is unstable, so instead of time-stepping we minimize the Tikhonov
-functional
+The quotes are smoothed toward the PDE du/dtau = (sigma^2/2) s^2 d2u/ds2, with
+tau running forward in calendar time, by minimizing the Tikhonov functional
 
     J_beta(u) = || D_tau u - (sigma^2/2) s^2 D_ss u ||^2  +  beta || u - F ||^2
 
@@ -13,6 +12,14 @@ the rate they moved since the previous day, and interior rows interpolate
 linearly between the edges.  The tau = 0 row and both stock edges are imposed
 exactly; only interior nodes are unknowns, so the normal-equation matrix
 A^T A + beta I is symmetric positive definite and the minimizer is unique.
+
+With tau running forward this PDE is the heat equation in its well-posed
+direction, so the minimizer is a regularized forward-parabolic smoothing of
+F.  Black-Scholes in calendar time (r = 0), du/dt + (sigma^2/2) s^2 d2u/ds2
+= 0, runs the other way, the ill-posed problem quasi-reversibility was made
+for.  Flipping the sign of the PDE term to that direction was measured to
+forecast worse than persistence (tomorrow's mid = today's) on every series
+tried, so the sign stays.
 
 Discretization: first-order forward differences in tau, second-order central
 differences in s, on an n_s x n_tau grid covering two trading days, each
@@ -63,7 +70,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError, whole
+from .errors import ConvergenceError, DataError, real, whole
 from .market_data import TRADING_DAY_YEARS, QuoteRecord
 
 __all__ = [
@@ -92,13 +99,12 @@ class QrmConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_s", "n_tau"):
-            message = f"{name} must be an odd integer >= 3, got {getattr(self, name)}"
-            n = whole(getattr(self, name), message, 3)
+            rule = f"{name} must be an odd integer >= 3"
+            n = whole(getattr(self, name), rule, 3)
             if n % 2 == 0:
-                raise DataError(message)
+                raise DataError(f"{rule}, got {getattr(self, name)}")
             object.__setattr__(self, name, n)
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise DataError(f"beta must be > 0, got {self.beta}")
+        object.__setattr__(self, "beta", real(self.beta, "beta must be > 0", lambda x: x > 0))
 
 
 @dataclass(frozen=True)

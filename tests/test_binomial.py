@@ -260,6 +260,7 @@ class TestSpecValidation:
             {"p": 0.5, "ror": 2.0, "rol": 1.5},
             {"p": 0.5, "ror": 2.0, "rol": 0.5, "initial": 0.0},
             {"p": 0.5, "ror": 2.0, "rol": 0.5, "days": -1},
+            {"p": 0.5, "ror": 0.0},  # checked before the default rol = 1/ror divides by it
         ],
     )
     def test_invalid_specs(self, kwargs):

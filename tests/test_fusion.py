@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from optioncast.errors import DataError
 from optioncast.fusion import (
     REFERENCE_PRECISIONS,
+    FusionReport,
+    Metrics,
     joint_precision,
     unanimous_combine,
 )
@@ -252,6 +255,62 @@ class TestUnanimousCombine:
         votes = {"good": np.array([1, 0, 1]), "bad": bad}
         with pytest.raises(DataError, match="predictions for 'bad' must be a 1-d 0/1 vector"):
             unanimous_combine(votes, np.array([1, 0, 1]))
+
+
+def by_hand_combine(votes, truth):
+    """``unanimous_combine``'s report with each precision divided out by hand."""
+    precisions = {}
+    combined = np.ones(len(truth), dtype=bool)
+    for name, preds in votes.items():
+        voted = preds == 1
+        positives = int(voted.sum())
+        if positives == 0:
+            raise ValueError(
+                f"model {name!r} makes no positive predictions; its precision is undefined"
+            )
+        precisions[name] = float(np.sum(voted & (truth == 1)) / positives)
+        combined &= voted
+    theoretical = reduce(joint_precision, precisions.values())
+    unanimous = int(combined.sum())
+    empirical = float(np.sum(combined & (truth == 1)) / unanimous) if unanimous else 0.0
+    return FusionReport(theoretical, empirical, unanimous / len(truth),
+                        empirical - theoretical, unanimous > 0, precisions)
+
+
+def test_unanimous_combine_is_bitwise_the_by_hand_arithmetic():
+    def outcome(combine, votes, truth):
+        try:
+            return repr(combine(votes, truth))  # repr tells every float apart, -0.0 too
+        except ValueError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    rng = np.random.Generator(np.random.PCG64(2024))
+    kinds = Counter()
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        truth = rng.integers(0, 2, size=n)
+        votes = {f"m{k}": (rng.random(n) < rng.uniform(0.0, 0.9)).astype(int)
+                 for k in range(int(rng.integers(2, 5)))}
+        got = outcome(unanimous_combine, votes, truth)
+        assert got == outcome(by_hand_combine, votes, truth)
+        if got.startswith("FusionReport"):
+            kinds["unanimous" if "empirical_defined=True" in got else "no unanimous vote"] += 1
+        else:
+            kinds["silent model" if "no positive" in got else "degenerate precision"] += 1
+    assert set(kinds) == {"unanimous", "no unanimous vote", "silent model",
+                          "degenerate precision"}, kinds
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_metrics_from_probs_counts_the_cells_by_hand(seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    probs = rng.choice([0.0, 0.2, 0.4999, 0.5, 0.7, 1.0], size=60)  # 0.5 is a positive call
+    labels = rng.integers(0, 2, size=60)
+    cells = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+    for prob, label in zip(probs, labels):
+        call = prob >= 0.5
+        cells[("t" if call == (label == 1) else "f") + ("p" if call else "n")] += 1
+    assert Metrics.from_probs(probs, labels) == Metrics.from_counts(**cells)
 
 
 def test_reference_precisions_fixture():

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from helpers import layer_views, make_series, separable_dataset
 from optioncast import lstm
 from optioncast.errors import ConvergenceError, DataError
-from optioncast.market_data import N_FEATURES, WINDOW_LENGTH, SequenceSample, build_sequences
+from optioncast.fusion import Metrics
+from optioncast.market_data import (
+    N_FEATURES, WINDOW_LENGTH, FeatureStats, SequenceSample, build_sequences, split, stack,
+)
 
 
 def random_params(hidden=4, seed=0):
@@ -20,12 +23,12 @@ def random_params(hidden=4, seed=0):
 
 
 def random_stats(rng):
-    return lstm.FeatureStats(mean=rng.standard_normal(N_FEATURES),
-                             std=rng.uniform(0.5, 2.0, N_FEATURES))
+    return FeatureStats(mean=rng.standard_normal(N_FEATURES),
+                        std=rng.uniform(0.5, 2.0, N_FEATURES))
 
 
 # Mean 0 and std 1 z-score exactly, so predict sees the windows as given.
-IDENTITY = lstm.FeatureStats(mean=np.zeros(N_FEATURES), std=np.ones(N_FEATURES))
+IDENTITY = FeatureStats(mean=np.zeros(N_FEATURES), std=np.ones(N_FEATURES))
 
 
 def as_samples(windows):
@@ -387,7 +390,7 @@ def reference_train(samples, config):
     y = np.array([s.label for s in samples[:n_train]], dtype=float)
     days = x.reshape(-1, N_FEATURES)
     std = days.std(axis=0)
-    stats = lstm.FeatureStats(mean=days.mean(axis=0), std=np.where(std < 1e-12, 1.0, std))
+    stats = FeatureStats(mean=days.mean(axis=0), std=np.where(std < 1e-12, 1.0, std))
     x = (x - stats.mean) / stats.std
     rng = np.random.Generator(np.random.PCG64(config.seed))
     params = lstm.init_params(config.hidden, rng)
@@ -562,7 +565,7 @@ class TestTrainPath:
         actual = np.array([s.label for s in samples[n_train:]]) == 1
         for h, w in zip(result.history, weights):
             up = lstm.predict(lstm.vector_to_params(w, 5), stats, samples[n_train:]) >= 0.5
-            assert h.val == lstm.Metrics.from_counts(
+            assert h.val == Metrics.from_counts(
                 tp=int(np.sum(up & actual)), fp=int(np.sum(up & ~actual)),
                 tn=int(np.sum(~up & ~actual)), fn=int(np.sum(~up & actual)),
             )
@@ -570,17 +573,31 @@ class TestTrainPath:
         np.testing.assert_allclose(result.params.vector, best, rtol=1e-12)
 
 
+def test_feature_stats_of_a_training_split_match_the_reference_formula():
+    # Feature 6 is constant, so the std < 1e-12 rule is exercised too.
+    samples = [SequenceSample(window=np.where(np.arange(N_FEATURES) == 6, 5.0, s.window),
+                              label=s.label, end_index=s.end_index)
+               for s in separable_dataset(n=70, seed=62)]
+    config = lstm.TrainConfig(hidden=2, batch=12, epochs=1, seed=11)
+    train_set, _ = split(samples, config.train_frac)
+    stats = FeatureStats.from_windows(stack(train_set))
+    reference = reference_train(samples, config)[2]
+    assert stats.std[6] == 1.0
+    assert np.array_equal(stats.mean, reference.mean)
+    assert np.array_equal(stats.std, reference.std)
+
+
 class TestMetrics:
     def test_balanced_confusion(self):
-        m = lstm.Metrics.from_counts(tp=1, fp=1, tn=1, fn=1)
+        m = Metrics.from_counts(tp=1, fp=1, tn=1, fn=1)
         assert m.accuracy == 0.5 and m.precision == 0.5 and m.recall == 0.5
 
     def test_all_positive_predictor_on_all_positive_data(self):
-        m = lstm.Metrics.from_counts(tp=7, fp=0, tn=0, fn=0)
+        m = Metrics.from_counts(tp=7, fp=0, tn=0, fn=0)
         assert m.precision == m.recall == m.accuracy == 1.0
 
     def test_never_positive_predictor_flags_precision(self):
-        m = lstm.Metrics.from_counts(tp=0, fp=0, tn=3, fn=2)
+        m = Metrics.from_counts(tp=0, fp=0, tn=3, fn=2)
         assert m.precision == 0.0 and not m.precision_defined
         assert m.recall == 0.0 and m.recall_defined
 
@@ -588,15 +605,15 @@ class TestMetrics:
                              ids=["negative", "fraction", "inf", "nan", "None", "bool"])
     def test_a_count_that_is_no_nonnegative_integer_is_rejected(self, bad):
         with pytest.raises(DataError, match="fn must be a nonnegative integer"):
-            lstm.Metrics.from_counts(tp=1, fp=1, tn=1, fn=bad)
+            Metrics.from_counts(tp=1, fp=1, tn=1, fn=bad)
 
     def test_whole_valued_float_counts_are_stored_as_ints(self):
-        m = lstm.Metrics.from_counts(tp=3.0, fp=1, tn=1, fn=1)
+        m = Metrics.from_counts(tp=3.0, fp=1, tn=1, fn=1)
         assert type(m.tp) is int and m.precision == 0.75
 
     def test_all_zero_counts_are_rejected(self):
         with pytest.raises(DataError, match="empty confusion matrix"):
-            lstm.Metrics.from_counts(tp=0, fp=0, tn=0, fn=0)
+            Metrics.from_counts(tp=0, fp=0, tn=0, fn=0)
 
     @given(
         st.integers(min_value=0, max_value=10_000),
@@ -607,7 +624,7 @@ class TestMetrics:
     def test_identities_hold_for_any_counts(self, tp, fp, tn, fn):
         if tp + fp + tn + fn == 0:
             return
-        m = lstm.Metrics.from_counts(tp, fp, tn, fn)
+        m = Metrics.from_counts(tp, fp, tn, fn)
         assert m.accuracy == (tp + tn) / (tp + fp + tn + fn)
         if tp + fp > 0:
             assert m.precision == tp / (tp + fp)
@@ -807,7 +824,7 @@ class TestCheckpoint:
         good = {"mean": np.zeros(N_FEATURES), "std": np.ones(N_FEATURES)}
         good[field][3] = value
         with pytest.raises(DataError, match=f"feature stats {field}"):
-            lstm.FeatureStats(**good)
+            FeatureStats(**good)
 
     @pytest.mark.parametrize("key, value, message", [
         pytest.param("hidden", float("inf"), "hidden must be a positive integer", id="hidden-inf"),

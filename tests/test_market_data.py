@@ -1,4 +1,5 @@
 import math
+import warnings
 from datetime import date
 
 import numpy as np
@@ -12,6 +13,7 @@ from optioncast.errors import DataError
 from optioncast.market_data import (
     CSV_COLUMNS,
     FEATURE_NAMES,
+    FeatureStats,
     GENERATOR_ID,
     N_FEATURES,
     QuoteRecord,
@@ -26,6 +28,7 @@ from optioncast.market_data import (
     generate_gbm,
     load_csv,
     save_csv,
+    split,
 )
 
 HEADER = ",".join(CSV_COLUMNS)
@@ -294,6 +297,44 @@ class TestSequences:
         records = make_series([5.0, 5.2, 5.4])
         with pytest.raises(DataError, match="estimate for day 1 is not finite"):
             feature_matrix(records, [4.5, bad, 4.7])
+
+
+def _samples(n):
+    return [SequenceSample(window=np.full((WINDOW_LENGTH, N_FEATURES), float(k)),
+                           label=k % 2, end_index=k) for k in range(n)]
+
+
+class TestSplit:
+    @pytest.mark.parametrize("n, train_frac, n_train", [
+        (242, 0.8, 194),
+        (10, 0.25, 2),  # round(2.5) is 2: halves round to even
+        (10, 0.35, 4),  # round(3.5) is 4
+        (2, 0.01, 1),  # clamped, so neither set is empty
+        (3, 0.99, 2),
+    ])
+    def test_keeps_order_and_rounds_and_clamps_n_train(self, n, train_frac, n_train):
+        samples = _samples(n)
+        train, val = split(samples, train_frac)
+        assert len(train) == n_train
+        assert [s.end_index for s in train + val] == list(range(n))
+
+    @pytest.mark.parametrize("n, match", [(0, "zero samples"), (1, "at least 2 samples")])
+    def test_fewer_than_two_samples_are_rejected(self, n, match):
+        with pytest.raises(DataError, match=match):
+            split(_samples(n), 0.8)
+
+
+@pytest.mark.parametrize("values, match", [
+    ([1.7e308], "feature stats mean must be finite"),  # the sum overflows
+    ([1e200, -1e200], "feature stats std must be finite"),  # the squares overflow
+], ids=["mean", "std"])
+def test_feature_stats_of_overflowing_windows_are_a_data_error_without_warnings(values, match):
+    windows = np.ones((4, WINDOW_LENGTH, N_FEATURES))
+    windows[:, :, 3] = np.resize(values, WINDOW_LENGTH)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=match):
+            FeatureStats.from_windows(windows)
 
 
 def test_sequence_sample_validation():
