@@ -195,8 +195,8 @@ def cmd_qrm(cfg: dict) -> tuple:
     """one-day-ahead price extrapolation over a series"""
     records = market_data.load_csv(cfg["input"])
     series = qrm.estimate_series(records, _config(qrm.QrmConfig, cfg))
-    estimates = "date,est,real0,residual\n" + "".join(
-        f"{rec.day.isoformat()},{m.est!r},{rec.option_ask!r},{m.residual!r}\n"
+    estimates = "date,est,ask,residual,regularization\n" + "".join(
+        f"{rec.day.isoformat()},{m.est!r},{rec.option_ask!r},{m.residual!r},{m.regularization!r}\n"
         for rec, m in zip(records, series)
         if m is not None
     )
@@ -256,6 +256,8 @@ def cmd_backtest(cfg: dict) -> tuple:
     mode = cfg["mode"]
     signals: list[float | None]
     if mode == "qrm":
+        if cfg["checkpoint"] is not None:
+            raise DataError("--checkpoint is read only with --mode classifier, not --mode qrm")
         # Day 0 has no estimate of its own, so it does not trade.
         signals = [None, *_default_estimates(records)[1:]]
     else:

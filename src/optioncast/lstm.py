@@ -84,7 +84,7 @@ __all__ = [
 ]
 
 PROB_CLAMP = 1e-12
-CHECKPOINT_SCHEMA = 2
+CHECKPOINT_SCHEMA = 3
 
 _GATES = ("i", "f", "o", "g")
 
@@ -591,14 +591,8 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
 
 
 def save_checkpoint(path, result: TrainResult, config: TrainConfig) -> None:
-    """Single JSON document with config, shapes, row-major weights, and stats.
-
-    Schema 2 stores each layer as the stacked ``layer{1,2}.{w,u,b}`` arrays
-    (gate order i, f, o, g) plus ``dense_w`` and ``dense_b``.
-    """
-    params = result.params
-    weights = {name: arr.reshape(-1).tolist() for name, arr in params.arrays.items()}
-    shapes = {name: list(arr.shape) for name, arr in params.arrays.items()}
+    """One JSON document (schema 3): config, feature stats and ``vector``, the
+    flat parameter vector in :func:`_layout` order."""
     doc = {
         "schema": CHECKPOINT_SCHEMA,
         "config": {
@@ -612,8 +606,7 @@ def save_checkpoint(path, result: TrainResult, config: TrainConfig) -> None:
         "seed": config.seed,
         "epoch": result.best_epoch,
         "input_size": N_FEATURES,
-        "shapes": shapes,
-        "weights": weights,
+        "vector": result.params.vector.tolist(),
         "feature_stats": {
             "mean": result.stats.mean.tolist(),
             "std": result.stats.std.tolist(),
@@ -625,7 +618,7 @@ def save_checkpoint(path, result: TrainResult, config: TrainConfig) -> None:
 
 
 def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
-    """Load a schema-2 checkpoint, validating every size, shape and weight length."""
+    """Load a schema-3 checkpoint; a forged size fails a check before anything is allocated."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -634,22 +627,24 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
     if schema != CHECKPOINT_SCHEMA:
         raise DataError(
             f"checkpoint schema {schema} is not supported: this version reads schema "
-            f"{CHECKPOINT_SCHEMA} (gates stacked per layer); retrain to write a new checkpoint"
+            f"{CHECKPOINT_SCHEMA} (one flat parameter vector); retrain to write a new checkpoint"
         )
-    for field in ("config", "shapes", "weights", "feature_stats"):
+    for field in ("config", "feature_stats"):
         if not isinstance(doc.get(field, {}), dict):
             raise DataError(f"checkpoint field {field!r} must be a JSON object")
     try:
-        hidden, input_size = doc["config"]["hidden"], doc["input_size"]
-        shapes = doc["shapes"]
-        weights = doc["weights"]
+        hidden, input_size, vector = doc["config"]["hidden"], doc["input_size"], doc["vector"]
         stats = FeatureStats(
             mean=np.asarray(doc["feature_stats"]["mean"], dtype=np.float64),
             std=np.asarray(doc["feature_stats"]["std"], dtype=np.float64),
         )
+        # Exact types, so a bool, a string or a nested list is not read as a number.
+        if type(vector) is not list or not set(map(type, vector)) <= {int, float}:
+            raise TypeError("vector must be a flat list of numbers")
+        vector = np.array(vector, dtype=np.float64)
     except KeyError as exc:
         raise DataError(f"checkpoint is missing field {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise DataError(f"checkpoint has a field of the wrong type: {exc}") from exc
     for name, size in (("hidden", hidden), ("input_size", input_size)):
         if type(size) not in (int, float):
@@ -659,27 +654,8 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
             raise DataError(f"checkpoint {name} must be a positive integer, got {size!r}")
     if input_size != N_FEATURES:
         raise DataError(f"checkpoint input_size must be {N_FEATURES}, got {input_size!r}")
-    hidden = int(hidden)
-    # Every declared shape and weight length is checked before anything is
-    # allocated, so a forged size cannot ask for more memory than the weights hold.
-    flats = []
-    for name, shape in _layout(hidden):
-        if name not in weights:
-            raise DataError(f"checkpoint is missing weights for {name}")
-        try:
-            declared = tuple(shapes.get(name, ()))
-            flat = np.asarray(weights[name], dtype=np.float64)
-        except TypeError as exc:
-            raise DataError(
-                f"checkpoint shape or weights for {name} have the wrong type: {exc}"
-            ) from exc
-        if declared != shape:
-            raise DataError(f"checkpoint shape for {name} is {declared}, expected {shape}")
-        if flat.size != math.prod(shape):
-            raise DataError(
-                f"checkpoint weights for {name} have size {flat.size}, expected {math.prod(shape)}"
-            )
-        flats.append(flat.reshape(-1))
-    params = LstmParams(np.concatenate(flats), hidden)
+    if not np.isfinite(vector).all():
+        raise DataError("checkpoint vector holds a non-finite weight (nan or infinity)")
+    params = LstmParams(vector, int(hidden))
     meta = {"seed": doc.get("seed"), "epoch": doc.get("epoch"), "config": doc.get("config", {})}
     return params, stats, meta

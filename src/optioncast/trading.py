@@ -40,13 +40,14 @@ class TradeDecision:
     pnl: float | None
 
 
-def est_covers(est: float, real0: float) -> bool:
-    """The buy rule est >= real0, boundary included.
+def est_covers(est: float, threshold: float) -> bool:
+    """The buy rule est >= threshold, boundary included.
 
+    The threshold is the day's ask in qrm mode and 0.5 in classifier mode.
     A nan on either side compares false, so a missing signal never trades;
-    neither does a non-positive reference (a zero ask).
+    neither does a non-positive threshold (a zero ask).
     """
-    return real0 > 0 and est >= real0
+    return threshold > 0 and est >= threshold
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,8 @@ def backtest(
         rec = records[k]
         signal = signals[k]
         est = math.nan if signal is None or rec.option_ask <= 0 else float(signal)
-        real0 = rec.option_ask if mode == "qrm" else CLASSIFIER_THRESHOLD
-        action = BUY if est_covers(est, real0) else ABSTAIN
+        threshold = rec.option_ask if mode == "qrm" else CLASSIFIER_THRESHOLD
+        action = BUY if est_covers(est, threshold) else ABSTAIN
         pnl = None
         if action == BUY:
             pnl = records[k + 1].option_bid - rec.option_ask

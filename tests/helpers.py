@@ -1,6 +1,9 @@
 """Shared builders for the test suite."""
 
+import re
+import shlex
 from datetime import date, timedelta
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -107,3 +110,15 @@ def layer_views(cache, layer):
     else:
         views = h[1:-1, :, 0], gates[1:, :, 1], c[1:, :, 1], h[1:, :, 1]
     return LayerViews(*(np.array(v) for v in views), c[-1, :, slot].copy(), h[-1, :, slot].copy())
+
+
+def readme_commands():
+    """Every ``optioncast ...`` command in README.md's sh blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["optioncast"]:
+                commands.append(argv[1:])
+    return commands

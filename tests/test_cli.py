@@ -2,17 +2,16 @@ import csv
 import hashlib
 import json
 import os
-import re
-import shlex
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from helpers import make_record, make_series
-from optioncast import cli
+from helpers import make_record, make_series, readme_commands
+from optioncast import cli, lstm
 from optioncast.market_data import load_csv, save_csv
 
 
@@ -128,7 +127,7 @@ class TestQrmCommand:
         assert run(["qrm", "--input", str(trimmed), "--out-dir", str(out)]) == 0
         with (out / "estimates.csv").open(newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["date", "est", "real0", "residual"]
+        assert rows[0] == ["date", "est", "ask", "residual", "regularization"]
         assert len(rows) == 2
 
     def test_zero_sigma_constant_estimates(self, tmp_path):
@@ -263,12 +262,30 @@ def forge(doc, edit):
     return doc
 
 
-# A checkpoint with one part removed or resized, and what the error names.
+def in_old_layout(doc, schema):
+    """The schema-3 ``doc`` rewritten as a schema-2 checkpoint (named arrays
+    with declared shapes) or a schema-1 one (the same, one array per gate)."""
+    params = lstm.LstmParams(np.array(doc.pop("vector")), doc["config"]["hidden"])
+    weights, shapes = {}, {}
+    for name, arr in params.arrays.items():
+        parts = zip("ifog", np.split(arr, 4)) if schema == 1 and "." in name else [("", arr)]
+        for gate, part in parts:
+            key = f"{name}_{gate}" if gate else name
+            weights[key], shapes[key] = part.ravel().tolist(), list(part.shape)
+    doc.update(schema=schema, weights=weights, shapes=shapes)
+
+
+# A checkpoint with one part removed, resized or spoilt, and what the error names.
 FORGED_CHECKPOINTS = {
     "no-input-size": (lambda d: d.pop("input_size"), "missing field 'input_size'"),
-    "no-dense-b": (lambda d: d["weights"].pop("dense_b"), "missing weights for dense_b"),
-    "short-dense-w": (lambda d: d["weights"]["dense_w"].pop(), "dense_w have size"),
+    "no-dense-b": (lambda d: d["vector"].pop(), "parameter vector has 798 entries"),
+    "short-dense-w": (lambda d: d["vector"].pop(-2), "parameter vector has 798 entries"),
     "mean-12-wide": (lambda d: d["feature_stats"]["mean"].pop(), "13-wide"),
+    "schema-2": (lambda d: in_old_layout(d, 2), "schema 2 is not supported"),
+    "hidden-1e7": (lambda d: d["config"].update(hidden=10**7), "parameter vector has 799"),
+    "nan-dense-b": (lambda d: d["vector"].__setitem__(-1, float("nan")), "non-finite"),
+    "inf-weight": (lambda d: d["vector"].__setitem__(0, float("-inf")), "non-finite"),
+    "nested-vector": (lambda d: d.update(vector=[d["vector"]]), "flat list of numbers"),
 }
 
 
@@ -316,6 +333,19 @@ class TestTrainAndBacktest:
         assert code == 3
         assert "checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [[], ["--mode", "qrm"]], ids=["default-mode", "qrm-mode"])
+    def test_backtest_checkpoint_requires_classifier_mode(
+        self, tmp_path, series_csv, checkpoint_doc, capsys, mode
+    ):
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(checkpoint_doc))
+        out = tmp_path / "bt_out"
+        assert run(["backtest", "--input", str(series_csv), "--out-dir", str(out),
+                    "--checkpoint", str(ckpt), *mode]) == 3
+        err = capsys.readouterr().err
+        assert "--checkpoint" in err and "--mode classifier" in err
+        assert not out.exists()
+
     def test_backtest_classifier_mode_runs(self, tmp_path, series_csv):
         train_out = tmp_path / "train_out"
         run(
@@ -340,23 +370,9 @@ class TestTrainAndBacktest:
             ["train", "--input", str(series_csv), "--out-dir", str(train_out),
              "--hidden", "6", "--epochs", "1", "--batch", "8", "--seed", "3"]
         )
-        # Rewrite the checkpoint in the schema-1 layout: one array per gate.
         ckpt = train_out / "checkpoint.json"
         doc = json.loads(ckpt.read_text())
-        hidden = doc["config"]["hidden"]
-        weights, shapes = {}, {}
-        for name in ("dense_w", "dense_b"):
-            weights[name], shapes[name] = doc["weights"][name], doc["shapes"][name]
-        for layer in ("layer1", "layer2"):
-            for kind in ("w", "u", "b"):
-                rows, *cols = doc["shapes"][f"{layer}.{kind}"]
-                flat = doc["weights"][f"{layer}.{kind}"]
-                width = len(flat) // rows
-                for k, gate in enumerate("ifog"):
-                    key = f"{layer}.{kind}_{gate}"
-                    weights[key] = flat[k * hidden * width : (k + 1) * hidden * width]
-                    shapes[key] = [hidden, *cols]
-        doc.update(schema=1, weights=weights, shapes=shapes)
+        in_old_layout(doc, 1)
         ckpt.write_text(json.dumps(doc))
         code = run(
             ["backtest", "--input", str(series_csv), "--out-dir", str(tmp_path / "bt_out"),
@@ -431,7 +447,7 @@ class TestTrainAndBacktest:
         assert match in capsys.readouterr().err
         assert not bt_out.exists()
 
-    @pytest.mark.parametrize("doc", [[], {"schema": 2, "config": []}])
+    @pytest.mark.parametrize("doc", [[], {"schema": 3, "config": []}])
     def test_backtest_classifier_rejects_malformed_checkpoint(
         self, tmp_path, series_csv, capsys, doc
     ):
@@ -711,18 +727,6 @@ class TestConfigValues:
         config.write_text(json.dumps({"s0": None, "sigma": 0.2, "days": 14}))
         assert run(["synth", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
         assert "missing required options for synth: s0" in capsys.readouterr().err
-
-
-def readme_commands():
-    """Every ``optioncast ...`` command in README.md's sh blocks, continuations joined."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    commands = []
-    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
-        for line in block.replace("\\\n", " ").splitlines():
-            argv = shlex.split(line, comments=True)
-            if argv[:1] == ["optioncast"]:
-                commands.append(argv[1:])
-    return commands
 
 
 def test_readme_lists_every_subcommand():

@@ -1,4 +1,4 @@
-"""The experiment scripts and README's library example run to completion."""
+"""The experiment scripts and README's library and CLI examples run to completion."""
 
 import os
 import re
@@ -8,12 +8,21 @@ from pathlib import Path
 
 import pytest
 
+from helpers import readme_commands
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def readme_python_example():
     (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
     return block
+
+
+def readme_cli_examples():
+    """A script that runs README's ``optioncast`` commands through ``cli.main``,
+    in order, and exits non-zero at the first that fails."""
+    return (f"import sys\nfrom optioncast import cli\nfor argv in {readme_commands()!r}:\n"
+            "    if cli.main(argv) != 0:\n        sys.exit(f'failed: optioncast {argv}')\n")
 
 
 EXAMPLES = {
@@ -23,6 +32,7 @@ EXAMPLES = {
     "binomial_projection": [str(ROOT / "scripts" / "binomial_projection.py")],
     "count_lines": [str(ROOT / "scripts" / "count_lines.py")],
     "readme_python": ["-c", readme_python_example()],
+    "readme_cli": ["-c", readme_cli_examples()],
 }
 
 

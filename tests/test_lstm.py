@@ -782,15 +782,15 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.json"
         lstm.save_checkpoint(path, result, config)
         params, stats, meta = lstm.load_checkpoint(path)
-        assert np.array_equal(
-            lstm.params_to_vector(params), lstm.params_to_vector(result.params)
-        )
+        assert params.vector.tobytes() == result.params.vector.tobytes()
         assert np.array_equal(stats.mean, result.stats.mean)
         assert meta["seed"] == 9 and meta["epoch"] == result.best_epoch
         doc = json.loads(path.read_text())
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
         assert doc["config"]["split"] == [0.8, 1.0 - 0.8]
-        assert doc["shapes"] == {
+        assert "shapes" not in doc and "weights" not in doc
+        # hidden alone gives the loaded arrays the shapes schema 2 declared.
+        assert {name: list(arr.shape) for name, arr in params.arrays.items()} == {
             "layer1.w": [24, N_FEATURES], "layer1.u": [24, 6], "layer1.b": [24],
             "layer2.w": [24, 6], "layer2.u": [24, 6], "layer2.b": [24],
             "dense_w": [6], "dense_b": [1],
@@ -837,9 +837,9 @@ class TestCheckpoint:
                      id="input_size-narrower"),
         pytest.param("input_size", N_FEATURES + 1, f"input_size must be {N_FEATURES}",
                      id="input_size-wider"),
-        # Whole and positive, so only the declared shapes can refuse it; the
+        # Whole and positive, so only the vector's length can refuse it; the
         # parameters it names would take 8.5 PiB.
-        pytest.param("hidden", 10**7, rf"shape for layer1\.w is \(24, {N_FEATURES}\)",
+        pytest.param("hidden", 10**7, "parameter vector has 799 entries, expected",
                      id="hidden-1e7"),
     ])
     def test_forged_sizes_are_rejected_before_allocating(self, tmp_path, key, value, message):
@@ -871,21 +871,30 @@ class TestCheckpoint:
         assert loaded.hidden == 6 and type(loaded.hidden) is int
         assert np.array_equal(loaded.vector, params.vector)
 
-    def test_shape_tampering_is_rejected(self, tmp_path):
-        import json
-
-        samples = separable_dataset(n=120, seed=32)
-        config = lstm.TrainConfig(hidden=6, batch=16, epochs=1, learning_rate=0.1, seed=9)
-        result = lstm.train(samples, config)
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda v: v.pop(), "798 entries, expected 799", id="no-dense-b"),
+        pytest.param(lambda v: v.append(0.0), "800 entries, expected 799", id="one-extra"),
+        pytest.param(lambda v: v.__setitem__(-1, float("nan")), "non-finite", id="nan-dense-b"),
+        pytest.param(lambda v: v.__setitem__(0, float("inf")), "non-finite", id="inf"),
+        pytest.param(lambda v: v.__setitem__(5, float("-inf")), "non-finite", id="-inf"),
+        pytest.param(lambda v: v.__setitem__(0, 10**400), "too large", id="int-1e400"),
+        pytest.param(lambda v: v.__setitem__(0, "0.5"), "flat list of numbers", id="string"),
+        pytest.param(lambda v: v.__setitem__(0, True), "flat list of numbers", id="bool"),
+        pytest.param(lambda v: v.__setitem__(0, None), "flat list of numbers", id="null"),
+        pytest.param(lambda v: v.__setitem__(0, [0.5]), "flat list of numbers", id="nested"),
+    ])
+    def test_forged_vector_is_rejected(self, tmp_path, edit, message):
+        params, rng = random_params(hidden=6, seed=39)
         path = tmp_path / "checkpoint.json"
-        lstm.save_checkpoint(path, result, config)
+        lstm.save_checkpoint(path, lstm.TrainResult(params=params, stats=random_stats(rng)),
+                             lstm.TrainConfig(hidden=6))
         doc = json.loads(path.read_text())
-        doc["shapes"]["dense_w"] = [5]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="dense_w"):
+        edit(doc["vector"])
+        path.write_text(json.dumps(doc))  # Python's json writes and reads NaN and Infinity
+        with pytest.raises(DataError, match=message):
             lstm.load_checkpoint(path)
 
-    @pytest.mark.parametrize("field", [None, "config", "shapes", "weights", "feature_stats"])
+    @pytest.mark.parametrize("field", [None, "config", "feature_stats"])
     def test_non_object_document_is_rejected(self, tmp_path, field):
         samples = separable_dataset(n=120, seed=35)
         config = lstm.TrainConfig(hidden=6, batch=16, epochs=1, learning_rate=0.1, seed=9)
@@ -902,8 +911,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("section, key, value", [
         ("config", "hidden", None),
-        ("shapes", "dense_w", 5),
-        ("weights", "dense_w", {"a": 1}),
+        (None, "vector", 0.5),
+        (None, "vector", {"a": 1}),
         ("feature_stats", "mean", {"a": 1}),
     ])
     def test_wrong_typed_field_is_rejected(self, tmp_path, section, key, value):
@@ -912,7 +921,7 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.json"
         lstm.save_checkpoint(path, lstm.train(samples, config), config)
         doc = json.loads(path.read_text())
-        doc[section][key] = value
+        (doc if section is None else doc[section])[key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="wrong type"):
             lstm.load_checkpoint(path)

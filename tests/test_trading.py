@@ -26,32 +26,32 @@ class TestDecide:
     def test_missing_signal_abstains(self):
         assert not est_covers(math.nan, 1.00)
 
-    @pytest.mark.parametrize("real0", [0.0, -1.0, math.nan])
-    def test_nonpositive_reference_rejected(self, real0):
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
+    def test_nonpositive_reference_rejected(self, threshold):
         # backtest relies on this: a day quoted with a zero ask never buys.
-        assert not est_covers(1.0, real0)
+        assert not est_covers(1.0, threshold)
 
     @given(
         st.floats(min_value=0.1, max_value=100.0),
         st.floats(min_value=0.1, max_value=100.0),
         st.integers(min_value=-10, max_value=10),
     )
-    @example(est=0.1, real0=0.10000000000000002, k=8)
-    def test_power_of_two_scale_invariance(self, est, real0, k):
+    @example(est=0.1, threshold=0.10000000000000002, k=8)
+    def test_power_of_two_scale_invariance(self, est, threshold, k):
         # Multiplying by a power of two is exact, so no margin is needed.
         scale = 2.0**k
-        assert est_covers(est, real0) == est_covers(est * scale, real0 * scale)
+        assert est_covers(est, threshold) == est_covers(est * scale, threshold * scale)
 
     @given(
         st.floats(min_value=0.1, max_value=100.0),
         st.floats(min_value=0.1, max_value=100.0),
         st.floats(min_value=0.001, max_value=1000.0),
     )
-    def test_scale_invariance(self, est, real0, scale):
+    def test_scale_invariance(self, est, threshold, scale):
         # Each product rounds by up to half an ulp, which can reorder a pair
-        # closer than that (est=0.1, real0=0.10000000000000002, scale=449).
-        assume(abs(est - real0) > 1e-12 * real0)
-        assert est_covers(est, real0) == est_covers(est * scale, real0 * scale)
+        # closer than that (est=0.1, threshold=0.10000000000000002, scale=449).
+        assume(abs(est - threshold) > 1e-12 * threshold)
+        assert est_covers(est, threshold) == est_covers(est * scale, threshold * scale)
 
 
 def rising_deterministic_series(n_days=20):
