@@ -54,6 +54,10 @@ def joint_precision(p1: float, p2: float) -> float:
     return agree / (agree + (1.0 - p1) * (1.0 - p2))
 
 
+# P(up) at or above this is an up call, in the metrics here and in the backtest.
+CLASSIFIER_THRESHOLD = 0.5
+
+
 @dataclass(frozen=True)
 class Metrics:
     """Confusion counts and the derived rates.
@@ -91,7 +95,7 @@ class Metrics:
     @classmethod
     def from_probs(cls, probs: np.ndarray, labels: np.ndarray) -> "Metrics":
         """Threshold ``probs`` (or 0/1 votes) at 0.5 and count them against 0/1 ``labels``."""
-        preds, actual = np.asarray(probs) >= 0.5, np.asarray(labels) == 1
+        preds, actual = np.asarray(probs) >= CLASSIFIER_THRESHOLD, np.asarray(labels) == 1
         return cls.from_counts(tp=int(np.sum(preds & actual)), fp=int(np.sum(preds & ~actual)),
                                tn=int(np.sum(~preds & ~actual)), fn=int(np.sum(~preds & actual)))
 

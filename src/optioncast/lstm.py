@@ -617,6 +617,13 @@ def save_checkpoint(path, result: TrainResult, config: TrainConfig) -> None:
         fh.write("\n")
 
 
+def _float_list(value, name: str) -> np.ndarray:
+    # Exact types, so a bool, a string, a null or a nested list is not read as a number.
+    if type(value) is not list or not set(map(type, value)) <= {int, float}:
+        raise TypeError(f"{name} must be a flat list of numbers")
+    return np.array(value, dtype=np.float64)
+
+
 def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
     """Load a schema-3 checkpoint; a forged size fails a check before anything is allocated."""
     with open(path) as fh:
@@ -633,15 +640,10 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
         if not isinstance(doc.get(field, {}), dict):
             raise DataError(f"checkpoint field {field!r} must be a JSON object")
     try:
-        hidden, input_size, vector = doc["config"]["hidden"], doc["input_size"], doc["vector"]
-        stats = FeatureStats(
-            mean=np.asarray(doc["feature_stats"]["mean"], dtype=np.float64),
-            std=np.asarray(doc["feature_stats"]["std"], dtype=np.float64),
-        )
-        # Exact types, so a bool, a string or a nested list is not read as a number.
-        if type(vector) is not list or not set(map(type, vector)) <= {int, float}:
-            raise TypeError("vector must be a flat list of numbers")
-        vector = np.array(vector, dtype=np.float64)
+        hidden, input_size = doc["config"]["hidden"], doc["input_size"]
+        stats = FeatureStats(*(_float_list(doc["feature_stats"][key], f"feature_stats {key}")
+                               for key in ("mean", "std")))
+        vector = _float_list(doc["vector"], "vector")
     except KeyError as exc:
         raise DataError(f"checkpoint is missing field {exc}") from exc
     except (TypeError, OverflowError) as exc:

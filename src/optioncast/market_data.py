@@ -342,40 +342,28 @@ def feature_matrix(records: Sequence[QuoteRecord], minimizers: Sequence[float]) 
     """Per-day feature rows in the ``FEATURE_NAMES`` layout.
 
     ``minimizers`` must align 1:1 with ``records``; day-0 return features are
-    0.0 since no prior day exists.
+    0.0 since no prior day exists, and so is an option return after a zero
+    option mid.
     """
     if len(minimizers) != len(records):
         raise DataError(
             f"minimizers ({len(minimizers)}) must align 1:1 with records ({len(records)})"
         )
     n = len(records)
-    out = np.empty((n, N_FEATURES))
-    for k, (rec, est) in enumerate(zip(records, minimizers)):
-        est = float(est)
-        if not math.isfinite(est):
-            raise DataError(f"minimizer estimate for day {k} is not finite")
-        o_mid, s_mid = rec.option_mid, rec.stock_mid
-        if k == 0:
-            o_ret, s_ret = 0.0, 0.0
-        else:
-            prev = records[k - 1]
-            o_ret = o_mid / prev.option_mid - 1.0 if prev.option_mid > 0 else 0.0
-            s_ret = s_mid / prev.stock_mid - 1.0
-        out[k] = (
-            est,
-            rec.implied_vol,
-            rec.option_bid,
-            rec.option_ask,
-            rec.stock_bid,
-            rec.stock_ask,
-            rec.strike,
-            o_mid,
-            s_mid,
-            o_ret,
-            s_ret,
-            s_mid / rec.strike,
-            (n - 1 - k) / (n - 1) if n > 1 else 0.0,
-        )
+    out = np.zeros((n, N_FEATURES))
+    out[:, 0] = minimizers
+    bad = np.flatnonzero(~np.isfinite(out[:, 0]))
+    if bad.size:
+        raise DataError(f"minimizer estimate for day {bad[0]} is not finite")
+    fields = FEATURE_NAMES[1:9]
+    out[:, 1:9] = np.reshape([[getattr(rec, f) for f in fields] for rec in records], (n, 8))
+    mids = out[:, 7:9]
+    # Quotes near the float64 limit overflow to inf, as Python floats do.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out[1:, 9:11] = mids[1:] / mids[:-1] - 1.0
+        out[1:, 9] = np.where(mids[:-1, 0] > 0, out[1:, 9], 0.0)
+        out[:, 11] = out[:, 8] / out[:, 6]
+    out[:, 12] = (n - 1 - np.arange(n)) / max(n - 1, 1)
     return out
 
 
@@ -389,19 +377,10 @@ def build_sequences(
     yields max(0, n - 10) samples.
     """
     features = feature_matrix(records, minimizers)
-    n = len(records)
-    samples = []
-    for start in range(0, n - WINDOW_LENGTH):
-        end = start + WINDOW_LENGTH - 1
-        cur = records[end].option_mid
-        nxt = records[end + 1].option_mid
-        if nxt == cur:
-            continue
-        samples.append(
-            SequenceSample(
-                window=features[start : start + WINDOW_LENGTH].copy(),
-                label=1 if nxt > cur else 0,
-                end_index=end,
-            )
-        )
-    return samples
+    cur, nxt = features[WINDOW_LENGTH - 1 : -1, 7], features[WINDOW_LENGTH:, 7]
+    up = nxt > cur
+    return [
+        SequenceSample(window=features[start : start + WINDOW_LENGTH].copy(),
+                       label=int(up[start]), end_index=start + WINDOW_LENGTH - 1)
+        for start in np.flatnonzero(nxt != cur).tolist()
+    ]

@@ -16,6 +16,7 @@ from datetime import date
 from typing import Sequence
 
 from .errors import DataError
+from .fusion import CLASSIFIER_THRESHOLD
 from .market_data import QuoteRecord
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
 
 BUY = "buy"
 ABSTAIN = "abstain"
-CLASSIFIER_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)

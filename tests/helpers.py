@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import math
 import re
 import shlex
 from datetime import date, timedelta
@@ -8,6 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from optioncast.errors import DataError
 from optioncast.market_data import N_FEATURES, WINDOW_LENGTH, QuoteRecord, SequenceSample
 
 START = date(2021, 1, 4)
@@ -48,6 +50,60 @@ def make_series(option_mids, spread=0.2, stock_mid=100.0, **kwargs):
         )
         for k, mid in enumerate(option_mids)
     ]
+
+
+def loop_feature_matrix(records, minimizers):
+    """The per-day loop ``market_data.feature_matrix`` replaced: the reference it must match."""
+    n = len(records)
+    out = np.empty((n, N_FEATURES))
+    for k, (rec, est) in enumerate(zip(records, minimizers)):
+        est = float(est)
+        if not math.isfinite(est):
+            raise DataError(f"minimizer estimate for day {k} is not finite")
+        o_mid, s_mid = rec.option_mid, rec.stock_mid
+        if k == 0:
+            o_ret, s_ret = 0.0, 0.0
+        else:
+            prev = records[k - 1]
+            o_ret = o_mid / prev.option_mid - 1.0 if prev.option_mid > 0 else 0.0
+            s_ret = s_mid / prev.stock_mid - 1.0
+        out[k] = (
+            est,
+            rec.implied_vol,
+            rec.option_bid,
+            rec.option_ask,
+            rec.stock_bid,
+            rec.stock_ask,
+            rec.strike,
+            o_mid,
+            s_mid,
+            o_ret,
+            s_ret,
+            s_mid / rec.strike,
+            (n - 1 - k) / (n - 1) if n > 1 else 0.0,
+        )
+    return out
+
+
+def loop_build_sequences(records, minimizers):
+    """The per-window loop ``market_data.build_sequences`` replaced: the reference it must match."""
+    features = loop_feature_matrix(records, minimizers)
+    n = len(records)
+    samples = []
+    for start in range(0, n - WINDOW_LENGTH):
+        end = start + WINDOW_LENGTH - 1
+        cur = records[end].option_mid
+        nxt = records[end + 1].option_mid
+        if nxt == cur:
+            continue
+        samples.append(
+            SequenceSample(
+                window=features[start : start + WINDOW_LENGTH].copy(),
+                label=1 if nxt > cur else 0,
+                end_index=end,
+            )
+        )
+    return samples
 
 
 def separable_dataset(n=2000, seed=123, permute=False):

@@ -286,6 +286,14 @@ FORGED_CHECKPOINTS = {
     "nan-dense-b": (lambda d: d["vector"].__setitem__(-1, float("nan")), "non-finite"),
     "inf-weight": (lambda d: d["vector"].__setitem__(0, float("-inf")), "non-finite"),
     "nested-vector": (lambda d: d.update(vector=[d["vector"]]), "flat list of numbers"),
+    "mean-true": (lambda d: d["feature_stats"]["mean"].__setitem__(0, True),
+                  "mean must be a flat list of numbers"),
+    "std-string": (lambda d: d["feature_stats"]["std"].__setitem__(1, "2.5"),
+                   "std must be a flat list of numbers"),
+    "std-null": (lambda d: d["feature_stats"]["std"].__setitem__(2, None),
+                 "std must be a flat list of numbers"),
+    "mean-nested": (lambda d: d["feature_stats"]["mean"].__setitem__(3, [0.5]),
+                    "mean must be a flat list of numbers"),
 }
 
 

@@ -894,6 +894,23 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=message):
             lstm.load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, index, value", [
+        pytest.param("mean", 0, True, id="mean-true"),
+        pytest.param("std", 1, "2.5", id="std-string"),
+        pytest.param("std", 2, None, id="std-null"),
+        pytest.param("mean", 3, [0.5], id="mean-nested"),
+    ])
+    def test_forged_feature_stats_entry_is_rejected(self, tmp_path, field, index, value):
+        params, rng = random_params(hidden=6, seed=40)
+        path = tmp_path / "checkpoint.json"
+        lstm.save_checkpoint(path, lstm.TrainResult(params=params, stats=random_stats(rng)),
+                             lstm.TrainConfig(hidden=6))
+        doc = json.loads(path.read_text())
+        doc["feature_stats"][field][index] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"feature_stats {field} must be a flat list of numbers"):
+            lstm.load_checkpoint(path)
+
     @pytest.mark.parametrize("field", [None, "config", "feature_stats"])
     def test_non_object_document_is_rejected(self, tmp_path, field):
         samples = separable_dataset(n=120, seed=35)

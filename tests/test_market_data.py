@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_record, make_series
+from helpers import loop_build_sequences, loop_feature_matrix, make_record, make_series
 from optioncast.bs_core import call_price
 from optioncast.errors import DataError
 from optioncast.market_data import (
@@ -297,6 +297,56 @@ class TestSequences:
         records = make_series([5.0, 5.2, 5.4])
         with pytest.raises(DataError, match="estimate for day 1 is not finite"):
             feature_matrix(records, [4.5, bad, 4.7])
+
+    def test_appending_days_changes_no_earlier_row_but_the_known_lookahead(self):
+        # series_time_remaining reads the series length (ROADMAP item 8).
+        lookahead = [FEATURE_NAMES.index("series_time_remaining")]
+        mids = [5.0, 5.2, 0.0, 0.0, 4.8, 5.1, 0.0, 5.3, 5.3, 4.9, 5.0, 5.4, 5.2, 0.0]
+        records = make_series(mids, spread=0.0)
+        ests = [4.0 + 0.1 * k for k in range(len(mids))]
+        full = np.delete(feature_matrix(records, ests), lookahead, axis=1)
+        for n in range(1, len(mids)):
+            prefix = np.delete(feature_matrix(records[:n], ests[:n]), lookahead, axis=1)
+            assert prefix.tobytes() == full[:n].tobytes(), n
+
+
+def _reference_cases():
+    """Series the array code must build exactly as the per-day loops did, with estimates."""
+    cases = {}
+    for bp in (0.0, 20.0):
+        gbm = generate_gbm(SyntheticSpec(s0=100.0, sigma=0.3, n_days=40, seed=7, spread_bp=bp))
+        cases.update({f"gbm-{bp:g}bp-{n}d": gbm[:n] for n in (*range(1, 13), 40)})
+    cases["tied"] = make_series([5.0, 5.1, 5.0] * 4 + [5.0, 5.0, 5.2, 5.2, 5.1])
+    cases["zero-option-mid"] = make_series([5.0, 0.0, 0.0, 5.1, 5.0] * 3, spread=0.0)
+    cases["near-1e300"] = [make_record(k, mid, 1.5 * mid, 1e300, 1.2e300, strike=1.0)
+                           for k, mid in enumerate([1e300, 3e300, 2e300, 2e300] * 4)]
+    cases["overflow"] = make_series([1e300, 1.7e308, 1e-300, 2e300] * 4, spread=0.0,
+                                    stock_mid=1.7e308, strike=1e-300)
+    cases["near-1e-300"] = [make_record(k, mid, mid, 1e-300, 3e-300, strike=1e300)
+                            for k, mid in enumerate([1e-300, 5e-324, 0.0, 2e-300] * 4)]
+    return {name: (records, [0.5 * r.option_bid + k for k, r in enumerate(records)])
+            for name, records in cases.items()}
+
+
+def _outcome(build, records, ests):
+    try:
+        return [(s.window.tobytes(), s.window.shape, s.label, type(s.label), s.end_index,
+                 type(s.end_index)) for s in build(records, ests)]
+    except DataError as exc:
+        return str(exc)
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+@pytest.mark.parametrize("records, ests", REFERENCE_CASES.values(), ids=REFERENCE_CASES)
+def test_array_code_is_bit_identical_to_the_per_day_loops(records, ests):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        features = feature_matrix(records, ests)
+        assert features.tobytes() == loop_feature_matrix(records, ests).tobytes()
+        assert _outcome(build_sequences, records, ests) == _outcome(loop_build_sequences,
+                                                                    records, ests)
 
 
 def _samples(n):
