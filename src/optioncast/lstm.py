@@ -53,16 +53,19 @@ where the logistic is still e^x (< 3.2e-17).
 
 from __future__ import annotations
 
+import base64
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DataError, real, whole
 from .fusion import Metrics
-from .market_data import N_FEATURES, FeatureStats, SequenceSample, WINDOW_LENGTH, split, stack
+from .market_data import (FEATURE_NAMES, N_FEATURES, FeatureStats, SequenceSample,
+                          WINDOW_LENGTH, split, stack)
+from .qrm import QrmConfig
 
 __all__ = [
     "EpochStats",
@@ -84,7 +87,7 @@ __all__ = [
 ]
 
 PROB_CLAMP = 1e-12
-CHECKPOINT_SCHEMA = 3
+CHECKPOINT_SCHEMA = 4
 
 _GATES = ("i", "f", "o", "g")
 
@@ -590,9 +593,12 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
     )
 
 
-def save_checkpoint(path, result: TrainResult, config: TrainConfig) -> None:
-    """One JSON document (schema 3): config, feature stats and ``vector``, the
-    flat parameter vector in :func:`_layout` order."""
+def save_checkpoint(path, result: TrainResult, config: TrainConfig,
+                    qrm_config: QrmConfig = QrmConfig()) -> None:
+    """One JSON document (schema 4): config, feature stats, the train/serve record
+    (``feature_names`` and the ``qrm`` config whose estimates are feature 0) and
+    ``vector``, the flat parameter vector in :func:`_layout` order as base64 of its
+    little-endian float64 bytes, which round-trips bit for bit."""
     doc = {
         "schema": CHECKPOINT_SCHEMA,
         "config": {
@@ -606,7 +612,9 @@ def save_checkpoint(path, result: TrainResult, config: TrainConfig) -> None:
         "seed": config.seed,
         "epoch": result.best_epoch,
         "input_size": N_FEATURES,
-        "vector": result.params.vector.tolist(),
+        "feature_names": FEATURE_NAMES,
+        "qrm": asdict(qrm_config),
+        "vector": base64.b64encode(result.params.vector.astype("<f8").tobytes()).decode("ascii"),
         "feature_stats": {
             "mean": result.stats.mean.tolist(),
             "std": result.stats.std.tolist(),
@@ -624,8 +632,29 @@ def _float_list(value, name: str) -> np.ndarray:
     return np.array(value, dtype=np.float64)
 
 
+def _decode_vector(text: str, expected: int) -> np.ndarray:
+    """The ``vector`` field as ``expected`` float64s; its size is checked before decoding."""
+    n_bytes = len(text) * 3 // 4 - (len(text) - len(text.rstrip("=")))
+    if n_bytes % 8:
+        raise DataError(f"parameter vector has {n_bytes} bytes, not a whole number of float64s")
+    if n_bytes != 8 * expected:
+        raise DataError(f"parameter vector has {n_bytes // 8} entries, expected {expected}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise DataError(f"checkpoint vector is not valid base64: {exc}") from exc
+    vector = np.frombuffer(raw, "<f8").astype(np.float64)
+    if not np.isfinite(vector).all():
+        raise DataError("checkpoint vector holds a non-finite weight (nan or infinity)")
+    return vector
+
+
 def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
-    """Load a schema-3 checkpoint; a forged size fails a check before anything is allocated."""
+    """Load a schema-4 checkpoint; a forged size fails a check before anything is allocated.
+
+    ``meta`` holds the ``seed``, ``epoch`` and ``config`` and the ``qrm`` record
+    as written; features named otherwise than :data:`FEATURE_NAMES` are refused.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -634,7 +663,8 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
     if schema != CHECKPOINT_SCHEMA:
         raise DataError(
             f"checkpoint schema {schema} is not supported: this version reads schema "
-            f"{CHECKPOINT_SCHEMA} (one flat parameter vector); retrain to write a new checkpoint"
+            f"{CHECKPOINT_SCHEMA} (one base64 float64 parameter vector); retrain to write a "
+            f"new checkpoint"
         )
     for field in ("config", "feature_stats"):
         if not isinstance(doc.get(field, {}), dict):
@@ -643,7 +673,9 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
         hidden, input_size = doc["config"]["hidden"], doc["input_size"]
         stats = FeatureStats(*(_float_list(doc["feature_stats"][key], f"feature_stats {key}")
                                for key in ("mean", "std")))
-        vector = _float_list(doc["vector"], "vector")
+        text, names, qrm = doc["vector"], doc["feature_names"], doc["qrm"]
+        if type(text) is not str:
+            raise TypeError("vector must be a base64 string")
     except KeyError as exc:
         raise DataError(f"checkpoint is missing field {exc}") from exc
     except (TypeError, OverflowError) as exc:
@@ -656,8 +688,10 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
             raise DataError(f"checkpoint {name} must be a positive integer, got {size!r}")
     if input_size != N_FEATURES:
         raise DataError(f"checkpoint input_size must be {N_FEATURES}, got {input_size!r}")
-    if not np.isfinite(vector).all():
-        raise DataError("checkpoint vector holds a non-finite weight (nan or infinity)")
-    params = LstmParams(vector, int(hidden))
-    meta = {"seed": doc.get("seed"), "epoch": doc.get("epoch"), "config": doc.get("config", {})}
+    if names != FEATURE_NAMES:
+        raise DataError(f"checkpoint feature_names {names!r} are not the features this version "
+                        f"builds, {FEATURE_NAMES}; retrain to write a new checkpoint")
+    params = LstmParams(_decode_vector(text, _n_params(int(hidden))), int(hidden))
+    meta = {"seed": doc.get("seed"), "epoch": doc.get("epoch"), "config": doc.get("config", {}),
+            "qrm": qrm}
     return params, stats, meta

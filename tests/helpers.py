@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import base64
 import math
 import re
 import shlex
@@ -13,6 +14,24 @@ from optioncast.errors import DataError
 from optioncast.market_data import N_FEATURES, WINDOW_LENGTH, QuoteRecord, SequenceSample
 
 START = date(2021, 1, 4)
+
+
+def b64_vector(values) -> str:
+    """A checkpoint's ``vector`` field for float64 ``values``, or for raw ``bytes`` as given."""
+    raw = values if isinstance(values, bytes) else np.asarray(values, "<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def b64_floats(text: str) -> np.ndarray:
+    """The float64 values a checkpoint's ``vector`` field encodes, in a new array."""
+    return np.frombuffer(base64.b64decode(text), "<f8").copy()
+
+
+def with_entry(values: np.ndarray, index: int, value: float) -> np.ndarray:
+    """A copy of ``values`` with entry ``index`` set to ``value``."""
+    values = values.copy()
+    values[index] = value
+    return values
 
 
 def make_record(

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import make_record, make_series, readme_commands
+from helpers import b64_floats, b64_vector, make_record, make_series, readme_commands, with_entry
 from optioncast import cli, lstm
 from optioncast.market_data import load_csv, save_csv
 
@@ -263,9 +263,15 @@ def forge(doc, edit):
 
 
 def in_old_layout(doc, schema):
-    """The schema-3 ``doc`` rewritten as a schema-2 checkpoint (named arrays
-    with declared shapes) or a schema-1 one (the same, one array per gate)."""
-    params = lstm.LstmParams(np.array(doc.pop("vector")), doc["config"]["hidden"])
+    """The schema-4 ``doc`` rewritten as a schema-3 checkpoint (the vector as a
+    list of numbers, no train/serve record), a schema-2 one (named arrays with
+    declared shapes) or a schema-1 one (the same, one array per gate)."""
+    vector = b64_floats(doc.pop("vector"))
+    del doc["feature_names"], doc["qrm"]
+    if schema == 3:
+        doc.update(schema=schema, vector=vector.tolist())
+        return
+    params = lstm.LstmParams(vector, doc["config"]["hidden"])
     weights, shapes = {}, {}
     for name, arr in params.arrays.items():
         parts = zip("ifog", np.split(arr, 4)) if schema == 1 and "." in name else [("", arr)]
@@ -275,17 +281,34 @@ def in_old_layout(doc, schema):
     doc.update(schema=schema, weights=weights, shapes=shapes)
 
 
+def vector_edit(edit):
+    """A forgery that sets ``vector`` to ``edit`` of the float64 values it encodes."""
+    return lambda d: d.update(vector=edit(b64_floats(d["vector"])))
+
+
 # A checkpoint with one part removed, resized or spoilt, and what the error names.
 FORGED_CHECKPOINTS = {
     "no-input-size": (lambda d: d.pop("input_size"), "missing field 'input_size'"),
-    "no-dense-b": (lambda d: d["vector"].pop(), "parameter vector has 798 entries"),
-    "short-dense-w": (lambda d: d["vector"].pop(-2), "parameter vector has 798 entries"),
+    "no-dense-b": (vector_edit(lambda v: b64_vector(v[:-1])), "parameter vector has 798 entries"),
+    "short-dense-w": (vector_edit(lambda v: b64_vector(np.delete(v, -2))),
+                      "parameter vector has 798 entries"),
+    "one-extra": (vector_edit(lambda v: b64_vector(np.append(v, 0.0))),
+                  "parameter vector has 800 entries"),
+    "ragged": (vector_edit(lambda v: b64_vector(v.tobytes()[:-1])),
+               "6391 bytes, not a whole number of float64s"),
+    "outside-alphabet": (vector_edit(lambda v: b64_vector(v)[:-2] + "*="), "not valid base64"),
+    "unpadded": (vector_edit(lambda v: b64_vector(v).rstrip("=")), "not valid base64"),
     "mean-12-wide": (lambda d: d["feature_stats"]["mean"].pop(), "13-wide"),
     "schema-2": (lambda d: in_old_layout(d, 2), "schema 2 is not supported"),
     "hidden-1e7": (lambda d: d["config"].update(hidden=10**7), "parameter vector has 799"),
-    "nan-dense-b": (lambda d: d["vector"].__setitem__(-1, float("nan")), "non-finite"),
-    "inf-weight": (lambda d: d["vector"].__setitem__(0, float("-inf")), "non-finite"),
-    "nested-vector": (lambda d: d.update(vector=[d["vector"]]), "flat list of numbers"),
+    "nan-dense-b": (vector_edit(lambda v: b64_vector(with_entry(v, -1, float("nan")))),
+                    "non-finite"),
+    "inf-weight": (vector_edit(lambda v: b64_vector(with_entry(v, 0, float("-inf")))),
+                   "non-finite"),
+    "nested-vector": (lambda d: d.update(vector=[d["vector"]]), "vector must be a base64 string"),
+    "number-vector": (lambda d: d.update(vector=0.5), "vector must be a base64 string"),
+    "null-vector": (lambda d: d.update(vector=None), "vector must be a base64 string"),
+    "true-vector": (lambda d: d.update(vector=True), "vector must be a base64 string"),
     "mean-true": (lambda d: d["feature_stats"]["mean"].__setitem__(0, True),
                   "mean must be a flat list of numbers"),
     "std-string": (lambda d: d["feature_stats"]["std"].__setitem__(1, "2.5"),
@@ -390,6 +413,28 @@ class TestTrainAndBacktest:
         err = capsys.readouterr().err
         assert "schema 1" in err and "retrain" in err
 
+    # A checkpoint that an older version or other features wrote, and what the
+    # error names next to its hint to retrain.
+    @pytest.mark.parametrize("edit, match", [
+        pytest.param(lambda d: in_old_layout(d, 3), "schema 3 is not supported", id="schema-3"),
+        pytest.param(lambda d: d["feature_names"].reverse(), "feature_names", id="feature-names"),
+        pytest.param(lambda d: d["qrm"].update(beta=0.02), "QRM config", id="qrm-config"),
+    ])
+    def test_backtest_classifier_asks_to_retrain(
+        self, tmp_path, series_csv, checkpoint_doc, capsys, edit, match
+    ):
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(forge(checkpoint_doc, edit)))
+        bt_out = tmp_path / "bt_out"
+        code = run(
+            ["backtest", "--input", str(series_csv), "--out-dir", str(bt_out),
+             "--mode", "classifier", "--checkpoint", str(ckpt)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert match in err and "retrain" in err
+        assert not bt_out.exists()
+
     def test_backtest_classifier_rejects_zero_std_checkpoint(self, tmp_path, series_csv, capsys):
         train_out = tmp_path / "train_out"
         run(
@@ -455,7 +500,7 @@ class TestTrainAndBacktest:
         assert match in capsys.readouterr().err
         assert not bt_out.exists()
 
-    @pytest.mark.parametrize("doc", [[], {"schema": 3, "config": []}])
+    @pytest.mark.parametrize("doc", [[], {"schema": 4, "config": []}])
     def test_backtest_classifier_rejects_malformed_checkpoint(
         self, tmp_path, series_csv, capsys, doc
     ):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import layer_views, make_series, separable_dataset
+from helpers import (b64_floats, b64_vector, layer_views, make_series, separable_dataset,
+                     with_entry)
 from optioncast import lstm
 from optioncast.errors import ConvergenceError, DataError
 from optioncast.fusion import Metrics
 from optioncast.market_data import (
-    N_FEATURES, WINDOW_LENGTH, FeatureStats, SequenceSample, build_sequences, split, stack,
+    FEATURE_NAMES, N_FEATURES, WINDOW_LENGTH, FeatureStats, SequenceSample, build_sequences, split,
+    stack,
 )
 
 
@@ -786,7 +789,9 @@ class TestCheckpoint:
         assert np.array_equal(stats.mean, result.stats.mean)
         assert meta["seed"] == 9 and meta["epoch"] == result.best_epoch
         doc = json.loads(path.read_text())
-        assert doc["schema"] == 3
+        assert doc["schema"] == 4
+        assert doc["feature_names"] == FEATURE_NAMES
+        assert doc["qrm"] == meta["qrm"] == {"n_s": 21, "n_tau": 11, "beta": 0.01}
         assert doc["config"]["split"] == [0.8, 1.0 - 0.8]
         assert "shapes" not in doc and "weights" not in doc
         # hidden alone gives the loaded arrays the shapes schema 2 declared.
@@ -871,17 +876,43 @@ class TestCheckpoint:
         assert loaded.hidden == 6 and type(loaded.hidden) is int
         assert np.array_equal(loaded.vector, params.vector)
 
+    def test_vector_round_trips_bit_for_bit(self, tmp_path):
+        params, rng = random_params(hidden=6, seed=41)
+        tiny, big = 5e-324, sys.float_info.max  # the smallest subnormal, the largest float
+        params.vector[:5] = [-0.0, tiny, -tiny, big, -big]
+        path = tmp_path / "checkpoint.json"
+        lstm.save_checkpoint(path, lstm.TrainResult(params=params, stats=random_stats(rng)),
+                             lstm.TrainConfig(hidden=6))
+        loaded, _, _ = lstm.load_checkpoint(path)
+        assert loaded.vector.tobytes() == params.vector.tobytes()
+        assert np.signbit(loaded.vector[0]) and loaded.vector.flags.writeable
+        assert json.loads(path.read_text())["vector"] == b64_vector(params.vector)
+
+    # Each case sets ``vector`` to its edit of the saved float64 values.
     @pytest.mark.parametrize("edit, message", [
-        pytest.param(lambda v: v.pop(), "798 entries, expected 799", id="no-dense-b"),
-        pytest.param(lambda v: v.append(0.0), "800 entries, expected 799", id="one-extra"),
-        pytest.param(lambda v: v.__setitem__(-1, float("nan")), "non-finite", id="nan-dense-b"),
-        pytest.param(lambda v: v.__setitem__(0, float("inf")), "non-finite", id="inf"),
-        pytest.param(lambda v: v.__setitem__(5, float("-inf")), "non-finite", id="-inf"),
-        pytest.param(lambda v: v.__setitem__(0, 10**400), "too large", id="int-1e400"),
-        pytest.param(lambda v: v.__setitem__(0, "0.5"), "flat list of numbers", id="string"),
-        pytest.param(lambda v: v.__setitem__(0, True), "flat list of numbers", id="bool"),
-        pytest.param(lambda v: v.__setitem__(0, None), "flat list of numbers", id="null"),
-        pytest.param(lambda v: v.__setitem__(0, [0.5]), "flat list of numbers", id="nested"),
+        pytest.param(lambda v: b64_vector(v[:-1]), "798 entries, expected 799", id="no-dense-b"),
+        pytest.param(lambda v: b64_vector(np.append(v, 0.0)), "800 entries, expected 799",
+                     id="one-extra"),
+        pytest.param(lambda v: b64_vector(v.tobytes() + b"\0"),
+                     "6393 bytes, not a whole number of float64s", id="ragged"),
+        pytest.param(lambda v: b64_vector(with_entry(v, -1, float("nan"))), "non-finite",
+                     id="nan-dense-b"),
+        pytest.param(lambda v: b64_vector(with_entry(v, 0, float("inf"))), "non-finite", id="inf"),
+        pytest.param(lambda v: b64_vector(with_entry(v, 5, float("-inf"))), "non-finite",
+                     id="-inf"),
+        # Each keeps the implied length, so only the decode can refuse it.  A
+        # lenient decode would skip the "!"s, or stop at the inner padding.
+        pytest.param(lambda v: b64_vector(v)[:40] + "!!!!" + b64_vector(v)[44:],
+                     "not valid base64", id="outside-alphabet"),
+        pytest.param(lambda v: "\u00e9" + b64_vector(v)[1:], "not valid base64", id="non-ascii"),
+        pytest.param(lambda v: b64_vector(v).rstrip("="), "not valid base64", id="unpadded"),
+        pytest.param(lambda v: b64_vector(v)[:40] + "AA==" + b64_vector(v)[44:],
+                     "not valid base64", id="padding-inside"),
+        pytest.param(lambda v: "0.5", "2 bytes, not a whole number", id="string"),
+        pytest.param(lambda v: 10**400, "vector must be a base64 string", id="int-1e400"),
+        pytest.param(lambda v: True, "vector must be a base64 string", id="bool"),
+        pytest.param(lambda v: None, "vector must be a base64 string", id="null"),
+        pytest.param(lambda v: [b64_vector(v)], "vector must be a base64 string", id="nested"),
     ])
     def test_forged_vector_is_rejected(self, tmp_path, edit, message):
         params, rng = random_params(hidden=6, seed=39)
@@ -889,8 +920,8 @@ class TestCheckpoint:
         lstm.save_checkpoint(path, lstm.TrainResult(params=params, stats=random_stats(rng)),
                              lstm.TrainConfig(hidden=6))
         doc = json.loads(path.read_text())
-        edit(doc["vector"])
-        path.write_text(json.dumps(doc))  # Python's json writes and reads NaN and Infinity
+        doc["vector"] = edit(b64_floats(doc["vector"]))
+        path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=message):
             lstm.load_checkpoint(path)
 
