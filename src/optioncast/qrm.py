@@ -1,9 +1,9 @@
 """Quasi-reversibility extrapolation of option prices.
 
-The quotes are smoothed toward the PDE du/dtau = (sigma^2/2) s^2 d2u/ds2, with
+The quotes are smoothed toward the PDE du/dtau = h sigma^2 s^2 d2u/ds2, with
 tau running forward in calendar time, by minimizing the Tikhonov functional
 
-    J_beta(u) = || D_tau u - (sigma^2/2) s^2 D_ss u ||^2  +  beta || u - F ||^2
+    J_beta(u) = || D_tau u - h sigma^2 s^2 D_ss u ||^2  +  beta || u - F ||^2
 
 over a small space-time rectangle, where F is the quoted data continued onto
 the grid.  The tau = 0 row of F is today's option mid at every stock node,
@@ -12,24 +12,27 @@ the rate they moved since the previous day, and interior rows interpolate
 linearly between the edges.  The tau = 0 row and both stock edges are imposed
 exactly; only interior nodes are unknowns, so the normal-equation matrix
 A^T A + beta I is symmetric positive definite and the minimizer is unique.
+With tau running forward the PDE is the heat equation in its well-posed
+direction (README step 3 has the measurements that keep this sign).
 
-With tau running forward this PDE is the heat equation in its well-posed
-direction, so the minimizer is a regularized forward-parabolic smoothing of
-F.  Black-Scholes in calendar time (r = 0), du/dt + (sigma^2/2) s^2 d2u/ds2
-= 0, runs the other way, the ill-posed problem quasi-reversibility was made
-for.  Flipping the sign of the PDE term to that direction was measured to
-forecast worse than persistence (tomorrow's mid = today's) on every series
-tried, so the sign stays.
+Time scale: tau is measured in forecast windows of two trading days, each
+h = 1/252 years, so tau runs over [0, 1] and tomorrow is tau = 1/2.  With
+t the time in years, u_t = (sigma^2/2) s^2 u_ss becomes, for tau = t/(2h),
+u_tau = 2h u_t = h sigma^2 s^2 u_ss: the coefficient is kappa' = 2h kappa.
+The residual scales by 2h too, so J_beta here equals (2h)^2 times the
+year-unit functional with beta/(2h)^2, that is beta ~= 158.76 in year units
+at the default beta = 0.01.  In year units the PDE term outweighed beta by
+about 1e8 and cond(A^T A + beta I) was about 6.3e10; here it is about 4e6.
 
 Discretization: first-order forward differences in tau, second-order central
-differences in s, on an n_s x n_tau grid covering two trading days, each
-h = 1/252 years.  The stock axis is centered on today's stock mid with
-half-width max(half bid/ask spread, sigma * sqrt(2h) * stock mid), i.e. at
-least the two-day diffusion scale, and is assembled in stock-mid units (the
-s^2 d2/ds2 operator is invariant under that scaling).
+differences in s, on an n_s x n_tau grid covering the window.  The stock
+axis is centered on today's stock mid with half-width max(half bid/ask
+spread, sigma * sqrt(2h) * stock mid), i.e. at least the two-day diffusion
+scale, and is assembled in stock-mid units (the s^2 d2/ds2 operator is
+invariant under that scaling).
 
-Solve: the operator is held as its coefficients, kappa_i = sigma^2 s_i^2 /
-(2 ds^2) per interior stock node and d = 1/dtau.  With the unknowns grouped by
+Solve: the operator is held as its coefficients, kappa_i = h sigma^2 s_i^2 /
+ds^2 per interior stock node and d = 1/dtau.  With the unknowns grouped by
 tau column the normal matrix is block tridiagonal with n_tau - 1 blocks of
 size n_s - 2: diagonal blocks d^2 I + T^T T + beta I (the last one
 (d^2 + beta) I) and off-diagonal blocks d T^T, where
@@ -109,7 +112,7 @@ class QrmConfig:
 
 @dataclass(frozen=True)
 class QrmGrid:
-    """Solution rectangle: stock nodes (currency), tau nodes (years), surface u."""
+    """Solution rectangle: stock nodes (currency), tau nodes (two-day windows), surface u."""
 
     s_values: np.ndarray
     tau_values: np.ndarray
@@ -245,17 +248,17 @@ def _assemble(records: Sequence[QuoteRecord], config: QrmConfig) -> AssembledSys
     # Stock axes in stock-mid units; s^2 d2/ds2 is invariant under the scaling.
     scaled_half = half_width / s_mid
     s_scaled = _linspace(1.0 - scaled_half, 1.0 + scaled_half, config.n_s)
-    tau_values = np.linspace(0.0, 2.0 * TRADING_DAY_YEARS, config.n_tau)
+    tau_values = np.linspace(0.0, 1.0, config.n_tau)
     tau_values.flags.writeable = False  # shared by every day's grid
     ds = s_scaled[:, 1] - s_scaled[:, 0]
-    days_ahead = tau_values / TRADING_DAY_YEARS
+    days_ahead = 2.0 * tau_values
     f_surface = _linspace(bid[:, None] + days_ahead * (bid - prev_bid)[:, None],
                           ask[:, None] + days_ahead * (ask - prev_ask)[:, None], config.n_s)
     f_surface[:, :, 0] = mid[:, None]
     # A vol whose square overflows leaves kappa non-finite, and the solve then
     # fails that day with a ConvergenceError; numpy's warnings would repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        kappa = (0.5 * sigma * sigma)[:, None] * s_scaled[:, 1:-1] ** 2 / (ds * ds)[:, None]
+        kappa = (TRADING_DAY_YEARS * sigma * sigma)[:, None] * s_scaled[:, 1:-1] ** 2 / (ds * ds)[:, None]
     return AssembledSystem(
         kappa=kappa,
         inv_dtau=1.0 / (tau_values[1] - tau_values[0]),
