@@ -87,7 +87,7 @@ __all__ = [
 ]
 
 PROB_CLAMP = 1e-12
-CHECKPOINT_SCHEMA = 4
+CHECKPOINT_SCHEMA = 5
 
 _GATES = ("i", "f", "o", "g")
 
@@ -595,7 +595,7 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
 
 def save_checkpoint(path, result: TrainResult, config: TrainConfig,
                     qrm_config: QrmConfig = QrmConfig()) -> None:
-    """One JSON document (schema 4): config, feature stats, the train/serve record
+    """One JSON document (schema 5): config, feature stats, the train/serve record
     (``feature_names`` and the ``qrm`` config whose estimates are feature 0) and
     ``vector``, the flat parameter vector in :func:`_layout` order as base64 of its
     little-endian float64 bytes, which round-trips bit for bit."""
@@ -611,7 +611,6 @@ def save_checkpoint(path, result: TrainResult, config: TrainConfig,
         },
         "seed": config.seed,
         "epoch": result.best_epoch,
-        "input_size": N_FEATURES,
         "feature_names": FEATURE_NAMES,
         "qrm": asdict(qrm_config),
         "vector": base64.b64encode(result.params.vector.astype("<f8").tobytes()).decode("ascii"),
@@ -650,7 +649,7 @@ def _decode_vector(text: str, expected: int) -> np.ndarray:
 
 
 def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
-    """Load a schema-4 checkpoint; a forged size fails a check before anything is allocated.
+    """Load a schema-5 checkpoint; a forged size fails a check before anything is allocated.
 
     ``meta`` holds the ``seed``, ``epoch`` and ``config`` and the ``qrm`` record
     as written; features named otherwise than :data:`FEATURE_NAMES` are refused.
@@ -663,14 +662,14 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
     if schema != CHECKPOINT_SCHEMA:
         raise DataError(
             f"checkpoint schema {schema} is not supported: this version reads schema "
-            f"{CHECKPOINT_SCHEMA} (one base64 float64 parameter vector); retrain to write a "
+            f"{CHECKPOINT_SCHEMA} (feature 0 from QRM on the two-day window); retrain to write a "
             f"new checkpoint"
         )
     for field in ("config", "feature_stats"):
         if not isinstance(doc.get(field, {}), dict):
             raise DataError(f"checkpoint field {field!r} must be a JSON object")
     try:
-        hidden, input_size = doc["config"]["hidden"], doc["input_size"]
+        hidden = doc["config"]["hidden"]
         stats = FeatureStats(*(_float_list(doc["feature_stats"][key], f"feature_stats {key}")
                                for key in ("mean", "std")))
         text, names, qrm = doc["vector"], doc["feature_names"], doc["qrm"]
@@ -680,14 +679,11 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
         raise DataError(f"checkpoint is missing field {exc}") from exc
     except (TypeError, OverflowError) as exc:
         raise DataError(f"checkpoint has a field of the wrong type: {exc}") from exc
-    for name, size in (("hidden", hidden), ("input_size", input_size)):
-        if type(size) not in (int, float):
-            raise DataError(f"checkpoint {name} has the wrong type: {size!r}")
-        # is_integer() is False for inf and nan; an int, however large, skips it.
-        if not (size > 0 and (type(size) is int or size.is_integer())):
-            raise DataError(f"checkpoint {name} must be a positive integer, got {size!r}")
-    if input_size != N_FEATURES:
-        raise DataError(f"checkpoint input_size must be {N_FEATURES}, got {input_size!r}")
+    if type(hidden) not in (int, float):
+        raise DataError(f"checkpoint hidden has the wrong type: {hidden!r}")
+    # is_integer() is False for inf and nan; an int, however large, skips it.
+    if not (hidden > 0 and (type(hidden) is int or hidden.is_integer())):
+        raise DataError(f"checkpoint hidden must be a positive integer, got {hidden!r}")
     if names != FEATURE_NAMES:
         raise DataError(f"checkpoint feature_names {names!r} are not the features this version "
                         f"builds, {FEATURE_NAMES}; retrain to write a new checkpoint")

@@ -263,9 +263,14 @@ def forge(doc, edit):
 
 
 def in_old_layout(doc, schema):
-    """The schema-4 ``doc`` rewritten as a schema-3 checkpoint (the vector as a
-    list of numbers, no train/serve record), a schema-2 one (named arrays with
-    declared shapes) or a schema-1 one (the same, one array per gate)."""
+    """The schema-5 ``doc`` rewritten as a schema-4 checkpoint (the feature width
+    also as ``input_size``, feature 0 from QRM in year units), a schema-3 one
+    (the vector as a list of numbers, no train/serve record), a schema-2 one
+    (named arrays with declared shapes) or a schema-1 one (the same, one array
+    per gate)."""
+    if schema == 4:
+        doc.update(schema=schema, input_size=len(doc["feature_names"]))
+        return
     vector = b64_floats(doc.pop("vector"))
     del doc["feature_names"], doc["qrm"]
     if schema == 3:
@@ -288,7 +293,8 @@ def vector_edit(edit):
 
 # A checkpoint with one part removed, resized or spoilt, and what the error names.
 FORGED_CHECKPOINTS = {
-    "no-input-size": (lambda d: d.pop("input_size"), "missing field 'input_size'"),
+    # The feature names carry the input size.
+    "no-input-size": (lambda d: d.pop("feature_names"), "missing field 'feature_names'"),
     "no-dense-b": (vector_edit(lambda v: b64_vector(v[:-1])), "parameter vector has 798 entries"),
     "short-dense-w": (vector_edit(lambda v: b64_vector(np.delete(v, -2))),
                       "parameter vector has 798 entries"),
@@ -416,6 +422,7 @@ class TestTrainAndBacktest:
     # A checkpoint that an older version or other features wrote, and what the
     # error names next to its hint to retrain.
     @pytest.mark.parametrize("edit, match", [
+        pytest.param(lambda d: in_old_layout(d, 4), "schema 4 is not supported", id="schema-4"),
         pytest.param(lambda d: in_old_layout(d, 3), "schema 3 is not supported", id="schema-3"),
         pytest.param(lambda d: d["feature_names"].reverse(), "feature_names", id="feature-names"),
         pytest.param(lambda d: d["qrm"].update(beta=0.02), "QRM config", id="qrm-config"),
@@ -500,7 +507,7 @@ class TestTrainAndBacktest:
         assert match in capsys.readouterr().err
         assert not bt_out.exists()
 
-    @pytest.mark.parametrize("doc", [[], {"schema": 4, "config": []}])
+    @pytest.mark.parametrize("doc", [[], {"schema": 5, "config": []}])
     def test_backtest_classifier_rejects_malformed_checkpoint(
         self, tmp_path, series_csv, capsys, doc
     ):

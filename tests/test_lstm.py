@@ -789,7 +789,7 @@ class TestCheckpoint:
         assert np.array_equal(stats.mean, result.stats.mean)
         assert meta["seed"] == 9 and meta["epoch"] == result.best_epoch
         doc = json.loads(path.read_text())
-        assert doc["schema"] == 4
+        assert doc["schema"] == 5 and "input_size" not in doc
         assert doc["feature_names"] == FEATURE_NAMES
         assert doc["qrm"] == meta["qrm"] == {"n_s": 21, "n_tau": 11, "beta": 0.01}
         assert doc["config"]["split"] == [0.8, 1.0 - 0.8]
@@ -835,13 +835,14 @@ class TestCheckpoint:
         pytest.param("hidden", float("inf"), "hidden must be a positive integer", id="hidden-inf"),
         pytest.param("hidden", 6.5, "hidden must be a positive integer", id="hidden-6.5"),
         pytest.param("hidden", True, "hidden has the wrong type", id="hidden-true"),
-        pytest.param("input_size", float("nan"), "input_size must be a positive integer",
+        # Schema 5 carries the input size as the number of feature names.
+        pytest.param("feature_names", float("nan"), "feature_names nan are not",
                      id="input_size-nan"),
-        pytest.param("input_size", 0, "input_size must be a positive integer", id="input_size-0"),
-        pytest.param("input_size", N_FEATURES - 1, f"input_size must be {N_FEATURES}",
+        pytest.param("feature_names", [], r"feature_names \[\] are not", id="input_size-0"),
+        pytest.param("feature_names", FEATURE_NAMES[:-1], "feature_names .* are not the features",
                      id="input_size-narrower"),
-        pytest.param("input_size", N_FEATURES + 1, f"input_size must be {N_FEATURES}",
-                     id="input_size-wider"),
+        pytest.param("feature_names", FEATURE_NAMES + ["extra"],
+                     "feature_names .* are not the features", id="input_size-wider"),
         # Whole and positive, so only the vector's length can refuse it; the
         # parameters it names would take 8.5 PiB.
         pytest.param("hidden", 10**7, "parameter vector has 799 entries, expected",
@@ -870,7 +871,7 @@ class TestCheckpoint:
         result = lstm.TrainResult(params=params, stats=random_stats(rng))
         lstm.save_checkpoint(path, result, lstm.TrainConfig(hidden=6))
         doc = json.loads(path.read_text())
-        doc["config"]["hidden"], doc["input_size"] = 6.0, float(N_FEATURES)
+        doc["config"]["hidden"] = 6.0
         path.write_text(json.dumps(doc))
         loaded, _, _ = lstm.load_checkpoint(path)
         assert loaded.hidden == 6 and type(loaded.hidden) is int
