@@ -21,6 +21,7 @@ failure (non-finite solve or diverged training).
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -200,10 +201,11 @@ def cmd_qrm(cfg: dict) -> tuple:
     """one-day-ahead price extrapolation over a series"""
     records = market_data.load_csv(cfg["input"])
     series = qrm.estimate_series(records, _config(qrm.QrmConfig, cfg))
-    estimates = "date,est,ask,residual,regularization\n" + "".join(
-        f"{rec.day.isoformat()},{m.est!r},{rec.option_ask!r},{m.residual!r},{m.regularization!r}\n"
-        for rec, m in zip(records, series)
-        if m is not None
+    solved = [(rec, m) for rec, m in zip(records, series) if m is not None]
+    estimates = "date,est,ask,residual,regularization,tap_half,tap_dmid,tap_dhalf\n" + "".join(
+        ",".join([rec.day.isoformat(), *map(repr, (m.est, rec.option_ask, m.residual,
+                                                   m.regularization, *m.taps))]) + "\n"
+        for rec, m in solved
     )
     rel_errors = [
         abs(m.est - records[k + 1].option_mid) / records[k + 1].option_mid
@@ -212,10 +214,13 @@ def cmd_qrm(cfg: dict) -> tuple:
     ]
     summary = {
         "n_days": len(records),
-        "n_estimates": sum(1 for m in series if m is not None),
+        "n_estimates": len(solved),
         "mean_rel_error_vs_next_mid": (
             sum(rel_errors) / len(rel_errors) if rel_errors else None
         ),
+        # EST = mid + tap_half half + tap_dmid dmid + tap_dhalf dhalf, one filter per system.
+        "taps": [dict(zip(("tap_half", "tap_dmid", "tap_dhalf", "days"), (*taps, n)))
+                 for taps, n in collections.Counter(m.taps for _, m in solved).items()],
     }
     mre = summary["mean_rel_error_vs_next_mid"]
     message = (

@@ -31,35 +31,42 @@ spread, sigma * sqrt(2h) * stock mid), i.e. at least the two-day diffusion
 scale, and is assembled in stock-mid units (the s^2 d2/ds2 operator is
 invariant under that scaling).
 
+Linear filter: F is linear in the day's quotes.  With c_i = (2i - (n_s - 1))
+/ (n_s - 1) the s coordinate, exactly 0 on the centre line, and a = 2 tau the
+days ahead,
+
+    F = mid + half F_half + dmid F_dmid + dhalf F_dhalf,
+
+where F_half = c off the tau = 0 row, F_dmid = a and F_dhalf = c a are the
+direction surfaces of the config, and q = (half, dmid, dhalf) is the option's
+half-spread, its one-day mid move and its half-spread move.  The correction
+u - F is linear in -R(F), and a constant has R = 0, so u - F = sum_j q_j Y_j
+with Y_j the correction of F_j.  Each day's forecast is therefore a fixed
+filter of its quotes, EST = mid + sum_j tap_j q_j, whose taps are the
+direction solutions F_j + Y_j at the centre node one day out.
+
 Solve: the operator is held as its coefficients, kappa_i = h sigma^2 s_i^2 /
 ds^2 per interior stock node and d = 1/dtau.  With the unknowns grouped by
 tau column the normal matrix is block tridiagonal with n_tau - 1 blocks of
 size n_s - 2: diagonal blocks d^2 I + T^T T + beta I (the last one
 (d^2 + beta) I) and off-diagonal blocks d T^T, where
 T = tridiag(-kappa_i, 2 kappa_i - d, -kappa_i) holds kappa_i in row i.  Block
-forward elimination and back-substitution solve it directly for the
-correction u - F, whose right-hand side is A^T(-R(F)) with R the PDE
-residual, so data that already satisfy the PDE come back unchanged.
+forward elimination and back-substitution solve it directly for a
+correction, whose right-hand side is A^T(-R(F)) with R the PDE residual, so
+data that already satisfy the PDE come back unchanged.
 
-The days of a series are assembled and eliminated together in blocks.  The
-normal matrix depends on a day only through its kappa row, so the days of a
-block are grouped by the bits of that row and each distinct system is
-factored once per tau step: its solve takes U and, as extra columns, the
-right-hand side of every day that shares it, and one Schur update serves
-them all.  With a constant implied vol every day of a block shares one
-system; with a vol that changes daily each day has its own, and each step
-makes one stacked solve with a matrix per day.  The block size is counted in
-days: back-substitution keeps the coupling blocks C_k, (n_tau - 1)(n_s - 2)^2
-floats per system, and a block holds the number of days whose coupling
-blocks would fit in a fixed 1 MiB if every day differed, and at least one
-day (36 days on the 21 x 11 grid, one on 81 x 41).  A single solve is a
-block of one day.  The products L y and C x stay one matrix-vector product
-per day, and the BLAS in use (OpenBLAS, measured with one thread) gives each
-right-hand-side column of a solve the same bits whatever the column count;
-LAPACK does not promise this, and the exact-equality tests in
-``tests/test_qrm.py`` catch a BLAS where it fails.  So a day's result is
-bit-identical whichever days share its block or its system, and a failed
-block is solved again one day at a time to name its earliest failing day.
+The days of a series are assembled and solved together in blocks.  The
+normal matrix and the Y_j depend on a day only through its kappa row, so
+each distinct row of a block is eliminated once, with the three -R(F_j) as
+its right-hand sides, and each day adds sum_j q_j Y_j of its system to its
+own data surface.  A system's solve has the same operands whichever days
+share it, so a day's result is bit-identical to its one-day solve, and a
+failed block is solved again one day at a time to name its earliest failing
+day.  The block size is counted in days: back-substitution keeps the
+coupling blocks C_k, (n_tau - 1)(n_s - 2)^2 floats per system, and a block
+holds the number of days whose coupling blocks would fit in a fixed 1 MiB if
+every day differed, and at least one day (36 days on the 21 x 11 grid, one
+on 81 x 41).  A single solve is a block of one day.
 
 The forecast EST is the solved surface at the central stock node one trading
 day ahead; odd grid sizes guarantee both indices exist exactly.
@@ -67,6 +74,7 @@ day ahead; odd grid sizes guarantee both indices exist exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -124,13 +132,16 @@ class Minimizer:
     """Regularized solution plus the one-day-ahead estimate read from it.
 
     ``residual`` is the PDE misfit ||R(u)||^2 and ``regularization`` the data
-    term beta ||u - F||^2; their sum is J_beta at the solution.
+    term beta ||u - F||^2; their sum is J_beta at the solution.  ``taps`` are
+    the weights of the day's (half, dmid, dhalf) in EST = mid + taps . q, read
+    from the direction solutions; EST itself is the surface node.
     """
 
     grid: QrmGrid
     est: float
     residual: float
     regularization: float
+    taps: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -139,12 +150,13 @@ class AssembledSystem:
 
     The PDE operator is held as its coefficients: ``kappa`` per interior stock
     node and ``inv_dtau``.  ``f_surface`` is the full n_s x n_tau data
-    surface.  The unknowns are the interior nodes u[1:-1, 1:], flattened
+    surface, mid + the direction surfaces weighted by ``quotes``, the day's
+    (half, dmid, dhalf).  The unknowns are the interior nodes u[1:-1, 1:], flattened
     s-major; the dense oracle below (``pde_matrix``, ``apply_normal``,
     ``normal_rhs``) uses that order and is meant for small-grid diagnostics.
 
     The solver holds a block of days in the same fields, with a leading day
-    axis on ``kappa``, ``f_surface`` and ``s_values`` (``pde_residual`` works
+    axis on ``kappa``, ``f_surface``, ``s_values`` and ``quotes`` (``pde_residual`` works
     on either form); the dense diagnostics read the single day that
     :func:`assemble_system` returns.
     """
@@ -155,6 +167,7 @@ class AssembledSystem:
     s_values: np.ndarray
     tau_values: np.ndarray
     beta: float
+    quotes: np.ndarray
 
     @property
     def n_unknowns(self) -> int:
@@ -202,24 +215,25 @@ def _stencil(kappa: np.ndarray, inv_dtau: float) -> np.ndarray:
     return t
 
 
-def _linspace(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
-    """``np.linspace(start[i], stop[i], num)`` for every day i, on a new axis 1.
+@functools.lru_cache(maxsize=8)
+def _directions(config: QrmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The s coordinate, the tau nodes and the direction surfaces F_half, F_dmid, F_dhalf."""
+    coordinate = (2.0 * np.arange(config.n_s) - (config.n_s - 1)) / (config.n_s - 1)
+    tau_values = np.linspace(0.0, 1.0, config.n_tau)
+    c, days_ahead = coordinate[:, None], 2.0 * tau_values
+    directions = np.stack(np.broadcast_arrays(c, days_ahead, c * days_ahead))
+    directions[0, :, 0] = 0.0
+    for shared in (coordinate, tau_values, directions):  # by every day of this config
+        shared.flags.writeable = False
+    return coordinate, tau_values, directions
 
-    One ``np.linspace`` over the stack would take its zero-step branch for
-    every day once a single day has a zero step; here each day takes its own
-    branch, so no day's axis depends on the other days of its block.
-    """
-    div = num - 1
-    delta = stop - start
-    step = delta / div
-    ramp = np.arange(num, dtype=np.float64).reshape((num,) + (1,) * (start.ndim - 1))
-    y = ramp * step[:, None]
-    zero = np.any((step == 0).reshape(len(step), -1), axis=1)
-    if zero.any():
-        y[zero] = ramp / div * delta[zero][:, None]
-    y += start[:, None]
-    y[:, -1] = stop
-    return y
+
+def _along(q: np.ndarray, surfaces: np.ndarray) -> np.ndarray:
+    """sum_j q[:, j] surfaces[j] per day, term by term, so no day's bits depend on its block."""
+    total = q[:, 0, None, None] * surfaces[0]
+    for j in (1, 2):
+        total += q[:, j, None, None] * surfaces[j]
+    return total
 
 
 def _assemble(records: Sequence[QuoteRecord], config: QrmConfig) -> AssembledSystem:
@@ -230,13 +244,9 @@ def _assemble(records: Sequence[QuoteRecord], config: QrmConfig) -> AssembledSys
     """
     if len(records) < 2:
         raise DataError(f"need at least 2 records to assemble, got {len(records)}")
-    quotes = np.array([
-        (r.option_bid, r.option_ask, r.option_mid, r.stock_bid, r.stock_ask, r.stock_mid,
-         r.implied_vol)
-        for r in records
-    ])
-    prev_bid, prev_ask = quotes[:-1, 0], quotes[:-1, 1]
-    bid, ask, mid, stock_bid, stock_ask, s_mid, sigma = quotes[1:].T
+    quotes = np.array([(r.option_mid, 0.5 * (r.option_ask - r.option_bid), r.stock_bid,
+                        r.stock_ask, r.stock_mid, r.implied_vol) for r in records])
+    mid, half, stock_bid, stock_ask, s_mid, sigma = quotes[1:].T
     half_width = np.maximum(
         0.5 * (stock_ask - stock_bid), sigma * math.sqrt(2.0 * TRADING_DAY_YEARS) * s_mid
     )
@@ -245,20 +255,17 @@ def _assemble(records: Sequence[QuoteRecord], config: QrmConfig) -> AssembledSys
             "collapsed stock grid: zero bid/ask spread and zero volatility leave no interval"
         )
 
+    coordinate, tau_values, directions = _directions(config)
     # Stock axes in stock-mid units; s^2 d2/ds2 is invariant under the scaling.
-    scaled_half = half_width / s_mid
-    s_scaled = _linspace(1.0 - scaled_half, 1.0 + scaled_half, config.n_s)
-    tau_values = np.linspace(0.0, 1.0, config.n_tau)
-    tau_values.flags.writeable = False  # shared by every day's grid
+    s_scaled = 1.0 + (half_width / s_mid)[:, None] * coordinate
     ds = s_scaled[:, 1] - s_scaled[:, 0]
-    days_ahead = 2.0 * tau_values
-    f_surface = _linspace(bid[:, None] + days_ahead * (bid - prev_bid)[:, None],
-                          ask[:, None] + days_ahead * (ask - prev_ask)[:, None], config.n_s)
-    f_surface[:, :, 0] = mid[:, None]
+    q = np.stack([half, *np.diff(quotes[:, :2], axis=0).T], axis=1)
     # A vol whose square overflows leaves kappa non-finite, and the solve then
     # fails that day with a ConvergenceError; numpy's warnings would repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        kappa = (TRADING_DAY_YEARS * sigma * sigma)[:, None] * s_scaled[:, 1:-1] ** 2 / (ds * ds)[:, None]
+        kappa = ((TRADING_DAY_YEARS * sigma * sigma)[:, None] * s_scaled[:, 1:-1] ** 2
+                 / (ds * ds)[:, None])
+        f_surface = mid[:, None, None] + _along(q, directions)
     return AssembledSystem(
         kappa=kappa,
         inv_dtau=1.0 / (tau_values[1] - tau_values[0]),
@@ -266,6 +273,7 @@ def _assemble(records: Sequence[QuoteRecord], config: QrmConfig) -> AssembledSys
         s_values=s_scaled * s_mid[:, None],
         tau_values=tau_values,
         beta=config.beta,
+        quotes=q,
     )
 
 
@@ -278,7 +286,7 @@ def assemble_system(records: Sequence[QuoteRecord], config: QrmConfig) -> Assemb
     """
     days = _assemble(records[-2:], config)
     return replace(days, kappa=days.kappa[0], f_surface=days.f_surface[0],
-                   s_values=days.s_values[0])
+                   s_values=days.s_values[0], quotes=days.quotes[0])
 
 
 def _days_per_block(config: QrmConfig) -> int:
@@ -286,88 +294,57 @@ def _days_per_block(config: QrmConfig) -> int:
     return max(1, _COUPLING_BUDGET // coupling_bytes)
 
 
-def _systems(kappa: np.ndarray) -> list[np.ndarray]:
-    """The days of a block grouped by the bits of their ``kappa`` row.
+def _systems(kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``kappa`` rows of a block by their bits, each one system.
 
-    The normal matrix depends on a day only through that row, so each group
-    is one system.  Returns one (systems, c) index array per number c of
-    days a system has: each row holds one system's days in order, and the
-    rows are in order of their first day.
+    Returns the first day of each system, in order, and each day's system.
     """
-    raw = kappa.tobytes()
-    width = len(raw) // len(kappa)
-    keys = [raw[i : i + width] for i in range(0, len(raw), width)]
-    systems: dict[bytes, list[int]] = {}
-    for day, key in enumerate(keys):
-        systems.setdefault(key, []).append(day)
-    by_size: dict[int, list[list[int]]] = {}
-    for members in systems.values():
-        by_size.setdefault(len(members), []).append(members)
-    return [np.array(members) for members in by_size.values()]
-
-
-def _eliminate(days: AssembledSystem) -> np.ndarray:
-    """u - F at the unknowns of every day, as a (days, n_s - 2, n_tau - 1) stack.
-
-    Each distinct system is eliminated once for all of its days; the systems
-    with the same number of days go through :func:`_eliminate_systems`
-    together.  Raises ``ConvergenceError`` for a singular block or a
-    non-finite solution.
-    """
-    r = -days.pde_residual(days.f_surface)
-    y = np.empty_like(r)
-    for members in _systems(days.kappa):
-        y[members.T] = _eliminate_systems(days.kappa[members[:, 0]], r[members.T],
-                                          days.inv_dtau, days.beta)
-    if not np.all(np.isfinite(y)):
-        raise ConvergenceError("direct solve produced non-finite values")
-    return y
+    systems: dict[bytes, int] = {}
+    inverse = np.array([systems.setdefault(row.tobytes(), len(systems)) for row in kappa])
+    return np.unique(inverse, return_index=True)[1], inverse
 
 
 def _eliminate_systems(kappa: np.ndarray, r: np.ndarray, d: float, beta: float) -> np.ndarray:
-    """u - F for c days of each of J systems, in the layout of ``r``.
+    """u - F for c surfaces F under each of J systems, in the layout of ``r``.
 
-    ``kappa`` holds one row per system.  ``r`` holds -R(F) per day, as (c, J,
-    n_s - 2, n_tau - 1) with day i of system j at [i, j].  Block forward
+    ``kappa`` holds one row per system.  ``r`` holds -R(F) as (c, J, n_s - 2,
+    n_tau - 1), with surface i under system j at [i, j].  Block forward
     elimination over the tau columns: S_k = D_k - L C_(k-1) is the Schur
     complement, and one solve per system and tau step,
-    [C_k | y_k(day 1) | ... | y_k(day c)] = S_k^-1 [U | h_k(day 1) | ... | h_k(day c)]
-    with h_k = g_k - L y_(k-1), gives the coupling block and every day's
-    y_k.  Back-substitution overwrites y_k with x_k = y_k - C_k x_(k+1).
-    U = d T^T and L = d T are the off-diagonal blocks.  L y and C x stay
-    one matrix-vector product per day, with the system's matrix broadcast
-    over its days, and the BLAS in use solves each right-hand-side column
-    to the same bits whatever the column count (a measured property, not a
-    LAPACK guarantee); so each day is bit-identical to its one-day solve.
+    [C_k | y_k(1) | ... | y_k(c)] = S_k^-1 [U | h_k(1) | ... | h_k(c)]
+    with h_k = g_k - L y_(k-1) and g = A^T r, gives the coupling block and
+    every surface's y_k.  Back-substitution overwrites y_k with
+    x_k = y_k - C_k x_(k+1).  U = d T^T and L = d T are the off-diagonal
+    blocks.
     """
     n_systems, n = kappa.shape
     t = _stencil(kappa, d)
     t_trans = t.swapaxes(-1, -2)
-    m = r.shape[-1]
     g = d * r
     g[..., :-1] += t_trans @ r[..., 1:]
+    g = g.transpose(3, 1, 2, 0)  # tau step, system, stock node, surface
+    m = len(g)
     lower = d * t
     upper = lower.swapaxes(-1, -2)
     last = (d * d + beta) * np.eye(n)
     inner = last + t_trans @ t
     coupling = np.empty((m, n_systems, n, n))
-    y = np.empty_like(r)
+    y = np.empty(g.shape)
     for k in range(m):
         s = inner if k < m - 1 else last
-        h = g[..., k]
+        h = g[k]
         if k:
             s = s - lower @ coupling[k - 1]
-            h = h - (lower @ y[..., k - 1, None])[..., 0]
-        columns = h.reshape(-1, n_systems, n).transpose(1, 2, 0)
+            h = h - lower @ y[k - 1]
         try:
-            sol = np.linalg.solve(s, np.concatenate([upper, columns], axis=-1))
+            sol = np.linalg.solve(s, np.concatenate([upper, h], axis=-1))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"direct solve failed: {exc}") from exc
         coupling[k] = sol[..., :n]
-        y[..., k] = sol[..., n:].transpose(2, 0, 1)
+        y[k] = sol[..., n:]
     for k in range(m - 2, -1, -1):
-        y[..., k] -= (coupling[k] @ y[..., k + 1, None])[..., 0]
-    return y
+        y[k] -= coupling[k] @ y[k + 1]
+    return y.transpose(3, 1, 2, 0)
 
 
 def _solve_days(records: Sequence[QuoteRecord], config: QrmConfig) -> list[Minimizer]:
@@ -381,9 +358,20 @@ def _solve_days(records: Sequence[QuoteRecord], config: QrmConfig) -> list[Minim
     # only repeat the error.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         days = _assemble(records, config)
-        correction = _eliminate(days)
+        directions = _directions(config)[2]
+        first, inverse = _systems(days.kappa)
+        systems = replace(days, kappa=days.kappa[first])
+        solved = _eliminate_systems(systems.kappa, -systems.pde_residual(directions[:, None]),
+                                    days.inv_dtau, days.beta)
+        # A direct solve of the day's own data -R(F) would eliminate it through
+        # normal blocks with entries up to (d + 4 kappa)^2; quotes near the
+        # float64 limit overflow there, which the directions alone cannot see.
+        scale = (days.inv_dtau + 4.0 * np.max(days.kappa, axis=1)) ** 2
+        data = scale[:, None, None] * days.pde_residual(days.f_surface)
+        if not (np.all(np.isfinite(solved)) and np.all(np.isfinite(data))):
+            raise ConvergenceError("direct solve produced non-finite values")
         surface = days.f_surface.copy()
-        surface[:, 1:-1, 1:] += correction
+        surface[:, 1:-1, 1:] += _along(days.quotes, solved[:, inverse])
         misfit = days.pde_residual(surface)
         residual = np.sum(misfit * misfit, axis=(1, 2))
         regularization = config.beta * np.sum((surface - days.f_surface) ** 2, axis=(1, 2))
@@ -391,16 +379,12 @@ def _solve_days(records: Sequence[QuoteRecord], config: QrmConfig) -> list[Minim
         raise ConvergenceError("objective J_beta is not finite")
     if not np.all(np.diff(days.s_values, axis=-1) > 0):
         raise DataError("grid axes must be strictly increasing")
-    est = surface[:, (config.n_s - 1) // 2, (config.n_tau - 1) // 2]
-    return [
-        Minimizer(
-            grid=QrmGrid(days.s_values[i], days.tau_values, surface[i]),
-            est=float(est[i]),
-            residual=float(residual[i]),
-            regularization=float(regularization[i]),
-        )
-        for i in range(len(surface))
-    ]
+    centre, one_day = (config.n_s - 1) // 2, (config.n_tau - 1) // 2
+    taps = directions[:, centre, one_day, None] + solved[:, :, centre - 1, one_day - 1]
+    columns = zip(days.s_values, surface, surface[:, centre, one_day].tolist(), residual.tolist(),
+                  regularization.tolist(), taps[:, inverse].T.tolist())
+    return [Minimizer(QrmGrid(s_values, days.tau_values, u), est, pde, fit, tuple(day_taps))
+            for s_values, u, est, pde, fit, day_taps in columns]
 
 
 def solve_qrm(records: Sequence[QuoteRecord], config: QrmConfig | None = None) -> Minimizer:

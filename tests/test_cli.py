@@ -127,8 +127,34 @@ class TestQrmCommand:
         assert run(["qrm", "--input", str(trimmed), "--out-dir", str(out)]) == 0
         with (out / "estimates.csv").open(newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["date", "est", "ask", "residual", "regularization"]
+        assert rows[0] == ["date", "est", "ask", "residual", "regularization",
+                           "tap_half", "tap_dmid", "tap_dhalf"]
         assert len(rows) == 2
+
+    def test_estimates_are_the_reported_filter_of_the_quotes(self, tmp_path):
+        # EST = mid + tap_half half + tap_dmid dmid + tap_dhalf dhalf on every
+        # row, and summary.json counts the days of each distinct tap triple.
+        data = tmp_path / "series.csv"
+        run(synth_args(data, days=30))
+        out = tmp_path / "qrm_out"
+        assert run(["qrm", "--input", str(data), "--out-dir", str(out)]) == 0
+        records = load_csv(data)
+        with (out / "estimates.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(records) - 1
+        for k, row in enumerate(rows, start=1):
+            today, before = records[k], records[k - 1]
+            half = 0.5 * (today.option_ask - today.option_bid)
+            moves = (half, today.option_mid - before.option_mid,
+                     half - 0.5 * (before.option_ask - before.option_bid))
+            taps = [float(row[name]) for name in ("tap_half", "tap_dmid", "tap_dhalf")]
+            assert today.option_mid + np.dot(taps, moves) == pytest.approx(float(row["est"]),
+                                                                           rel=1e-12)
+        summary = json.loads((out / "summary.json").read_text())
+        triples = {(t["tap_half"], t["tap_dmid"], t["tap_dhalf"]): t["days"]
+                   for t in summary["taps"]}
+        assert triples == {(float(rows[0]["tap_half"]), float(rows[0]["tap_dmid"]),
+                            float(rows[0]["tap_dhalf"])): len(rows)}
 
     def test_zero_sigma_constant_estimates(self, tmp_path):
         data = tmp_path / "flat.csv"

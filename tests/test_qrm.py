@@ -85,6 +85,23 @@ def mixed_series(n_days=80, seed=8):
     return records
 
 
+def daily_vol_series(n_days=252, seed=7):
+    """The 20 bp series with an implied vol that moves every day, so no two days share a system."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [replace(r, implied_vol=0.2 * math.exp(0.1 * z))
+            for r, z in zip(bs_series(n_days=n_days, seed=seed, spread_bp=20.0),
+                            rng.standard_normal(n_days))]
+
+
+def moves(records, k):
+    """Day k's (half-spread, one-day mid move, half-spread move) of the option."""
+    def half(r):
+        return 0.5 * (r.option_ask - r.option_bid)
+
+    today, before = records[k], records[k - 1]
+    return half(today), today.option_mid - before.option_mid, half(today) - half(before)
+
+
 def spread_sets_half_width(record):
     diffusion = record.implied_vol * math.sqrt(2.0 * TRADING_DAY_YEARS) * record.stock_mid
     return 0.5 * (record.stock_ask - record.stock_bid) > diffusion
@@ -124,6 +141,7 @@ def assert_same_solve(a, b):
     assert a.est == b.est
     assert a.residual == b.residual
     assert a.regularization == b.regularization
+    assert a.taps == b.taps
     assert np.array_equal(a.grid.u, b.grid.u)
     assert np.array_equal(a.grid.s_values, b.grid.s_values)
 
@@ -312,6 +330,25 @@ class TestSolve:
         else:
             assert min(errors) > 1e-3
 
+    @pytest.mark.parametrize("records", [bs_series(n_days=12, spread_bp=20.0),
+                                         drifting_series(n_days=12), daily_vol_series(n_days=12)],
+                             ids=["constant-vol", "drifting", "daily-vol"])
+    def test_direction_solutions_add_up_to_the_direct_solve_of_the_data(self, records):
+        # The surface is mid + sum_j q_j (F_j + Y_j); eliminating the day's own
+        # -R(F) directly must give the same surface up to rounding.
+        config = QrmConfig()
+        for k in range(1, len(records)):
+            system = assemble_system(records[k - 1 : k + 1], config)
+            rhs = -system.pde_residual(system.f_surface)[None, None]
+            direct = system.f_surface.copy()
+            direct[1:-1, 1:] += qrm._eliminate_systems(system.kappa[None], rhs,
+                                                       system.inv_dtau, system.beta)[0, 0]
+            solved = solve_qrm(records[k - 1 : k + 1], config)
+            scale = np.max(np.abs(system.f_surface))
+            assert np.allclose(solved.grid.u, direct, rtol=0.0, atol=1e-10 * scale)
+            centre = direct[(config.n_s - 1) // 2, (config.n_tau - 1) // 2]
+            assert solved.est == pytest.approx(centre, rel=1e-12)
+
     def test_single_solve_tracks_exact_next_day_price(self):
         # One representative day pair from an exactly priced path; the
         # next-day closed-form repricing is the oracle.
@@ -361,6 +398,20 @@ class TestEstimateSeries:
         persistence = math.fsum(abs(mids[k] - mids[k + 1]) / mids[k + 1] for k in days)
         assert 1.0 - qrm_error / persistence >= -0.01
 
+    @pytest.mark.parametrize("seed", [7, 42, 4242])
+    def test_a_constant_vol_series_is_one_linear_filter_of_the_quotes(self, seed):
+        # EST = mid + taps . (half, dmid, dhalf), with the same taps every day;
+        # the filter is persistence plus about 5.5% of the last mid move.
+        records = bs_series(n_days=252, seed=seed, spread_bp=20.0)
+        series = estimate_series(records, QrmConfig())
+        assert len({m.taps for m in series[1:]}) == 1
+        tap_half, tap_dmid, tap_dhalf = series[1].taps
+        assert tap_dmid == pytest.approx(0.0548, abs=1e-4)
+        assert 0.0 < tap_dhalf < tap_half < tap_dmid
+        for k in range(1, len(records)):
+            filtered = records[k].option_mid + np.dot(series[k].taps, moves(records, k))
+            assert filtered == pytest.approx(series[k].est, rel=1e-12)
+
     def test_errors_carry_day_index(self):
         with pytest.raises(ConvergenceError, match="day 1"):
             estimate_series(blown_up_pair(), QrmConfig())
@@ -379,6 +430,15 @@ class TestEstimateSeries:
         config = QrmConfig()
         series = estimate_series(records, config)
         assert len(series) == len(records)
+        for k in range(1, len(records)):
+            assert_same_solve(series[k], solve_qrm(records[k - 1 : k + 1], config))
+
+    def test_blocks_equal_the_single_day_solve_when_the_vol_moves_daily(self):
+        # 251 days in seven blocks, one system per day.
+        records = daily_vol_series()
+        config = QrmConfig()
+        assert len({r.implied_vol for r in records}) == len(records)
+        series = estimate_series(records, config)
         for k in range(1, len(records)):
             assert_same_solve(series[k], solve_qrm(records[k - 1 : k + 1], config))
 
