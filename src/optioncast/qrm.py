@@ -150,15 +150,16 @@ class AssembledSystem:
 
     The PDE operator is held as its coefficients: ``kappa`` per interior stock
     node and ``inv_dtau``.  ``f_surface`` is the full n_s x n_tau data
-    surface, mid + the direction surfaces weighted by ``quotes``, the day's
-    (half, dmid, dhalf).  The unknowns are the interior nodes u[1:-1, 1:], flattened
-    s-major; the dense oracle below (``pde_matrix``, ``apply_normal``,
-    ``normal_rhs``) uses that order and is meant for small-grid diagnostics.
+    surface: mid plus the direction surfaces weighted by ``quotes``, the
+    day's (half, dmid, dhalf).  The unknowns are the interior nodes
+    u[1:-1, 1:], flattened s-major; the dense oracle below (``pde_matrix``,
+    ``apply_normal``, ``normal_rhs``) uses that order and is meant for
+    small-grid diagnostics.
 
     The solver holds a block of days in the same fields, with a leading day
-    axis on ``kappa``, ``f_surface``, ``s_values`` and ``quotes`` (``pde_residual`` works
-    on either form); the dense diagnostics read the single day that
-    :func:`assemble_system` returns.
+    axis on ``kappa``, ``f_surface``, ``s_values`` and ``quotes``
+    (``pde_residual`` works on either form); the dense diagnostics read the
+    single day that :func:`assemble_system` returns.
     """
 
     kappa: np.ndarray
@@ -260,8 +261,9 @@ def _assemble(records: Sequence[QuoteRecord], config: QrmConfig) -> AssembledSys
     s_scaled = 1.0 + (half_width / s_mid)[:, None] * coordinate
     ds = s_scaled[:, 1] - s_scaled[:, 0]
     q = np.stack([half, *np.diff(quotes[:, :2], axis=0).T], axis=1)
-    # A vol whose square overflows leaves kappa non-finite, and the solve then
-    # fails that day with a ConvergenceError; numpy's warnings would repeat it.
+    # A vol whose square overflows leaves kappa non-finite, and quotes near the
+    # float64 limit overflow F; the solve then fails that day with a
+    # ConvergenceError, and numpy's warnings would repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         kappa = ((TRADING_DAY_YEARS * sigma * sigma)[:, None] * s_scaled[:, 1:-1] ** 2
                  / (ds * ds)[:, None])
