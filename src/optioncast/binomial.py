@@ -11,7 +11,6 @@ number of trading days via Wald's identity on the i.i.d. log increments.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -65,13 +64,6 @@ class WealthDistribution:
 
     outcomes: list[tuple[float, float]]
     expectation: float
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["wealth", "probability"])
-            for wealth, prob in self.outcomes:
-                writer.writerow([repr(wealth), repr(prob)])
 
 
 @dataclass(frozen=True)

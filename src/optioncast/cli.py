@@ -7,7 +7,8 @@ run can be replayed byte-for-byte with ``rerun``.
 
 Each ``cmd_*`` only computes: it returns ``(artifacts, message)``, where
 ``artifacts`` maps file names, in write order, to a dict (written as JSON), a
-str (written as text) or a writer called with the path.  One runner,
+str (written as text) or a writer called with the path.  Every report table
+is a str built by ``_csv``.  One runner,
 ``_run``, writes them and then the manifest, and prints the message.  It
 writes nothing until the command has returned, so a failed run writes
 nothing.  The manifest's seed is the command's ``seed`` option, null for a
@@ -130,6 +131,12 @@ def _write_manifest(path: Path, command: str, config: dict, artifacts: list[Path
     )
 
 
+def _csv(columns, rows) -> str:
+    """A report table: the header line, then one line of ``str`` cells per row,
+    comma separated and LF terminated; a float's ``str`` is its round-trip ``repr``."""
+    return "".join(",".join(map(str, row)) + "\n" for row in (columns, *rows))
+
+
 def _load_json(path: str):
     with open(path) as fh:
         return json.load(fh)
@@ -202,11 +209,10 @@ def cmd_qrm(cfg: dict) -> tuple:
     records = market_data.load_csv(cfg["input"])
     series = qrm.estimate_series(records, _config(qrm.QrmConfig, cfg))
     solved = [(rec, m) for rec, m in zip(records, series) if m is not None]
-    estimates = "date,est,ask,residual,regularization,tap_half,tap_dmid,tap_dhalf\n" + "".join(
-        ",".join([rec.day.isoformat(), *map(repr, (m.est, rec.option_ask, m.residual,
-                                                   m.regularization, *m.taps))]) + "\n"
-        for rec, m in solved
-    )
+    estimates = _csv(
+        ("date", "est", "ask", "residual", "regularization", "tap_half", "tap_dmid", "tap_dhalf"),
+        ((rec.day, m.est, rec.option_ask, m.residual, m.regularization, *m.taps)
+         for rec, m in solved))
     rel_errors = [
         abs(m.est - records[k + 1].option_mid) / records[k + 1].option_mid
         for k, m in enumerate(series)
@@ -237,12 +243,10 @@ def cmd_train(cfg: dict) -> tuple:
     samples = market_data.build_sequences(records, _default_estimates(records))
     config = _config(lstm_mod.TrainConfig, cfg, learning_rate="lr")
     result = lstm_mod.train(samples, config)
-    history = "epoch,train_loss,val_accuracy,val_precision,val_recall,best_val_accuracy\n"
-    history += "".join(
-        f"{row.epoch},{row.train_loss!r},{row.val.accuracy!r},"
-        f"{row.val.precision!r},{row.val.recall!r},{row.best_val_accuracy!r}\n"
-        for row in result.history
-    )
+    history = _csv(
+        ("epoch", "train_loss", "val_accuracy", "val_precision", "val_recall", "best_val_accuracy"),
+        ((row.epoch, row.train_loss, row.val.accuracy, row.val.precision, row.val.recall,
+          row.best_val_accuracy) for row in result.history))
     artifacts = {
         "checkpoint.json": functools.partial(lstm_mod.save_checkpoint, result=result,
                                              config=config, qrm_config=_FEATURE_QRM),
@@ -283,8 +287,12 @@ def cmd_backtest(cfg: dict) -> tuple:
         for sample, prob in zip(samples, lstm_mod.predict(params, stats, samples)):
             signals[sample.end_index] = float(prob)
     result = trading.backtest(records, signals, mode=mode)
-    artifacts = {"equity.csv": functools.partial(trading.emit_plot_data, result),
-                 "summary.json": result.to_json()}
+    equity = _csv(("date", "cumulative_pnl", "trade_pnl", "action"),
+                  ((d.day, pnl, 0.0 if d.pnl is None else d.pnl, d.action)
+                   for d, pnl in zip(result.decisions, result.equity_curve)))
+    artifacts = {"equity.csv": equity,
+                 "summary.json": {"final_pnl": result.final_pnl, "n_trades": result.n_trades,
+                                  "hit_rate": result.hit_rate}}
     message = (
         f"backtest[{mode}]: {result.n_trades} trades, hit rate {result.hit_rate:.3f}, "
         f"final pnl {result.final_pnl:.6f}"
@@ -307,7 +315,8 @@ def cmd_binomial(cfg: dict) -> tuple:
     report = binomial_mod.martingale_check(spec)
     artifacts = {}
     if spec.days <= binomial_mod.ENUMERATION_LIMIT:
-        artifacts["distribution.csv"] = binomial_mod.enumerate_tree(spec).write_csv
+        artifacts["distribution.csv"] = _csv(("wealth", "probability"),
+                                             binomial_mod.enumerate_tree(spec).outcomes)
     artifacts["summary.json"] = {
         "expectation": expectation,
         "growth": report.per_step_growth,

@@ -9,7 +9,6 @@ threshold is 0.5.  The last day never opens a trade.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -23,7 +22,6 @@ __all__ = [
     "BacktestResult",
     "TradeDecision",
     "backtest",
-    "emit_plot_data",
     "est_covers",
 ]
 
@@ -59,13 +57,6 @@ class BacktestResult:
     final_pnl: float
     n_trades: int
     hit_rate: float
-
-    def to_json(self) -> dict:
-        return {
-            "final_pnl": self.final_pnl,
-            "n_trades": self.n_trades,
-            "hit_rate": self.hit_rate,
-        }
 
 
 def backtest(
@@ -119,18 +110,3 @@ def backtest(
         hit_rate=wins / n_trades if n_trades else 0.0,
     )
 
-
-def emit_plot_data(result: BacktestResult, path) -> None:
-    """Plot-ready CSV ``date,cumulative_pnl,trade_pnl,action``, one row per day."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "cumulative_pnl", "trade_pnl", "action"])
-        for decision, equity in zip(result.decisions, result.equity_curve):
-            writer.writerow(
-                [
-                    decision.day.isoformat(),
-                    repr(equity),
-                    repr(decision.pnl if decision.pnl is not None else 0.0),
-                    decision.action,
-                ]
-            )

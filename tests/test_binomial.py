@@ -1,4 +1,3 @@
-import csv
 import itertools
 import math
 
@@ -154,17 +153,6 @@ class TestEnumerateTree:
         spec = BinomialSpec(**{"p": 0.56, **kwargs})
         with pytest.raises(DataError, match="overflows float64 for BinomialSpec"):
             enumerate_tree(spec)
-
-    def test_csv_round_trip(self, tmp_path):
-        spec = BinomialSpec(p=0.56, ror=2.0, rol=0.5, days=4)
-        dist = enumerate_tree(spec)
-        path = tmp_path / "distribution.csv"
-        dist.write_csv(path)
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["wealth", "probability"]
-        parsed = [(float(w), float(p)) for w, p in rows[1:]]
-        assert parsed == dist.outcomes
 
 
 class TestEstimateRor:

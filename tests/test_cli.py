@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import b64_floats, b64_vector, make_record, make_series, readme_commands, with_entry
-from optioncast import cli, lstm
+from optioncast import binomial, cli, lstm, qrm, trading
 from optioncast.market_data import load_csv, save_csv
 
 
@@ -599,6 +599,99 @@ class TestFuseAndBinomial:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "overflows" in err and "BinomialSpec(p=0.56" in err
         assert not out.exists()
+
+
+# Each CSV artifact's documented header; series.csv's follows its seed comment.
+CSV_HEADERS = {
+    "series.csv": "date,option_bid,option_ask,stock_bid,stock_ask,strike,implied_vol,rate",
+    "estimates.csv": "date,est,ask,residual,regularization,tap_half,tap_dmid,tap_dhalf",
+    "history.csv": "epoch,train_loss,val_accuracy,val_precision,val_recall,best_val_accuracy",
+    "equity.csv": "date,cumulative_pnl,trade_pnl,action",
+    "distribution.csv": "wealth,probability",
+}
+DISTRIBUTION_SPEC = {"p": 0.56, "ror": 2.0, "rol": 0.5, "days": 4}
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """The root of a small run of all seven commands, one directory per step."""
+    root = tmp_path_factory.mktemp("pipeline")
+    data = root / "series.csv"
+    spec = DISTRIBUTION_SPEC
+    steps = [
+        synth_args(data, days=30, seed=11),
+        ["qrm", "--input", data, "--out-dir", root / "qrm"],
+        ["train", "--input", data, "--out-dir", root / "train",
+         "--hidden", "4", "--epochs", "1", "--batch", "8", "--seed", "3"],
+        ["backtest", "--input", data, "--out-dir", root / "backtest_qrm"],
+        ["backtest", "--input", data, "--out-dir", root / "backtest_classifier",
+         "--mode", "classifier", "--checkpoint", root / "train" / "checkpoint.json"],
+        ["fuse", "--p1", "0.56", "--p2", "0.59", "--out-dir", root / "fuse"],
+        ["binomial", "--p", str(spec["p"]), "--ror", str(spec["ror"]), "--rol", str(spec["rol"]),
+         "--days", str(spec["days"]), "--out-dir", root / "binomial"],
+        ["rerun", "--manifest", root / "qrm" / "manifest.json", "--out-dir", root / "rerun"],
+    ]
+    for argv in steps:
+        assert run([str(arg) for arg in argv]) == 0
+    return root
+
+
+def read_table(path):
+    with path.open(newline="") as fh:
+        return list(csv.reader(line for line in fh if not line.startswith("#")))
+
+
+class TestReportTables:
+    """Every CSV artifact is one table format: a header, commas, LF and ``repr`` floats."""
+
+    def test_csv_artifacts_have_lf_lines_and_their_headers(self, pipeline):
+        tables = sorted(pipeline.rglob("*.csv"))
+        assert {path.name for path in tables} == set(CSV_HEADERS)
+        for path in tables:
+            text = path.read_bytes().decode()
+            assert "\r" not in text, path
+            header = next(line for line in text.split("\n") if not line.startswith("#"))
+            assert header == CSV_HEADERS[path.name], path
+
+    def test_equity_rows_are_the_backtest(self, pipeline):
+        records = load_csv(pipeline / "series.csv")
+        signals = [None if m is None else m.est
+                   for m in qrm.estimate_series(records, qrm.QrmConfig())]
+        result = trading.backtest(records, signals, mode="qrm")
+        rows = read_table(pipeline / "backtest_qrm" / "equity.csv")[1:]
+        assert [row[0] for row in rows] == [d.day.isoformat() for d in result.decisions]
+        assert [row[3] for row in rows] == [d.action for d in result.decisions]
+        assert [float(row[1]) for row in rows] == result.equity_curve
+        assert [float(row[2]) for row in rows] == [d.pnl or 0.0 for d in result.decisions]
+        assert {"buy", "abstain"} <= {row[3] for row in rows}
+        summary = json.loads((pipeline / "backtest_qrm" / "summary.json").read_text())
+        assert summary == {"final_pnl": result.final_pnl, "n_trades": result.n_trades,
+                           "hit_rate": result.hit_rate}
+
+    @pytest.mark.parametrize("name", ["backtest_qrm", "backtest_classifier"])
+    def test_abstain_days_read_zero_trade_pnl(self, pipeline, name):
+        rows = read_table(pipeline / name / "equity.csv")[1:]
+        abstains = [row for row in rows if row[3] == "abstain"]
+        assert abstains and all(row[2] == "0.0" for row in abstains)
+        summary = json.loads((pipeline / name / "summary.json").read_text())
+        assert set(summary) == {"final_pnl", "n_trades", "hit_rate"}
+        assert summary["n_trades"] == len(rows) - len(abstains)
+
+    def test_distribution_rows_are_the_tree(self, pipeline):
+        rows = read_table(pipeline / "binomial" / "distribution.csv")[1:]
+        outcomes = binomial.enumerate_tree(binomial.BinomialSpec(**DISTRIBUTION_SPEC)).outcomes
+        assert [(float(w), float(p)) for w, p in rows] == outcomes
+
+    def test_rerun_writes_the_same_table(self, pipeline):
+        assert ((pipeline / "rerun" / "estimates.csv").read_bytes()
+                == (pipeline / "qrm" / "estimates.csv").read_bytes())
+
+    def test_out_dir_that_is_a_file_exits_three(self, tmp_path, series_csv, capsys):
+        blocker = tmp_path / "bt_out"
+        blocker.write_text("")
+        assert run(["backtest", "--input", str(series_csv), "--out-dir", str(blocker)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert blocker.read_text() == ""
 
 
 class TestRerun:

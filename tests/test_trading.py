@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import math
 
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import make_record
 from optioncast.errors import DataError
 from optioncast.market_data import SyntheticSpec, generate_gbm
-from optioncast.trading import backtest, emit_plot_data, est_covers
+from optioncast.trading import backtest, est_covers
 
 
 class TestDecide:
@@ -171,54 +170,3 @@ class TestBacktest:
             backtest(records[:1], [1.0], mode="qrm")
         with pytest.raises(DataError, match="mode"):
             backtest(records, [1.0] * 5, mode="martingale")
-
-    def test_json_summary(self):
-        records = rising_deterministic_series(6)
-        result = backtest(records, [r.option_ask for r in records], mode="qrm")
-        payload = result.to_json()
-        assert set(payload) == {"final_pnl", "n_trades", "hit_rate"}
-
-
-class TestEmitPlotData:
-    def test_three_day_result_three_rows(self, tmp_path):
-        records = rising_deterministic_series(4)
-        result = backtest(records, [r.option_ask for r in records], mode="qrm")
-        path = tmp_path / "equity.csv"
-        emit_plot_data(result, path)
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["date", "cumulative_pnl", "trade_pnl", "action"]
-        assert len(rows) == 1 + 3
-
-    def test_round_trip_values_are_exact(self, tmp_path):
-        spec = SyntheticSpec(s0=100.0, sigma=0.3, mu=0.0, n_days=20, seed=9, spread_bp=30.0)
-        records = generate_gbm(spec)
-        rng = np.random.Generator(np.random.PCG64(3))
-        signals = [r.option_mid * (1 + 0.02 * rng.standard_normal()) for r in records]
-        result = backtest(records, signals, mode="qrm")
-        path = tmp_path / "equity.csv"
-        emit_plot_data(result, path)
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
-        assert len(rows) == len(result.decisions)
-        for row, decision, equity in zip(rows, result.decisions, result.equity_curve):
-            assert row[0] == decision.day.isoformat()
-            assert float(row[1]) == equity
-            assert float(row[2]) == (decision.pnl if decision.pnl is not None else 0.0)
-            assert row[3] == decision.action
-
-    def test_abstain_only_writes_zero_rows(self, tmp_path):
-        records = rising_deterministic_series(5)
-        result = backtest(records, [0.0] * 5, mode="qrm")
-        path = tmp_path / "equity.csv"
-        emit_plot_data(result, path)
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
-        assert len(rows) == 4
-        assert all(float(r[1]) == 0.0 and float(r[2]) == 0.0 for r in rows)
-
-    def test_unwritable_path_raises(self, tmp_path):
-        records = rising_deterministic_series(5)
-        result = backtest(records, [0.0] * 5, mode="qrm")
-        with pytest.raises(OSError):
-            emit_plot_data(result, tmp_path / "missing_dir" / "equity.csv")
