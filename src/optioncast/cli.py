@@ -193,14 +193,10 @@ def cmd_synth(cfg: dict) -> tuple:
     return {out.name: writer}, f"wrote {len(records)} rows to {out}"
 
 
-# The QRM config whose estimates are feature 0 in ``train`` and ``backtest``;
-# the checkpoint records it, and a backtest refuses one built with another.
-_FEATURE_QRM = qrm.QrmConfig()
-
-
 def _default_estimates(records) -> list[float]:
-    """EST per day on the default QRM grid; day 0, with no prior day, takes its mid."""
-    series = qrm.estimate_series(records, _FEATURE_QRM)
+    """EST per day under :data:`lstm.FEATURE_QRM`, feature 0's QRM config; day 0,
+    with no prior day, takes its mid."""
+    series = qrm.estimate_series(records, lstm_mod.FEATURE_QRM)
     return [records[0].option_mid if m is None else m.est for m in series]
 
 
@@ -249,7 +245,7 @@ def cmd_train(cfg: dict) -> tuple:
           row.best_val_accuracy) for row in result.history))
     artifacts = {
         "checkpoint.json": functools.partial(lstm_mod.save_checkpoint, result=result,
-                                             config=config, qrm_config=_FEATURE_QRM),
+                                             config=config),
         "history.csv": history,
         "summary.json": {
             "n_samples": len(samples),
@@ -277,11 +273,7 @@ def cmd_backtest(cfg: dict) -> tuple:
     else:
         if cfg["checkpoint"] is None:
             raise DataError("classifier mode requires --checkpoint")
-        params, stats, meta = lstm_mod.load_checkpoint(cfg["checkpoint"])
-        feature_qrm = dataclasses.asdict(_FEATURE_QRM)
-        if meta["qrm"] != feature_qrm:
-            raise DataError(f"checkpoint feature 0 was built with QRM config {meta['qrm']!r}, "
-                            f"not this version's {feature_qrm}; retrain to write a new checkpoint")
+        params, stats, _ = lstm_mod.load_checkpoint(cfg["checkpoint"])
         samples = market_data.build_sequences(records, _default_estimates(records))
         signals = [None] * len(records)
         for sample, prob in zip(samples, lstm_mod.predict(params, stats, samples)):

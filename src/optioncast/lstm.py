@@ -88,6 +88,9 @@ __all__ = [
 
 PROB_CLAMP = 1e-12
 CHECKPOINT_SCHEMA = 5
+# The QRM config whose estimates are feature 0; a checkpoint records it and
+# loading refuses one written under another.
+FEATURE_QRM = QrmConfig()
 
 _GATES = ("i", "f", "o", "g")
 
@@ -593,10 +596,9 @@ def train(samples: Sequence[SequenceSample], config: TrainConfig) -> TrainResult
     )
 
 
-def save_checkpoint(path, result: TrainResult, config: TrainConfig,
-                    qrm_config: QrmConfig = QrmConfig()) -> None:
+def save_checkpoint(path, result: TrainResult, config: TrainConfig) -> None:
     """One JSON document (schema 5): config, feature stats, the train/serve record
-    (``feature_names`` and the ``qrm`` config whose estimates are feature 0) and
+    (``feature_names`` and :data:`FEATURE_QRM` as ``qrm``) and
     ``vector``, the flat parameter vector in :func:`_layout` order as base64 of its
     little-endian float64 bytes, which round-trips bit for bit."""
     doc = {
@@ -612,7 +614,7 @@ def save_checkpoint(path, result: TrainResult, config: TrainConfig,
         "seed": config.seed,
         "epoch": result.best_epoch,
         "feature_names": FEATURE_NAMES,
-        "qrm": asdict(qrm_config),
+        "qrm": asdict(FEATURE_QRM),
         "vector": base64.b64encode(result.params.vector.astype("<f8").tobytes()).decode("ascii"),
         "feature_stats": {
             "mean": result.stats.mean.tolist(),
@@ -652,7 +654,8 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
     """Load a schema-5 checkpoint; a forged size fails a check before anything is allocated.
 
     ``meta`` holds the ``seed``, ``epoch`` and ``config`` and the ``qrm`` record
-    as written; features named otherwise than :data:`FEATURE_NAMES` are refused.
+    as written; features named otherwise than :data:`FEATURE_NAMES`, or feature 0
+    from another QRM config than :data:`FEATURE_QRM`, are refused.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -687,6 +690,9 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
     if names != FEATURE_NAMES:
         raise DataError(f"checkpoint feature_names {names!r} are not the features this version "
                         f"builds, {FEATURE_NAMES}; retrain to write a new checkpoint")
+    if qrm != asdict(FEATURE_QRM):
+        raise DataError(f"checkpoint feature 0 was built with QRM config {qrm!r}, not this "
+                        f"version's {asdict(FEATURE_QRM)}; retrain to write a new checkpoint")
     params = LstmParams(_decode_vector(text, _n_params(int(hidden))), int(hidden))
     meta = {"seed": doc.get("seed"), "epoch": doc.get("epoch"), "config": doc.get("config", {}),
             "qrm": qrm}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -810,6 +811,20 @@ class TestCheckpoint:
         doc["schema"] = 1
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="schema 1 .*retrain"):
+            lstm.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [lambda q: q.update(beta=0.02), lambda q: q.pop("n_tau")],
+                             ids=["other-beta", "no-n_tau"])
+    def test_other_qrm_config_is_rejected_with_a_retrain_hint(self, tmp_path, edit):
+        samples = separable_dataset(n=120, seed=33)
+        config = lstm.TrainConfig(hidden=6, batch=16, epochs=1, learning_rate=0.1, seed=9)
+        path = tmp_path / "checkpoint.json"
+        lstm.save_checkpoint(path, lstm.train(samples, config), config)
+        doc = json.loads(path.read_text())
+        assert doc["qrm"] == dataclasses.asdict(lstm.FEATURE_QRM)
+        edit(doc["qrm"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="QRM config .*retrain"):
             lstm.load_checkpoint(path)
 
     @pytest.mark.parametrize("field, value", [
