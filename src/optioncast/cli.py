@@ -2,8 +2,9 @@
 
 Subcommands: synth, qrm, train, backtest, fuse, binomial, rerun.  Every run
 writes its artifacts plus a ``manifest.json`` recording the command, the
-fully resolved configuration, the seed, and a sha256 per artifact, so any
-run can be replayed byte-for-byte with ``rerun``.
+fully resolved configuration, the seed, and a sha256 per file read and per
+artifact, so any run can be replayed byte-for-byte with ``rerun``, which
+refuses to replay once an input file has changed.
 
 Each ``cmd_*`` only computes: it returns ``(artifacts, message)``, where
 ``artifacts`` maps file names, in write order, to a dict (written as JSON), a
@@ -36,7 +37,9 @@ from . import lstm as lstm_mod
 from . import market_data, qrm, trading
 from .errors import ConvergenceError, DataError
 
-MANIFEST_SCHEMA = 1
+MANIFEST_SCHEMA = 2
+# The options that name a file the command reads; the manifest hashes each one set.
+_INPUTS = ("input", "checkpoint")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -118,7 +121,8 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(path: Path, command: str, config: dict, artifacts: list[Path]) -> None:
+def _write_manifest(path: Path, command: str, config: dict, inputs: dict,
+                    artifacts: list[Path]) -> None:
     _write_json(
         path,
         {
@@ -126,9 +130,29 @@ def _write_manifest(path: Path, command: str, config: dict, artifacts: list[Path
             "command": command,
             "config": config,
             "seed": config.get("seed"),
+            "inputs": inputs,
             "artifacts": {p.name: _sha256(p) for p in artifacts},
         },
     )
+
+
+def _check_inputs(cfg: dict, recorded, source: str) -> None:
+    """Refuse a replay unless every input file is the one the manifest hashed."""
+    if not isinstance(recorded, dict):
+        raise DataError(f"{source}: manifest has no inputs object")
+    for key in _INPUTS:
+        path = cfg.get(key)
+        if path is None:
+            continue
+        if key not in recorded:
+            problem = "has no sha256 in the manifest"
+        elif not Path(path).is_file():
+            problem = "is missing"
+        elif _sha256(Path(path)) != recorded[key]:
+            problem = "changed since the manifest was written"
+        else:
+            continue
+        raise DataError(f"{source}: {key} {path} {problem}; rerun replays only unchanged inputs")
 
 
 def _csv(columns, rows) -> str:
@@ -326,6 +350,7 @@ def _run(command: str, cfg: dict) -> int:
     ``synth`` writes into the directory of ``out`` and names its manifest
     ``<name>.manifest.json``; every other command writes into ``out_dir``.
     """
+    inputs = {key: _sha256(Path(cfg[key])) for key in _INPUTS if cfg.get(key) is not None}
     artifacts, message = _COMMANDS[command](cfg)
     if command == "synth":
         out = Path(cfg["out"])
@@ -341,7 +366,7 @@ def _run(command: str, cfg: dict) -> int:
             path.write_text(content)
         else:
             content(path)
-    _write_manifest(out_dir / manifest, command, cfg, paths)
+    _write_manifest(out_dir / manifest, command, cfg, inputs, paths)
     print(message)
     return EXIT_OK
 
@@ -359,6 +384,7 @@ def cmd_rerun(manifest_path: str, out_dir: str | None) -> int:
         cfg = _resolve(command, manifest.get("config", {}), manifest_path)
     except _UsageError as exc:
         raise DataError(f"{manifest_path}: {exc}") from None
+    _check_inputs(cfg, manifest.get("inputs"), manifest_path)
     if out_dir is not None:
         if command == "synth":
             cfg["out"] = str(Path(out_dir) / Path(cfg["out"]).name)

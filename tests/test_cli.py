@@ -43,8 +43,9 @@ class TestSynth:
         records = load_csv(out)
         assert len(records) == 252
         manifest = json.loads((tmp_path / "series.csv.manifest.json").read_text())
-        assert manifest["schema"] == 1
+        assert manifest["schema"] == 2
         assert manifest["command"] == "synth"
+        assert manifest["inputs"] == {}
         assert manifest["seed"] == 7
         assert manifest["artifacts"]["series.csv"] == file_hashes([out])["series.csv"]
 
@@ -694,6 +695,55 @@ class TestReportTables:
         assert blocker.read_text() == ""
 
 
+# Ways to spoil the run that test_rerun_refuses_changed_inputs replays: each
+# changes ``root`` and returns the directory of the run to replay and what the
+# refusal names.
+def spoil_series(root):
+    """One byte of the last day's ask quote, edited after the run."""
+    data = root / "series.csv"
+    lines = data.read_text().splitlines(keepends=True)
+    cells = lines[-1].split(",")
+    cells[2] = cells[2][:-1] + ("2" if cells[2][-1] == "1" else "1")
+    lines[-1] = ",".join(cells)
+    data.write_text("".join(lines))
+    return "qrm", f"input {data} changed"
+
+
+def retrain(root):
+    """A new checkpoint in place of the one the classifier backtest read."""
+    assert run(["train", "--input", str(root / "series.csv"), "--out-dir", str(root / "train"),
+                "--hidden", "4", "--epochs", "1", "--seed", "4"]) == 0
+    return "backtest", f"checkpoint {root / 'train' / 'checkpoint.json'} changed"
+
+
+def edit_manifest(root, command, edit):
+    path = root / command / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def old_schema(root):
+    """A schema-1 manifest, which recorded no inputs."""
+    edit_manifest(root, "qrm", lambda m: m.update(schema=1))
+    return "qrm", "unsupported manifest schema 1"
+
+
+def drop_inputs(root):
+    edit_manifest(root, "qrm", lambda m: m.pop("inputs"))
+    return "qrm", "manifest has no inputs object"
+
+
+def drop_checkpoint_hash(root):
+    edit_manifest(root, "backtest", lambda m: m["inputs"].pop("checkpoint"))
+    return "backtest", f"checkpoint {root / 'train' / 'checkpoint.json'} has no sha256"
+
+
+def delete_series(root):
+    (root / "series.csv").unlink()
+    return "qrm", f"input {root / 'series.csv'} is missing"
+
+
 class TestRerun:
     def test_rerun_reproduces_bytes(self, tmp_path):
         out = tmp_path / "series.csv"
@@ -721,23 +771,57 @@ class TestRerun:
         data = tmp_path / "series.csv"
         run(synth_args(data))
         manifest = json.loads((tmp_path / "series.csv.manifest.json").read_text())
-        manifest["schema"] = 2
+        manifest["schema"] = 3
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(manifest))
         replay = tmp_path / "replay"
         assert run(["rerun", "--manifest", str(edited), "--out-dir", str(replay)]) == 3
-        assert "unsupported manifest schema 2" in capsys.readouterr().err
+        assert "unsupported manifest schema 3" in capsys.readouterr().err
+        assert not replay.exists()
+
+    def test_manifest_hashes_the_files_the_command_reads(self, tmp_path, series_csv,
+                                                         checkpoint_doc):
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps(checkpoint_doc))
+        out = tmp_path / "bt"
+        assert run(["backtest", "--input", str(series_csv), "--out-dir", str(out),
+                    "--mode", "classifier", "--checkpoint", str(ckpt)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {"input": file_hashes([series_csv])["series.csv"],
+                                      "checkpoint": file_hashes([ckpt])["checkpoint.json"]}
+
+    @pytest.mark.parametrize("spoil", [spoil_series, retrain, old_schema, drop_inputs,
+                                       drop_checkpoint_hash, delete_series])
+    def test_rerun_refuses_changed_inputs(self, tmp_path, series_csv, capsys, spoil):
+        root = tmp_path / "run"
+        root.mkdir()
+        data = root / "series.csv"
+        data.write_bytes(series_csv.read_bytes())
+        steps = [["qrm", "--input", data, "--out-dir", root / "qrm"],
+                 ["train", "--input", data, "--out-dir", root / "train",
+                  "--hidden", "4", "--epochs", "1", "--seed", "3"],
+                 ["backtest", "--input", data, "--out-dir", root / "backtest",
+                  "--mode", "classifier", "--checkpoint", root / "train" / "checkpoint.json"]]
+        for argv in steps:
+            assert run([str(arg) for arg in argv]) == 0
+        command, match = spoil(root)
+        capsys.readouterr()
+        replay = tmp_path / "replay"
+        assert run(["rerun", "--manifest", str(root / command / "manifest.json"),
+                    "--out-dir", str(replay)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err
         assert not replay.exists()
 
     def test_rerun_unknown_command_rejected(self, tmp_path, capsys):
         bad = tmp_path / "manifest.json"
-        bad.write_text(json.dumps({"schema": 1, "command": "nope", "config": {}}))
+        bad.write_text(json.dumps({"schema": 2, "command": "nope", "config": {}}))
         assert run(["rerun", "--manifest", str(bad)]) == 3
         capsys.readouterr()
 
     @pytest.mark.parametrize(
         "manifest",
-        [[1, 2], {"schema": 1, "command": ["x"]}],
+        [[1, 2], {"schema": 2, "command": ["x"]}],
         ids=["not-an-object", "unhashable-command"],
     )
     def test_rerun_malformed_manifest_exits_three(self, tmp_path, capsys, manifest):
@@ -771,7 +855,7 @@ class TestRerun:
 
     def test_rerun_missing_required_option_exits_three(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps({"schema": 1, "command": "fuse", "config": {"p1": 0.56}}))
+        manifest.write_text(json.dumps({"schema": 2, "command": "fuse", "config": {"p1": 0.56}}))
         assert run(["rerun", "--manifest", str(manifest)]) == 3
         assert "p2, out_dir" in capsys.readouterr().err
 
@@ -861,7 +945,7 @@ class TestConfigValues:
     def test_bad_manifest_value_exits_three(self, tmp_path, series_csv, capsys, command, bad):
         config = {"input": str(series_csv), "out_dir": str(tmp_path / "o"), **bad}
         manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps({"schema": 1, "command": command, "config": config}))
+        manifest.write_text(json.dumps({"schema": 2, "command": command, "config": config}))
         assert run(["rerun", "--manifest", str(manifest)]) == 3
         (key,) = bad
         assert repr(key) in capsys.readouterr().err
