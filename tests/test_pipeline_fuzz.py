@@ -1,7 +1,9 @@
-"""Every series the loader accepts flows through every CLI stage.
+"""Every series the loader accepts flows through every CLI stage, and
+``fuse`` and ``binomial`` take any float for each of their options.
 
-Each stage exits 0, 3 or 4 with no traceback and no warning, and a stage
-that exits 0 writes no infinite or NaN number.
+Each stage exits 0, 3 or 4 (``fuse`` and ``binomial``: 0, 2 or 3) with no
+traceback and no warning, and a stage that exits 0 writes no infinite or NaN
+number.
 """
 
 import contextlib
@@ -52,7 +54,7 @@ def series(draw):
     return [make_record(offset=k, **fields) for k, fields in enumerate(days)]
 
 
-def stage(argv):
+def stage(argv, allowed=(0, 3, 4)):
     """Exit code of one in-process CLI run, checked as the module docstring says."""
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
@@ -60,7 +62,7 @@ def stage(argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     assert [str(w.message) for w in caught] == []
-    assert code in (0, 3, 4), err.getvalue()
+    assert code in allowed, err.getvalue()
     assert "Traceback" not in err.getvalue()
     if code == 0:
         out = Path(argv[argv.index("--out-dir") + 1])
@@ -92,3 +94,39 @@ def test_loader_valid_series_flow_through_every_stage(records):
             hashes = [json.loads((d / "manifest.json").read_text())["artifacts"]
                       for d in (qrm_out, replay)]
             assert hashes[0] == hashes[1]
+
+
+@st.composite
+def options(draw, **valid):
+    """Each option from ``valid``, except a drawn subset of them from anywhere in
+    the float range (nan, infinities, subnormals, signed zeros)."""
+    wild = draw(st.sets(st.sampled_from(sorted(valid))))
+    return {name: draw(st.floats() if name in wild else strategy)
+            for name, strategy in valid.items()}
+
+
+def projection(command, values):
+    """One run of ``command``; ``--name=value`` keeps a value such as ``-inf``
+    from reading as a flag."""
+    flags = [f"--{name}={value!r}" for name, value in values.items() if value is not None]
+    with tempfile.TemporaryDirectory() as tmp:
+        stage([command, *flags, "--out-dir", str(Path(tmp) / "out")], allowed=(0, 2, 3))
+
+
+PROBABILITY = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(options(p1=PROBABILITY, p2=PROBABILITY))
+def test_fuse_takes_any_float(values):
+    projection("fuse", values)
+
+
+# --days parses as an int, so a float drawn for it exits 2; its in-range
+# draws take every int.
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(options(p=PROBABILITY, ror=st.floats(1.0, 1e3), rol=st.none() | PROBABILITY,
+               days=st.none() | st.integers(0, 40) | st.integers(),
+               capital=st.none() | st.floats(1e-3, 1e3)))
+def test_binomial_takes_any_float(values):
+    projection("binomial", values)
