@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""End-to-end experiment: synthetic data -> extrapolation -> training -> backtests.
+"""End-to-end experiment: synthetic data -> extrapolation -> training -> backtests,
+then the fusion and binomial projections: every command the CLI has but rerun.
 
 Writes every artifact (plus per-step manifests) under --out-dir and prints the
 summaries.  All stages are deterministic for a fixed --seed.
@@ -42,6 +43,9 @@ def main() -> int:
         ["backtest", "--input", str(data), "--out-dir", str(root / "backtest_lstm"),
          "--mode", "classifier",
          "--checkpoint", str(root / "train" / "checkpoint.json")],
+        ["fuse", "--p1", "0.56", "--p2", "0.59", "--out-dir", str(root / "fuse")],
+        ["binomial", "--p", "0.56", "--ror", "2", "--rol", "0.5", "--days", "30",
+         "--out-dir", str(root / "binomial")],
     ]
     for step in steps:
         print(f"$ optioncast {' '.join(step)}")
@@ -50,8 +54,10 @@ def main() -> int:
             print(f"step failed with exit code {code}", file=sys.stderr)
             return code
 
-    for name in ("qrm", "train", "backtest_qrm", "backtest_lstm"):
-        summary = json.loads((root / name / "summary.json").read_text())
+    reports = {name: "summary.json" for name in ("qrm", "train", "backtest_qrm", "backtest_lstm")}
+    reports.update(fuse="fusion.json", binomial="summary.json")
+    for name, report in reports.items():
+        summary = json.loads((root / name / report).read_text())
         print(f"{name}: {json.dumps(summary, sort_keys=True)}")
     return 0
 
