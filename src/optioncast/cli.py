@@ -8,12 +8,11 @@ refuses to replay once an input file has changed.
 
 Each ``cmd_*`` only computes: it returns ``(artifacts, message)``, where
 ``artifacts`` maps file names, in write order, to a dict (written as JSON), a
-str (written as text) or a writer called with the path.  Every report table
-is a str built by ``_csv``.  One runner,
-``_run``, writes them and then the manifest, and prints the message.  It
-writes nothing until the command has returned, so a failed run writes
-nothing.  The manifest's seed is the command's ``seed`` option, null for a
-command without one.
+str (written as text; every report table is built by ``_csv``) or a writer
+called with the path.  One runner, ``_run``, writes them and then the
+manifest, and prints the message.  It writes nothing until the command has
+returned, so a failed run writes nothing.  The manifest's seed is the
+command's ``seed`` option, null for a command without one.
 
 Option precedence is flags > ``--config`` JSON file > built-in defaults.
 Exit codes: 0 success, 2 usage, 3 data/validation error, 4 numerical
@@ -218,8 +217,7 @@ def cmd_synth(cfg: dict) -> tuple:
 
 
 def _default_estimates(records) -> list[float]:
-    """EST per day under :data:`lstm.FEATURE_QRM`, feature 0's QRM config; day 0,
-    with no prior day, takes its mid."""
+    """EST per day under ``lstm.FEATURE_QRM``; day 0, with no prior day, takes its mid."""
     series = qrm.estimate_series(records, lstm_mod.FEATURE_QRM)
     return [records[0].option_mid if m is None else m.est for m in series]
 
@@ -306,9 +304,8 @@ def cmd_backtest(cfg: dict) -> tuple:
     equity = _csv(("date", "cumulative_pnl", "trade_pnl", "action"),
                   ((d.day, pnl, 0.0 if d.pnl is None else d.pnl, d.action)
                    for d, pnl in zip(result.decisions, result.equity_curve)))
-    artifacts = {"equity.csv": equity,
-                 "summary.json": {"final_pnl": result.final_pnl, "n_trades": result.n_trades,
-                                  "hit_rate": result.hit_rate}}
+    summary = {key: getattr(result, key) for key in ("final_pnl", "n_trades", "hit_rate")}
+    artifacts = {"equity.csv": equity, "summary.json": summary}
     message = (
         f"backtest[{mode}]: {result.n_trades} trades, hit rate {result.hit_rate:.3f}, "
         f"final pnl {result.final_pnl:.6f}"

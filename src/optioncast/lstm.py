@@ -88,8 +88,7 @@ __all__ = [
 
 PROB_CLAMP = 1e-12
 CHECKPOINT_SCHEMA = 5
-# The QRM config whose estimates are feature 0; a checkpoint records it and
-# loading refuses one written under another.
+# The QRM config of feature 0: a checkpoint records it, and loading refuses another.
 FEATURE_QRM = QrmConfig()
 
 _GATES = ("i", "f", "o", "g")
