@@ -347,7 +347,9 @@ def _run(command: str, cfg: dict) -> int:
     ``synth`` writes into the directory of ``out`` and names its manifest
     ``<name>.manifest.json``; every other command writes into ``out_dir``.
     """
-    inputs = {key: _sha256(Path(cfg[key])) for key in _INPUTS if cfg.get(key) is not None}
+    # A file that is not there is left to the command, whose error says what it needed.
+    inputs = {key: _sha256(Path(cfg[key])) for key in _INPUTS
+              if cfg.get(key) is not None and Path(cfg[key]).is_file()}
     artifacts, message = _COMMANDS[command](cfg)
     if command == "synth":
         out = Path(cfg["out"])

@@ -410,6 +410,13 @@ class TestTrainAndBacktest:
         assert "--checkpoint" in err and "--mode classifier" in err
         assert not out.exists()
 
+    def test_missing_checkpoint_in_qrm_mode_names_the_mode(self, tmp_path, series_csv, capsys):
+        out = tmp_path / "bt_out"
+        assert run(["backtest", "--input", str(series_csv), "--out-dir", str(out),
+                    "--checkpoint", str(tmp_path / "missing.json")]) == 3
+        assert "--mode classifier" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_backtest_classifier_mode_runs(self, tmp_path, series_csv):
         train_out = tmp_path / "train_out"
         run(
@@ -682,10 +689,6 @@ class TestReportTables:
         rows = read_table(pipeline / "binomial" / "distribution.csv")[1:]
         outcomes = binomial.enumerate_tree(binomial.BinomialSpec(**DISTRIBUTION_SPEC)).outcomes
         assert [(float(w), float(p)) for w, p in rows] == outcomes
-
-    def test_rerun_writes_the_same_table(self, pipeline):
-        assert ((pipeline / "rerun" / "estimates.csv").read_bytes()
-                == (pipeline / "qrm" / "estimates.csv").read_bytes())
 
     def test_out_dir_that_is_a_file_exits_three(self, tmp_path, series_csv, capsys):
         blocker = tmp_path / "bt_out"
