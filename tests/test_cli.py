@@ -661,17 +661,28 @@ class TestReportTables:
             header = next(line for line in text.split("\n") if not line.startswith("#"))
             assert header == CSV_HEADERS[path.name], path
 
-    def test_equity_rows_are_the_backtest(self, pipeline):
+    @staticmethod
+    def qrm_backtest(pipeline):
         records = load_csv(pipeline / "series.csv")
         signals = [None if m is None else m.est
                    for m in qrm.estimate_series(records, qrm.QrmConfig())]
-        result = trading.backtest(records, signals, mode="qrm")
+        return trading.backtest(records, signals, mode="qrm")
+
+    def test_equity_rows_are_the_backtest(self, pipeline):
+        result = self.qrm_backtest(pipeline)
         rows = read_table(pipeline / "backtest_qrm" / "equity.csv")[1:]
         assert [row[0] for row in rows] == [d.day.isoformat() for d in result.decisions]
         assert [row[3] for row in rows] == [d.action for d in result.decisions]
+        assert {"buy", "abstain"} <= {row[3] for row in rows}
+
+    def test_equity_floats_are_the_backtest_exactly(self, pipeline):
+        result = self.qrm_backtest(pipeline)
+        rows = read_table(pipeline / "backtest_qrm" / "equity.csv")[1:]
         assert [float(row[1]) for row in rows] == result.equity_curve
         assert [float(row[2]) for row in rows] == [d.pnl or 0.0 for d in result.decisions]
-        assert {"buy", "abstain"} <= {row[3] for row in rows}
+
+    def test_summary_json_is_the_backtest(self, pipeline):
+        result = self.qrm_backtest(pipeline)
         summary = json.loads((pipeline / "backtest_qrm" / "summary.json").read_text())
         assert summary == {"final_pnl": result.final_pnl, "n_trades": result.n_trades,
                            "hit_rate": result.hit_rate}
