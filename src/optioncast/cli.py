@@ -7,12 +7,12 @@ artifact, so any run can be replayed byte-for-byte with ``rerun``, which
 refuses to replay once an input file has changed.
 
 Each ``cmd_*`` only computes: it returns ``(artifacts, message)``, where
-``artifacts`` maps file names, in write order, to a dict (written as JSON), a
-str (written as text; every report table is built by ``_csv``) or a writer
-called with the path.  One runner, ``_run``, writes them and then the
-manifest, and prints the message.  It writes nothing until the command has
-returned, so a failed run writes nothing.  The manifest's seed is the
-command's ``seed`` option, null for a command without one.
+``artifacts`` maps file names, in write order, to a dict (written as JSON) or
+a writer called with the path; every CSV table, a report or a quote series,
+is written by ``market_data.write_table``.  One runner, ``_run``, writes them
+and then the manifest, and prints the message.  It writes nothing until the
+command has returned, so a failed run writes nothing.  The manifest's seed
+is the command's ``seed`` option, null for a command without one.
 
 Option precedence is flags > ``--config`` JSON file > built-in defaults.
 Exit codes: 0 success, 2 usage, 3 data/validation error, 4 numerical
@@ -154,12 +154,6 @@ def _check_inputs(cfg: dict, recorded, source: str) -> None:
         raise DataError(f"{source}: {key} {path} {problem}; rerun replays only unchanged inputs")
 
 
-def _csv(columns, rows) -> str:
-    """A report table: the header line, then one line of ``str`` cells per row,
-    comma separated and LF terminated; a float's ``str`` is its round-trip ``repr``."""
-    return "".join(",".join(map(str, row)) + "\n" for row in (columns, *rows))
-
-
 def _load_json(path: str):
     with open(path) as fh:
         return json.load(fh)
@@ -227,10 +221,12 @@ def cmd_qrm(cfg: dict) -> tuple:
     records = market_data.load_csv(cfg["input"])
     series = qrm.estimate_series(records, _config(qrm.QrmConfig, cfg))
     solved = [(rec, m) for rec, m in zip(records, series) if m is not None]
-    estimates = _csv(
-        ("date", "est", "ask", "residual", "regularization", "tap_half", "tap_dmid", "tap_dhalf"),
-        ((rec.day, m.est, rec.option_ask, m.residual, m.regularization, *m.taps)
-         for rec, m in solved))
+    estimates = functools.partial(
+        market_data.write_table,
+        columns=("date", "est", "ask", "residual", "regularization", "tap_half", "tap_dmid",
+                 "tap_dhalf"),
+        rows=[(rec.day, m.est, rec.option_ask, m.residual, m.regularization, *m.taps)
+              for rec, m in solved])
     rel_errors = [
         abs(m.est - records[k + 1].option_mid) / records[k + 1].option_mid
         for k, m in enumerate(series)
@@ -261,10 +257,12 @@ def cmd_train(cfg: dict) -> tuple:
     samples = market_data.build_sequences(records, _default_estimates(records))
     config = _config(lstm_mod.TrainConfig, cfg, learning_rate="lr")
     result = lstm_mod.train(samples, config)
-    history = _csv(
-        ("epoch", "train_loss", "val_accuracy", "val_precision", "val_recall", "best_val_accuracy"),
-        ((row.epoch, row.train_loss, row.val.accuracy, row.val.precision, row.val.recall,
-          row.best_val_accuracy) for row in result.history))
+    history = functools.partial(
+        market_data.write_table,
+        columns=("epoch", "train_loss", "val_accuracy", "val_precision", "val_recall",
+                 "best_val_accuracy"),
+        rows=[(row.epoch, row.train_loss, row.val.accuracy, row.val.precision, row.val.recall,
+               row.best_val_accuracy) for row in result.history])
     artifacts = {
         "checkpoint.json": functools.partial(lstm_mod.save_checkpoint, result=result,
                                              config=config),
@@ -295,15 +293,16 @@ def cmd_backtest(cfg: dict) -> tuple:
     else:
         if cfg["checkpoint"] is None:
             raise DataError("classifier mode requires --checkpoint")
-        params, stats, _ = lstm_mod.load_checkpoint(cfg["checkpoint"])
+        params, stats = lstm_mod.load_checkpoint(cfg["checkpoint"])
         samples = market_data.build_sequences(records, _default_estimates(records))
         signals = [None] * len(records)
         for sample, prob in zip(samples, lstm_mod.predict(params, stats, samples)):
             signals[sample.end_index] = float(prob)
     result = trading.backtest(records, signals, mode=mode)
-    equity = _csv(("date", "cumulative_pnl", "trade_pnl", "action"),
-                  ((d.day, pnl, 0.0 if d.pnl is None else d.pnl, d.action)
-                   for d, pnl in zip(result.decisions, result.equity_curve)))
+    equity = functools.partial(
+        market_data.write_table, columns=("date", "cumulative_pnl", "trade_pnl", "action"),
+        rows=[(d.day, pnl, 0.0 if d.pnl is None else d.pnl, d.action)
+              for d, pnl in zip(result.decisions, result.equity_curve)])
     summary = {key: getattr(result, key) for key in ("final_pnl", "n_trades", "hit_rate")}
     artifacts = {"equity.csv": equity, "summary.json": summary}
     message = (
@@ -328,8 +327,9 @@ def cmd_binomial(cfg: dict) -> tuple:
     report = binomial_mod.martingale_check(spec)
     artifacts = {}
     if spec.days <= binomial_mod.ENUMERATION_LIMIT:
-        artifacts["distribution.csv"] = _csv(("wealth", "probability"),
-                                             binomial_mod.enumerate_tree(spec).outcomes)
+        artifacts["distribution.csv"] = functools.partial(
+            market_data.write_table, columns=("wealth", "probability"),
+            rows=binomial_mod.enumerate_tree(spec).outcomes)
     artifacts["summary.json"] = {
         "expectation": expectation,
         "growth": report.per_step_growth,
@@ -361,8 +361,6 @@ def _run(command: str, cfg: dict) -> int:
     for path, content in zip(paths, artifacts.values()):
         if isinstance(content, dict):
             _write_json(path, content)
-        elif isinstance(content, str):
-            path.write_text(content)
         else:
             content(path)
     _write_manifest(out_dir / manifest, command, cfg, inputs, paths)

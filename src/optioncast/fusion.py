@@ -15,14 +15,13 @@ holds the confusion counts that every precision here is read from.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError, whole
+from .errors import DataError, real, whole
 
 __all__ = [
     "FusionReport",
@@ -47,9 +46,8 @@ def joint_precision(p1: float, p2: float) -> float:
     Both inputs must lie strictly inside (0, 1); the formula degenerates at
     certainty and the caller must handle those cases itself.
     """
-    for name, p in (("p1", p1), ("p2", p2)):
-        if not (math.isfinite(p) and 0.0 < p < 1.0):
-            raise ValueError(f"{name} must lie strictly in (0, 1), got {p}")
+    p1, p2 = (real(p, f"{name} must lie strictly in (0, 1)", lambda x: 0.0 < x < 1.0)
+              for name, p in (("p1", p1), ("p2", p2)))
     agree = p1 * p2
     return agree / (agree + (1.0 - p1) * (1.0 - p2))
 

@@ -46,9 +46,10 @@ One tanh per iteration gives every gate.  The sigmoid gates use
 sig(x) = 1/2 + tanh(x / 2) / 2: the forward multiplies by M^T with its
 first 6H rows (i, f and o) halved, which is exact (a power of two), and
 then scales and shifts those rows, one contiguous block, in place;
-backpropagation reads the true M^T.  The identity stays within 2^-52 of
-the two-branch logistic, except that a gate is exactly 0 below x ~ -38,
-where the logistic is still e^x (< 3.2e-17).
+backpropagation reads the true M^T.  The head computes P(up) by the same
+identity.  It stays within 2^-52 of the two-branch logistic, except that
+a gate, and P(up), is exactly 0 below x ~ -38, where the logistic is
+still e^x (< 3.2e-17).
 """
 
 from __future__ import annotations
@@ -92,16 +93,6 @@ CHECKPOINT_SCHEMA = 5
 FEATURE_QRM = QrmConfig()
 
 _GATES = ("i", "f", "o", "g")
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function; exp only ever sees -|x|, so it cannot overflow."""
-    e = np.abs(x)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    numerator = np.where(x >= 0, 1.0, e)
-    e += 1.0
-    return numerator / e
 
 
 def _layout(hidden: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -336,7 +327,13 @@ def _wavefront(plan, windows: np.ndarray) -> np.ndarray:
 
 
 def _head(params: LstmParams, h_last: np.ndarray) -> np.ndarray:
-    return _sigmoid(params.dense_w @ h_last + params.dense_b)
+    """P(up) from layer 2's final h (H, B), by the gates' sig(x) = 1/2 + tanh(x / 2) / 2."""
+    prob = params.dense_w @ h_last + params.dense_b
+    prob *= 0.5
+    np.tanh(prob, out=prob)
+    prob *= 0.5
+    prob += 0.5
+    return prob
 
 
 def _checked_windows(windows: np.ndarray) -> np.ndarray:
@@ -649,12 +646,11 @@ def _decode_vector(text: str, expected: int) -> np.ndarray:
     return vector
 
 
-def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
+def load_checkpoint(path) -> tuple[LstmParams, FeatureStats]:
     """Load a schema-5 checkpoint; a forged size fails a check before anything is allocated.
 
-    ``meta`` holds the ``seed``, ``epoch`` and ``config`` and the ``qrm`` record
-    as written; features named otherwise than :data:`FEATURE_NAMES`, or feature 0
-    from another QRM config than :data:`FEATURE_QRM`, are refused.
+    Features named otherwise than :data:`FEATURE_NAMES`, or feature 0 from
+    another QRM config than :data:`FEATURE_QRM`, are refused.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -681,18 +677,11 @@ def load_checkpoint(path) -> tuple[LstmParams, FeatureStats, dict]:
         raise DataError(f"checkpoint is missing field {exc}") from exc
     except (TypeError, OverflowError) as exc:
         raise DataError(f"checkpoint has a field of the wrong type: {exc}") from exc
-    if type(hidden) not in (int, float):
-        raise DataError(f"checkpoint hidden has the wrong type: {hidden!r}")
-    # is_integer() is False for inf and nan; an int, however large, skips it.
-    if not (hidden > 0 and (type(hidden) is int or hidden.is_integer())):
-        raise DataError(f"checkpoint hidden must be a positive integer, got {hidden!r}")
+    hidden = whole(hidden, "checkpoint hidden must be a positive integer", 1)
     if names != FEATURE_NAMES:
         raise DataError(f"checkpoint feature_names {names!r} are not the features this version "
                         f"builds, {FEATURE_NAMES}; retrain to write a new checkpoint")
     if qrm != asdict(FEATURE_QRM):
         raise DataError(f"checkpoint feature 0 was built with QRM config {qrm!r}, not this "
                         f"version's {asdict(FEATURE_QRM)}; retrain to write a new checkpoint")
-    params = LstmParams(_decode_vector(text, _n_params(int(hidden))), int(hidden))
-    meta = {"seed": doc.get("seed"), "epoch": doc.get("epoch"), "config": doc.get("config", {}),
-            "qrm": qrm}
-    return params, stats, meta
+    return LstmParams(_decode_vector(text, _n_params(hidden)), hidden), stats

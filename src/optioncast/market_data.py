@@ -6,7 +6,8 @@ CSV schema (header required, comma separated, '.' decimal point):
 
 Files written by :func:`save_csv` with a seed carry one leading comment line
 ``# seed=<u64> generator=pcg64-standard-normal`` recording the PRNG contract;
-:func:`load_csv` ignores ``#`` comment lines.
+:func:`load_csv` ignores ``#`` comment lines.  :func:`write_table` writes
+this table format, for quote series and for every CLI report table alike.
 
 Feature layout (one 13-wide vector per trading day, see ``FEATURE_NAMES``):
 
@@ -57,6 +58,7 @@ __all__ = [
     "save_csv",
     "split",
     "stack",
+    "write_table",
 ]
 
 TRADING_DAY_YEARS = 1.0 / 252.0
@@ -287,19 +289,26 @@ def load_csv(path) -> list[QuoteRecord]:
     return records
 
 
+def write_table(path, columns: Sequence[str], rows, comment: str | None = None) -> None:
+    """Write a CSV table: the ``# comment`` line if given, the header, then the rows.
+
+    Each cell is its ``str``, so a float is its round-trip ``repr`` and a date
+    its ISO form; cells are comma separated and every line ends in LF, on
+    every platform.
+    """
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in (columns, *rows))
+
+
 def save_csv(records: Sequence[QuoteRecord], path, seed: int | None = None) -> None:
-    """Write records in the schema above; ``repr`` keeps floats round-trip exact."""
+    """Write records in the schema above with :func:`write_table`."""
     if not records:
         raise DataError("cannot write an empty record list")
-    with open(path, "w", newline="") as fh:
-        if seed is not None:
-            fh.write(f"# seed={seed} generator={GENERATOR_ID}\n")
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for r in records:
-            fields = [r.day.isoformat()] + [
-                repr(getattr(r, name)) for name in CSV_COLUMNS[1:]
-            ]
-            fh.write(",".join(fields) + "\n")
+    write_table(path, CSV_COLUMNS,
+                ((r.day, *(getattr(r, name) for name in CSV_COLUMNS[1:])) for r in records),
+                None if seed is None else f"seed={seed} generator={GENERATOR_ID}")
 
 
 def _gbm_stock_path(s0: float, sigma: float, mu: float, shocks: np.ndarray) -> np.ndarray:

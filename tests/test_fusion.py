@@ -101,9 +101,9 @@ class TestJointPrecision:
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, float("nan")])
     def test_degenerate_inputs_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match=r"p1 must lie strictly in \(0, 1\), got"):
             joint_precision(bad, 0.6)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match=r"p2 must lie strictly in \(0, 1\), got"):
             joint_precision(0.6, bad)
 
     @given(

@@ -138,18 +138,25 @@ class TestForward:
         prob, _ = lstm.forward(zeros, rng.standard_normal((WINDOW_LENGTH, N_FEATURES)))
         assert prob == 0.5
 
-    def test_sigmoid_is_the_masked_form_bit_for_bit(self):
+    def test_head_is_within_an_ulp_of_the_masked_form(self):
+        """The head's 1/2 + tanh(x / 2) / 2 is exactly 0 below x ~ -38, where
+        the masked form still returns e^x (< 3.2e-17)."""
         rng = np.random.Generator(np.random.PCG64(4))
         x = np.concatenate([
             rng.standard_normal(1000) * 40.0,
             [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.0, -745.0, 1000.0, -1000.0],
         ])
+        params, _ = random_params(hidden=1)
+        params.vector[:] = 0.0
+        params.dense_w[:] = 1.0  # so the head's pre-activation is x itself
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = lstm._sigmoid(x)
-        assert np.array_equal(got, masked_sigmoid(x))
+            got = lstm._head(params, x[None, :])
+        np.testing.assert_allclose(got, masked_sigmoid(x), rtol=0, atol=2.0**-52)
         assert got[1000] == 0.5 and got[1001] == 0.5
         assert got[-2] == 1.0 and got[-1] == 0.0
+        below = x <= -38.0
+        assert below.sum() > 100 and np.all(got[below] == 0.0)
 
     def test_sigmoid_gates_match_the_masked_form_of_textbook_preactivations(self):
         """The forward computes sig(x) as 1/2 + tanh(x / 2) / 2.
@@ -244,7 +251,7 @@ class TestLayout:
         result = lstm.train(samples, config)
         path = tmp_path / "checkpoint.json"
         lstm.save_checkpoint(path, result, config)
-        loaded, _, _ = lstm.load_checkpoint(path)
+        loaded, _ = lstm.load_checkpoint(path)
         for p in (params, from_vector, result.params, loaded):
             views = list(p.arrays.values()) + [p.dense_w, p.dense_b]
             views += [a for layer in (p.layer1, p.layer2) for a in (layer.w, layer.u, layer.b)]
@@ -785,14 +792,15 @@ class TestCheckpoint:
         result = lstm.train(samples, config)
         path = tmp_path / "checkpoint.json"
         lstm.save_checkpoint(path, result, config)
-        params, stats, meta = lstm.load_checkpoint(path)
+        params, stats = lstm.load_checkpoint(path)
         assert params.vector.tobytes() == result.params.vector.tobytes()
         assert np.array_equal(stats.mean, result.stats.mean)
-        assert meta["seed"] == 9 and meta["epoch"] == result.best_epoch
         doc = json.loads(path.read_text())
+        assert doc["seed"] == 9 and doc["epoch"] == result.best_epoch
+        assert doc["config"]["hidden"] == 6 and doc["config"]["optimizer"] == config.optimizer
         assert doc["schema"] == 5 and "input_size" not in doc
         assert doc["feature_names"] == FEATURE_NAMES
-        assert doc["qrm"] == meta["qrm"] == {"n_s": 21, "n_tau": 11, "beta": 0.01}
+        assert doc["qrm"] == {"n_s": 21, "n_tau": 11, "beta": 0.01}
         assert doc["config"]["split"] == [0.8, 1.0 - 0.8]
         assert "shapes" not in doc and "weights" not in doc
         # hidden alone gives the loaded arrays the shapes schema 2 declared.
@@ -849,7 +857,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("key, value, message", [
         pytest.param("hidden", float("inf"), "hidden must be a positive integer", id="hidden-inf"),
         pytest.param("hidden", 6.5, "hidden must be a positive integer", id="hidden-6.5"),
-        pytest.param("hidden", True, "hidden has the wrong type", id="hidden-true"),
+        pytest.param("hidden", True, "hidden must be a positive integer", id="hidden-true"),
+        pytest.param("hidden", None, "hidden must be a positive integer", id="hidden-null"),
         # Schema 5 carries the input size as the number of feature names.
         pytest.param("feature_names", float("nan"), "feature_names nan are not",
                      id="input_size-nan"),
@@ -888,7 +897,7 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         doc["config"]["hidden"] = 6.0
         path.write_text(json.dumps(doc))
-        loaded, _, _ = lstm.load_checkpoint(path)
+        loaded, _ = lstm.load_checkpoint(path)
         assert loaded.hidden == 6 and type(loaded.hidden) is int
         assert np.array_equal(loaded.vector, params.vector)
 
@@ -899,7 +908,7 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.json"
         lstm.save_checkpoint(path, lstm.TrainResult(params=params, stats=random_stats(rng)),
                              lstm.TrainConfig(hidden=6))
-        loaded, _, _ = lstm.load_checkpoint(path)
+        loaded, _ = lstm.load_checkpoint(path)
         assert loaded.vector.tobytes() == params.vector.tobytes()
         assert np.signbit(loaded.vector[0]) and loaded.vector.flags.writeable
         assert json.loads(path.read_text())["vector"] == b64_vector(params.vector)
@@ -974,7 +983,7 @@ class TestCheckpoint:
             lstm.load_checkpoint(path)
 
     @pytest.mark.parametrize("section, key, value", [
-        ("config", "hidden", None),
+        ("feature_stats", "std", 0.5),
         (None, "vector", 0.5),
         (None, "vector", {"a": 1}),
         ("feature_stats", "mean", {"a": 1}),

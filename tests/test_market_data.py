@@ -29,6 +29,7 @@ from optioncast.market_data import (
     load_csv,
     save_csv,
     split,
+    write_table,
 )
 
 HEADER = ",".join(CSV_COLUMNS)
@@ -170,6 +171,24 @@ class TestRoundTrip:
         reloaded = load_csv(path)
         assert reloaded == records
         assert path.read_text().startswith(f"# seed=11 generator={GENERATOR_ID}\n")
+
+    def test_save_csv_writes_the_table_writers_bytes(self, tmp_path):
+        records = [
+            make_record(offset=0, option_bid=-0.0, stock_bid=5e-324, stock_ask=1e16, rate=-0.0),
+            make_record(offset=1, strike=5e-324, implied_vol=1e16),
+        ]
+        path, table = tmp_path / "series.csv", tmp_path / "table.csv"
+        save_csv(records, path, seed=11)
+        write_table(table, CSV_COLUMNS,
+                    [(r.day, *(getattr(r, name) for name in CSV_COLUMNS[1:])) for r in records],
+                    f"seed=11 generator={GENERATOR_ID}")
+        assert path.read_bytes() == table.read_bytes()
+        assert path.read_bytes().split(b"\n")[2] == (
+            f"{records[0].day.isoformat()},-0.0,5.1,5e-324,1e+16,80.0,0.2,-0.0".encode())
+        reloaded = load_csv(path)
+        assert reloaded == records
+        assert math.copysign(1.0, reloaded[0].option_bid) == -1.0
+        assert math.copysign(1.0, reloaded[0].rate) == -1.0
 
     def test_empty_record_list_is_not_written(self, tmp_path):
         path = tmp_path / "empty.csv"
